@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import PROB_EPSILON, DegenerateLabelsError, LabeledSample
+from .core import DegenerateLabelsError, LabeledSample, nonconformity_scores
 
 THRESHOLDS_FORMAT_VERSION = 1
 
@@ -221,8 +221,7 @@ def calibration_scores(samples: Sequence[LabeledSample]) -> np.ndarray:
             raise ValueError(
                 f"sample {smp.sample_id!r} has {smp.k_classes} classes, expected {k}"
             )
-    p_true = np.array([smp.probs[smp.label] for smp in samples])
-    return -np.log(np.clip(p_true, PROB_EPSILON, 1.0))
+    return nonconformity_scores(np.array([smp.probs[smp.label] for smp in samples]))
 
 
 def calibrate(
@@ -237,8 +236,6 @@ def calibrate(
     ``ground_truth``, and places the abstention threshold at the Youden
     optimum of the score ROC.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     scores = calibration_scores(samples)
     q_conf = conformal_threshold(scores, alpha)
 

@@ -12,8 +12,7 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,6 +61,30 @@ HEATMAP_METRICS = (
 
 DEFAULT_CONDITIONS = ("rain", "fog", "snow", "motion_blur")
 DEFAULT_SEVERITIES = (0, 1, 2, 3, 4, 5)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The JSON type of each config key, as (description, check); the generator
+# keys live under the "generator" object.
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+_TOP_KEY_TYPES = {
+    "alpha": _NUMBER,
+    "conditions": ("a list of strings", lambda v: isinstance(v, list)
+                   and all(isinstance(c, str) for c in v)),
+    "severities": ("a list of integers", lambda v: isinstance(v, list)
+                   and all(map(_is_int, v))),
+    "seed": _INT,
+    "n_calibration": _INT,
+    "manifest": ("a string", lambda v: v is None or isinstance(v, str)),
+}
+_GEN_KEY_TYPES = {
+    "k_classes": _INT, "n_samples": _INT, "base_accuracy": _NUMBER,
+    "temperature_per_level": _NUMBER, "noise_sigma_per_level": _NUMBER,
+}
 
 
 @dataclass(frozen=True)
@@ -113,27 +136,20 @@ class SweepConfig:
         gen = doc.pop("generator", {})
         if not isinstance(gen, dict):
             raise ValueError(f"{path}: 'generator' must be an object")
-        known_top = {"alpha", "conditions", "severities", "seed", "n_calibration", "manifest"}
-        known_gen = {
-            "k_classes", "n_samples", "base_accuracy",
-            "temperature_per_level", "noise_sigma_per_level",
-        }
-        unknown = (doc.keys() - known_top) | (gen.keys() - known_gen)
+        unknown = (doc.keys() - _TOP_KEY_TYPES.keys()) | (
+            gen.keys() - _GEN_KEY_TYPES.keys()
+        )
         if unknown:
             raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-        kwargs = {}
-        for key in known_top & doc.keys():
-            kwargs[key] = doc[key]
-        for key in known_gen & gen.keys():
-            kwargs[key] = gen[key]
-        if "conditions" in kwargs:
-            kwargs["conditions"] = tuple(str(c) for c in kwargs["conditions"])
-        if "severities" in kwargs:
-            kwargs["severities"] = tuple(int(s) for s in kwargs["severities"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        kwargs = {**doc, **gen}
+        for key, value in kwargs.items():
+            want, ok = _TOP_KEY_TYPES.get(key) or _GEN_KEY_TYPES[key]
+            if not ok(value):
+                raise ValueError(f"{path}: {key!r} must be {want}, got {value!r}")
+        for key in ("conditions", "severities"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
+        return cls(**kwargs)
 
     def generator_config(self, condition: str, severity: int, n: int, *seed_parts) -> GeneratorConfig:
         return GeneratorConfig(
@@ -159,12 +175,11 @@ def _slug(condition: str) -> str:
     return s or "unnamed"
 
 
-def _print_thresholds(thresholds: CalibratedThresholds, prefix: str = "") -> None:
-    q_conf = "inf" if thresholds.q_conf == float("inf") else f"{thresholds.q_conf:.6f}"
-    print(f"{prefix}q_conf={q_conf}")
-    print(f"{prefix}q_abs={thresholds.q_abs:.6f}")
-    print(f"{prefix}youden_j={thresholds.youden_j:.6f}")
-    print(f"{prefix}n={thresholds.n_calibration}")
+def _print_thresholds(thresholds: CalibratedThresholds) -> None:
+    print(f"q_conf={thresholds.q_conf:.6f}")
+    print(f"q_abs={thresholds.q_abs:.6f}")
+    print(f"youden_j={thresholds.youden_j:.6f}")
+    print(f"n={thresholds.n_calibration}")
 
 
 def _warn_sentinel(thresholds: CalibratedThresholds) -> None:
@@ -251,18 +266,9 @@ def cmd_evaluate(args) -> int:
 # sweep
 
 
-@dataclass
-class _ConditionResult:
-    condition: str
-    summaries: list[EvaluationSummary] = field(default_factory=list)
-    log_lines: list[str] = field(default_factory=list)
-    written: list[Path] = field(default_factory=list)
-    error: Optional[Exception] = None
-
-
 def _load_manifest_groups(manifest_path: Path):
     """Resolve (condition -> calibration samples, [(severity, samples)])
-    from a dataset manifest."""
+    from a dataset manifest, in sorted condition and severity order."""
     manifest = read_manifest(manifest_path)
 
     by_condition: dict[str, dict] = {}
@@ -308,20 +314,19 @@ def _load_manifest_groups(manifest_path: Path):
 
 
 def _run_condition(
-    cfg: SweepConfig,
-    cond: str,
-    out: Path,
-    preloaded,
-) -> _ConditionResult:
-    res = _ConditionResult(condition=cond)
+    alpha: float, cond: str, cal_samples, groups, out: Path, summaries: list
+) -> None:
+    """Calibrate one condition, then evaluate and export each of its
+    severity groups, printing a line per step and appending each group's
+    summary to ``summaries``. On failure the files written so far are
+    renamed ``*.partial`` and the error is re-raised."""
     slug = _slug(cond)
+    written = []
     try:
-        cal_samples, groups = preloaded
-        thresholds = calibrate(cal_samples, cfg.alpha)
-        res.log_lines.append(
-            f"[{cond}] q_conf="
-            + ("inf" if thresholds.q_conf == float("inf") else f"{thresholds.q_conf:.6f}")
-            + f" q_abs={thresholds.q_abs:.6f} youden_j={thresholds.youden_j:.6f}"
+        thresholds = calibrate(cal_samples, alpha)
+        print(
+            f"[{cond}] q_conf={thresholds.q_conf:.6f}"
+            f" q_abs={thresholds.q_abs:.6f} youden_j={thresholds.youden_j:.6f}"
             f" n={thresholds.n_calibration}"
         )
 
@@ -329,25 +334,24 @@ def _run_condition(
             records = evaluate_samples(samples, thresholds)
             rec_path = out / f"records_{slug}_s{sev}.csv"
             write_records_csv(records, rec_path)
-            res.written.append(rec_path)
+            written.append(rec_path)
 
             summary = summarize(records)[0]
             if summary.auc is not None:
                 roc_path = out / f"roc_{slug}_s{sev}.csv"
                 write_roc_csv(detection_auc(records)[0], roc_path)
-                res.written.append(roc_path)
-            res.summaries.append(summary)
-            res.log_lines.append(
+                written.append(roc_path)
+            summaries.append(summary)
+            print(
                 f"[{cond}] severity {sev}: n={summary.n} "
                 f"coverage={summary.coverage:.4f} "
                 f"abstention={summary.abstention_rate:.4f}"
             )
-    except Exception as exc:  # reported per condition; sweep continues
-        res.error = exc
-        for path in res.written:
+    except Exception:
+        for path in written:
             if path.exists():
                 path.rename(path.with_name(path.name + ".partial"))
-    return res
+        raise
 
 
 def _write_heatmap(summaries: Sequence[EvaluationSummary], path) -> None:
@@ -381,31 +385,14 @@ def cmd_sweep(args) -> int:
     else:
         manifest_path = _generate_tree(cfg, out / "data", quiet=True)
         print(f"generated dataset under {out / 'data'}")
-    preloaded = _load_manifest_groups(manifest_path)
-    conditions = sorted(preloaded)
+    all_summaries: list[EvaluationSummary] = []
+    failures = {}
+    for cond, (cal_samples, groups) in _load_manifest_groups(manifest_path).items():
+        try:
+            _run_condition(cfg.alpha, cond, cal_samples, groups, out, all_summaries)
+        except Exception as exc:  # reported per condition; sweep continues
+            failures[cond] = exc
 
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [
-            _run_condition(cfg, cond, out, preloaded[cond]) for cond in conditions
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_condition, cfg, cond, out, preloaded[cond])
-                for cond in conditions
-            ]
-            results = [f.result() for f in futures]
-
-    for res in results:
-        for line in res.log_lines:
-            print(line)
-
-    failures = [res for res in results if res.error is not None]
-    all_summaries = sorted(
-        (s for res in results for s in res.summaries),
-        key=lambda s: (s.condition, s.severity),
-    )
     suffix = ".partial" if failures else ""
     if all_summaries:
         write_summary(all_summaries, out / f"summary.csv{suffix}", format="csv")
@@ -416,9 +403,9 @@ def cmd_sweep(args) -> int:
         print(f"wrote {out / ('heatmap.csv' + suffix)}")
 
     if failures:
-        for res in failures:
-            print(f"error: condition {res.condition!r} failed: {res.error}", file=sys.stderr)
-        if all(isinstance(res.error, DegenerateLabelsError) for res in failures):
+        for cond, exc in failures.items():
+            print(f"error: condition {cond!r} failed: {exc}", file=sys.stderr)
+        if all(isinstance(exc, DegenerateLabelsError) for exc in failures.values()):
             return 3
         return 2
     return 0
@@ -474,7 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("config", help="JSON config file")
     p_sweep.add_argument("--out-dir", required=True, help="output directory")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel conditions (default 1)")
+    p_sweep.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted and ignored; conditions run one after another",
+    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -83,17 +83,37 @@ def softmax(logits) -> np.ndarray:
     return p
 
 
-def nonconformity(probs, label: int) -> float:
-    """Score how atypical a labeled example is: -log p(label).
+def nonconformity_scores(p: np.ndarray) -> np.ndarray:
+    """Elementwise -log p of validated probabilities, each clamped to
+    [PROB_EPSILON, 1] first so every score is finite and nonnegative."""
+    return -np.log(np.clip(p, PROB_EPSILON, 1.0))
 
-    The probability is clamped to [PROB_EPSILON, 1] first, so the score is
-    always finite and nonnegative; lower means the model agreed more with
-    the label.
+
+def normalized_entropies(p: np.ndarray) -> np.ndarray:
+    """Row-wise Shannon entropy of validated probabilities, scaled by log K.
+
+    Uses the 0 * log 0 = 0 convention; the zero terms stay in the sum as
+    exact zeros, so every row reduces in the same order whatever the batch.
+    The result is clipped to [0, 1] against last-bit float excursions.
     """
+    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    return np.clip(-plogp.sum(axis=-1) / np.log(p.shape[-1]), 0.0, 1.0)
+
+
+def top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (largest, second-largest) entries of validated probabilities."""
+    k = p.shape[-1]
+    top = np.partition(p, k - 2, axis=-1)
+    return top[..., k - 1], top[..., k - 2]
+
+
+def nonconformity(probs, label: int) -> float:
+    """Score how atypical a labeled example is: -log p(label); lower means
+    the model agreed more with the label."""
     p = as_probabilities(probs)
     if not 0 <= label < p.size:
         raise ValueError(f"label {label} out of range for {p.size} classes")
-    return float(-np.log(min(max(float(p[label]), PROB_EPSILON), 1.0)))
+    return float(nonconformity_scores(p)[label])
 
 
 @dataclass(frozen=True)

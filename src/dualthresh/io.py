@@ -45,14 +45,6 @@ class ArtifactError(ValueError):
     """A persisted artifact failed version or invariant validation."""
 
 
-def _fmt(x: float) -> str:
-    """Fixed 6-decimal rendering, with inf spelled out for JSON-compatible
-    round trips."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.6f}"
-
-
 def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
@@ -105,10 +97,12 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
     The header decides whether rows hold raw logits (normalized through
     softmax) or probabilities (validated as-is); mixing is rejected. The
     samples are tagged with the given condition and severity, which the
-    file format itself does not carry.
+    file format itself does not carry. Sample ids must be unique within
+    the file. A leading UTF-8 byte-order mark (as spreadsheet exports
+    write) is ignored.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -117,12 +111,19 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
         kind, k = _parse_header(path, header)
 
         samples = []
+        first_line: dict[str, int] = {}
         for line_no, row in enumerate(reader, start=2):
             if len(row) != k + 2:
                 raise ParseError(
                     path, line_no, f"expected {k + 2} cells, got {len(row)}"
                 )
             sample_id = row[0]
+            if sample_id in first_line:
+                raise ParseError(
+                    path, line_no, f"duplicate sample_id {sample_id!r} "
+                    f"(first on line {first_line[sample_id]})"
+                )
+            first_line[sample_id] = line_no
             try:
                 label = int(row[1])
             except ValueError:
@@ -244,10 +245,10 @@ def write_records_csv(records: Sequence[EvaluationRecord], path) -> None:
                     int(r.abstained),
                     int(r.should_abstain),
                     r.prediction_set.size,
-                    _fmt(r.entropy),
-                    _fmt(r.confidence),
-                    _fmt(r.margin),
-                    _fmt(r.score_top1),
+                    f"{r.entropy:.6f}",
+                    f"{r.confidence:.6f}",
+                    f"{r.margin:.6f}",
+                    f"{r.score_top1:.6f}",
                 ]
             )
 
@@ -269,13 +270,13 @@ def write_summary(summaries: Sequence[EvaluationSummary], path, format: str = "c
                         s.condition,
                         s.severity,
                         s.n,
-                        _fmt(s.coverage),
-                        _fmt(s.avg_set_size),
-                        _fmt(s.avg_entropy),
-                        _fmt(s.avg_confidence),
-                        _fmt(s.avg_margin),
-                        _fmt(s.abstention_rate),
-                        "" if s.auc is None else _fmt(s.auc),
+                        f"{s.coverage:.6f}",
+                        f"{s.avg_set_size:.6f}",
+                        f"{s.avg_entropy:.6f}",
+                        f"{s.avg_confidence:.6f}",
+                        f"{s.avg_margin:.6f}",
+                        f"{s.abstention_rate:.6f}",
+                        "" if s.auc is None else f"{s.auc:.6f}",
                     ]
                 )
     elif format == "json":
@@ -306,7 +307,7 @@ def write_roc_csv(curve: RocCurve, path) -> None:
     with _open_write(path) as fh:
         fh.write("tau,fpr,tpr\n")
         for tau, fpr, tpr in curve.points():
-            fh.write(f"{_fmt(tau)},{_fmt(fpr)},{_fmt(tpr)}\n")
+            fh.write(f"{tau:.6f},{fpr:.6f},{tpr:.6f}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -14,27 +14,10 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from .calibration import RocCurve, roc_points
-from .core import as_probabilities
+from .core import as_probabilities, normalized_entropies, top_two
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .prediction import EvaluationRecord
-
-
-def _normalized_entropy(p: np.ndarray) -> float:
-    # p must already be a validated probability vector. The 0 log 0 terms
-    # stay in the sum as exact zeros so batched and single-vector
-    # evaluation reduce in the same order.
-    plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return min(1.0, max(0.0, float(-plogp.sum()) / np.log(p.size)))
-
-
-def _confidence(p: np.ndarray) -> float:
-    return float(p.max())
-
-
-def _margin(p: np.ndarray) -> float:
-    top = np.sort(p)[-2:]
-    return float(top[1] - top[0])
 
 
 def normalized_entropy(probs) -> float:
@@ -44,17 +27,18 @@ def normalized_entropy(probs) -> float:
     and the uniform distribution exactly 1 (the result is clipped against
     last-bit float excursions outside [0, 1]).
     """
-    return _normalized_entropy(as_probabilities(probs))
+    return float(normalized_entropies(as_probabilities(probs)))
 
 
 def confidence(probs) -> float:
     """Top-1 probability."""
-    return _confidence(as_probabilities(probs))
+    return float(top_two(as_probabilities(probs))[0])
 
 
 def margin(probs) -> float:
     """Gap between the largest and second-largest probabilities."""
-    return _margin(as_probabilities(probs))
+    first, second = top_two(as_probabilities(probs))
+    return float(first - second)
 
 
 def _require_records(records: Sequence["EvaluationRecord"]):

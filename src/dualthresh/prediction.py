@@ -14,7 +14,13 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import AbstentionGroundTruth, CalibratedThresholds
-from .core import PROB_EPSILON, LabeledSample, as_probabilities
+from .core import (
+    LabeledSample,
+    as_probabilities,
+    nonconformity_scores,
+    normalized_entropies,
+    top_two,
+)
 
 
 @dataclass(frozen=True)
@@ -56,17 +62,14 @@ def prediction_set(probs, q_conf: float) -> PredictionSet:
     An infinite q_conf admits every label; a finite one may admit none,
     and the empty set is returned as-is.
     """
-    p = as_probabilities(probs)
-    scores = -np.log(np.clip(p, PROB_EPSILON, 1.0))
-    members = np.flatnonzero(scores <= q_conf)
+    members = np.flatnonzero(nonconformity_scores(as_probabilities(probs)) <= q_conf)
     return PredictionSet(members=tuple(int(m) for m in members))
 
 
 def abstain_decision(probs, q_abs: float) -> bool:
     """True when the top-1 score strictly exceeds the abstention threshold."""
     p = as_probabilities(probs)
-    score = -np.log(min(max(float(p.max()), PROB_EPSILON), 1.0))
-    return bool(score > q_abs)
+    return bool(nonconformity_scores(p)[p.argmax()] > q_abs)
 
 
 def evaluate_sample(
@@ -103,11 +106,11 @@ def evaluate_samples(
                 f"thresholds were calibrated for {thresholds.k_classes}"
             )
     p_mat = np.array([smp.probs for smp in samples])
-    n, k = p_mat.shape
+    n = len(p_mat)
     rows = np.arange(n)
     labels = np.fromiter((smp.label for smp in samples), dtype=np.int64, count=n)
 
-    scores = -np.log(np.clip(p_mat, PROB_EPSILON, 1.0))
+    scores = nonconformity_scores(p_mat)
     in_set = scores <= thresholds.q_conf
     covered = in_set[rows, labels]
     top1 = p_mat.argmax(axis=1)
@@ -118,11 +121,9 @@ def evaluate_samples(
     else:
         should = ~covered
 
-    plogp = np.where(p_mat > 0.0, p_mat * np.log(np.where(p_mat > 0.0, p_mat, 1.0)), 0.0)
-    entropy = np.clip(-plogp.sum(axis=1) / np.log(k), 0.0, 1.0)
-    top_two = np.partition(p_mat, k - 2, axis=1)[:, -2:]
-    conf = top_two[:, 1]
-    marg = top_two[:, 1] - top_two[:, 0]
+    entropy = normalized_entropies(p_mat)
+    conf, second = top_two(p_mat)
+    marg = conf - second
 
     return [
         EvaluationRecord(

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,18 @@ def tree_bytes(root):
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, dualthresh.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestVersionAndUsage:
@@ -83,6 +99,36 @@ class TestGen:
         assert main(["gen", str(path), "--out", str(tmp_path / "d")]) == 2
         assert "alhpa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"conditions": "rain"}, "conditions"),
+            ({"conditions": [["a"]]}, "conditions"),
+            ({"conditions": [1]}, "conditions"),
+            ({"severities": 3}, "severities"),
+            ({"severities": [0, 1.5]}, "severities"),
+            ({"severities": [True]}, "severities"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": "7"}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"n_calibration": 150.0}, "n_calibration"),
+            ({"alpha": True}, "alpha"),
+            ({"alpha": "0.1"}, "alpha"),
+            ({"manifest": 3}, "manifest"),
+            ({"generator": {"n_samples": False}}, "n_samples"),
+            ({"generator": {"k_classes": 6.5}}, "k_classes"),
+            ({"generator": {"base_accuracy": True}}, "base_accuracy"),
+            ({"generator": {"temperature_per_level": [1]}}, "temperature_per_level"),
+        ],
+    )
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
 
 class TestCalibrate:
     def test_worked_four_sample_file(self, tmp_path, capsys):
@@ -105,6 +151,18 @@ class TestCalibrate:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_duplicate_sample_id_exits_2(self, tmp_path, capsys):
+        cal = tmp_path / "cal.csv"
+        cal.write_text(WORKED_CAL_CSV + WORKED_CAL_CSV.splitlines()[1] + "\n",
+                       encoding="utf-8")
+        code = main(
+            ["calibrate", "--cal", str(cal), "--out", str(tmp_path / "t.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'c1'" in err and "line 2" in err
+        assert len(err.splitlines()) == 1
 
     def test_all_correct_calibration_exits_3(self, tmp_path, capsys):
         cal = tmp_path / "cal.csv"

@@ -36,6 +36,27 @@ class TestSignalStrength:
         assert norm.cdf(mu / np.sqrt(2)) == pytest.approx(0.8, abs=1e-8)
 
 
+    @pytest.mark.parametrize("k", [2, 10, 100])
+    @pytest.mark.parametrize("accuracy", [0.7, 0.95])
+    def test_matches_scipy_stats_integrand_exactly(self, k, accuracy):
+        from scipy import integrate, optimize, stats
+
+        def top1_accuracy(mu):
+            return integrate.quad(
+                lambda z: stats.norm.pdf(z) * stats.norm.cdf(z + mu) ** (k - 1),
+                -12.0,
+                12.0,
+            )[0]
+
+        hi = 8.0
+        while top1_accuracy(hi) < accuracy:
+            hi *= 2.0
+        expected = optimize.brentq(
+            lambda m: top1_accuracy(m) - accuracy, 0.0, hi, xtol=1e-10
+        )
+        assert signal_strength(k, accuracy) == expected
+
+
 class TestGenerateDataset:
     def test_deterministic_for_same_seed(self):
         a = generate_dataset(config())

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dualthresh.calibration import CalibratedThresholds, roc_points
+from dualthresh.calibration import CalibratedThresholds, calibrate, roc_points
 from dualthresh.core import LabeledSample
 from dualthresh.datagen import GeneratorConfig, generate_dataset
 from dualthresh.io import (
@@ -132,6 +132,32 @@ class TestSamplesCsv:
         )
         with pytest.raises(ParseError, match="cells"):
             read_logits_csv(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        samples = generate_dataset(
+            GeneratorConfig(k_classes=5, n_samples=300, base_accuracy=0.8,
+                            severity=1, seed=17)
+        )
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_samples_csv(samples, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a = calibrate(read_logits_csv(plain), 0.1)
+        b = calibrate(read_logits_csv(bom), 0.1)
+        assert (a.q_conf, a.q_abs, a.youden_j, a.n_calibration) == (
+            b.q_conf, b.q_abs, b.youden_j, b.n_calibration
+        )
+
+    def test_duplicate_sample_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "sample_id,label,prob_0,prob_1\na,0,0.9,0.1\nb,1,0.3,0.7\n"
+            "a,1,0.2,0.8\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match="duplicate sample_id 'a'") as err:
+            read_logits_csv(path)
+        assert err.value.line == 4
+        assert "line 2" in str(err.value)
 
 
 class TestThresholdsArtifact:
