@@ -35,20 +35,15 @@ from .datagen import (
 )
 from .metrics import (
     EvaluationSummary,
-    abstention_rate,
-    average_set_size,
     confidence,
     detection_auc,
-    empirical_coverage,
     margin,
     normalized_entropy,
     summarize,
 )
 from .prediction import (
-    EvaluationRecord,
-    PredictionSet,
+    Evaluations,
     abstain_decision,
-    evaluate_sample,
     evaluate_samples,
     prediction_set,
 )
@@ -57,27 +52,22 @@ __all__ = [
     "AbstentionGroundTruth",
     "CalibratedThresholds",
     "DegenerateLabelsError",
-    "EvaluationRecord",
     "EvaluationSummary",
+    "Evaluations",
     "GeneratorConfig",
     "LabeledSample",
-    "PredictionSet",
     "RocCurve",
     "__version__",
     "abstain_decision",
-    "abstention_rate",
     "abstention_threshold",
     "as_logits",
     "as_probabilities",
-    "average_set_size",
     "calibrate",
     "calibration_scores",
     "confidence",
     "conformal_threshold",
     "derive_seed",
     "detection_auc",
-    "empirical_coverage",
-    "evaluate_sample",
     "evaluate_samples",
     "exchangeable_split",
     "generate_dataset",

@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .core import DegenerateLabelsError, LabeledSample, nonconformity_scores
+from .core import (
+    DegenerateLabelsError,
+    LabeledSample,
+    nonconformity_scores,
+    stack_samples,
+)
 
 THRESHOLDS_FORMAT_VERSION = 1
 
@@ -74,6 +78,8 @@ class CalibratedThresholds:
     ``q_conf`` may be ``math.inf`` when the requested significance level is
     unattainable at the calibration size (rank exceeds n); prediction sets
     then contain every label and coverage holds vacuously.
+    ``created_utc`` is kept as given; ``calibrate`` leaves it empty, so the
+    artifact depends only on the calibration data and alpha.
     """
 
     q_conf: float
@@ -98,12 +104,6 @@ class CalibratedThresholds:
             raise ValueError(f"youden_j must be in [-1, 1], got {self.youden_j}")
         if self.k_classes < 2:
             raise ValueError(f"k_classes must be >= 2, got {self.k_classes}")
-        if not self.created_utc:
-            object.__setattr__(
-                self,
-                "created_utc",
-                datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            )
 
 
 def conformal_threshold(scores: Sequence[float], alpha: float) -> float:
@@ -213,15 +213,8 @@ def abstention_threshold(roc: RocCurve) -> tuple[float, float]:
 
 def calibration_scores(samples: Sequence[LabeledSample]) -> np.ndarray:
     """Nonconformity of each sample against its own true label."""
-    if len(samples) == 0:
-        raise ValueError("samples must be non-empty")
-    k = samples[0].k_classes
-    for smp in samples:
-        if smp.k_classes != k:
-            raise ValueError(
-                f"sample {smp.sample_id!r} has {smp.k_classes} classes, expected {k}"
-            )
-    return nonconformity_scores(np.array([smp.probs[smp.label] for smp in samples]))
+    labels, probs = stack_samples(samples)
+    return nonconformity_scores(probs[np.arange(labels.size), labels])
 
 
 def calibrate(
@@ -236,13 +229,12 @@ def calibrate(
     ``ground_truth``, and places the abstention threshold at the Youden
     optimum of the score ROC.
     """
-    scores = calibration_scores(samples)
+    labels, probs = stack_samples(samples)
+    scores = nonconformity_scores(probs[np.arange(labels.size), labels])
     q_conf = conformal_threshold(scores, alpha)
 
     if ground_truth is AbstentionGroundTruth.TOP1_ERROR:
-        p_mat = np.array([smp.probs for smp in samples])
-        labels = np.fromiter((smp.label for smp in samples), dtype=np.int64)
-        flags = p_mat.argmax(axis=1) != labels
+        flags = probs.argmax(axis=1) != labels
     else:
         flags = scores > q_conf
 
@@ -265,7 +257,7 @@ def calibrate(
         q_conf=q_conf,
         q_abs=q_abs,
         alpha=alpha,
-        n_calibration=len(samples),
+        n_calibration=labels.size,
         youden_j=youden_j,
-        k_classes=samples[0].k_classes,
+        k_classes=probs.shape[1],
     )

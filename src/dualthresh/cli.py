@@ -251,12 +251,12 @@ def cmd_calibrate(args) -> int:
 def cmd_evaluate(args) -> int:
     samples = read_logits_csv(args.test, condition=args.condition, severity=args.severity)
     thresholds = read_thresholds(args.thresholds)
-    records = evaluate_samples(samples, thresholds)
-    write_records_csv(records, args.records_out)
-    summaries = summarize(records)
+    ev = evaluate_samples(samples, thresholds)
+    write_records_csv(ev, args.records_out)
+    summaries = summarize(ev)
     fmt = "json" if str(args.summary_out).endswith(".json") else "csv"
     write_summary(summaries, args.summary_out, format=fmt)
-    print(f"evaluated {len(records)} samples")
+    print(f"evaluated {len(ev)} samples")
     print(f"wrote {args.records_out}")
     print(f"wrote {args.summary_out}")
     return 0
@@ -331,15 +331,15 @@ def _run_condition(
         )
 
         for sev, samples in groups:
-            records = evaluate_samples(samples, thresholds)
+            ev = evaluate_samples(samples, thresholds)
             rec_path = out / f"records_{slug}_s{sev}.csv"
-            write_records_csv(records, rec_path)
+            write_records_csv(ev, rec_path)
             written.append(rec_path)
 
-            summary = summarize(records)[0]
+            summary = summarize(ev)[0]
             if summary.auc is not None:
                 roc_path = out / f"roc_{slug}_s{sev}.csv"
-                write_roc_csv(detection_auc(records)[0], roc_path)
+                write_roc_csv(detection_auc(ev)[0], roc_path)
                 written.append(roc_path)
             summaries.append(summary)
             print(

@@ -147,3 +147,25 @@ class LabeledSample:
     def from_logits(cls, sample_id, label, logits, condition="", severity=0):
         """Build a sample from raw logits, normalizing through softmax."""
         return cls(sample_id, label, softmax(logits), condition, severity)
+
+
+def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Stack validated samples into int64 labels and an (n, k) probability
+    matrix, in input order.
+
+    Every sample must have the class count of the first; a mixed batch is
+    rejected naming the first sample that differs. The probabilities were
+    validated when each sample was built, so none is revalidated here.
+    """
+    if len(samples) == 0:
+        raise ValueError("samples must be non-empty")
+    try:
+        probs = np.stack([smp.probs for smp in samples])
+    except ValueError:
+        k = samples[0].k_classes
+        bad = next(smp for smp in samples if smp.k_classes != k)
+        raise ValueError(
+            f"sample {bad.sample_id!r} has {bad.k_classes} classes, expected {k}"
+        ) from None
+    labels = np.fromiter((smp.label for smp in samples), dtype=np.int64, count=len(samples))
+    return labels, probs

@@ -1,5 +1,5 @@
-"""File formats: logits/probability CSVs, threshold artifacts, record and
-summary exports, dataset manifests.
+"""File formats: logits/probability CSVs, threshold artifacts, per-sample
+evaluation and summary exports, dataset manifests.
 
 All text files are UTF-8 with LF line endings and '.' decimal separators
 regardless of locale. Writers are deterministic: identical inputs produce
@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .calibration import THRESHOLDS_FORMAT_VERSION, CalibratedThresholds, RocCurve
 from .core import LabeledSample
 from .metrics import EvaluationSummary
-from .prediction import EvaluationRecord
+from .prediction import Evaluations
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -170,6 +172,17 @@ def _number_in(value, field: str) -> float:
     raise ArtifactError(f"field {field!r} must be a number or 'inf'/'-inf', got {value!r}")
 
 
+def _read_json_object(path, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def write_thresholds(thresholds: CalibratedThresholds, path) -> None:
     doc = {
         "q_conf": _number_out(thresholds.q_conf),
@@ -192,11 +205,7 @@ def read_thresholds(path) -> CalibratedThresholds:
     Unknown format versions and any invariant violation (tampered alpha,
     negative q_conf, ...) are rejected rather than propagated.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
+    doc = _read_json_object(path, "thresholds")
     required = {
         "q_conf", "q_abs", "alpha", "n_calibration", "youden_j",
         "k_classes", "created_utc", "format_version",
@@ -228,29 +237,32 @@ def read_thresholds(path) -> CalibratedThresholds:
 # evaluation exports
 
 
-def write_records_csv(records: Sequence[EvaluationRecord], path) -> None:
-    if len(records) == 0:
-        raise ValueError("records must be non-empty")
+def _fixed6(values) -> list[str]:
+    return [f"{v:.6f}" for v in values.tolist()]
+
+
+def write_records_csv(ev: Evaluations, path) -> None:
+    """Write one row per evaluated sample, booleans as 0/1, reals at 6
+    decimals."""
+    if len(ev) == 0:
+        raise ValueError("evaluations must be non-empty")
+    columns = (
+        ev.sample_id.tolist(),
+        ev.condition.tolist(),
+        ev.severity.tolist(),
+        ev.top1.tolist(),
+        ev.covered.astype(np.int64).tolist(),
+        ev.abstained.astype(np.int64).tolist(),
+        ev.should_abstain.astype(np.int64).tolist(),
+        ev.set_size.tolist(),
+        _fixed6(ev.entropy),
+        _fixed6(ev.confidence),
+        _fixed6(ev.margin),
+        _fixed6(ev.score_top1),
+    )
     with _open_write(path) as fh:
         fh.write(RECORDS_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        for r in records:
-            writer.writerow(
-                [
-                    r.sample_id,
-                    r.condition,
-                    r.severity,
-                    r.top1,
-                    int(r.covered),
-                    int(r.abstained),
-                    int(r.should_abstain),
-                    r.prediction_set.size,
-                    f"{r.entropy:.6f}",
-                    f"{r.confidence:.6f}",
-                    f"{r.margin:.6f}",
-                    f"{r.score_top1:.6f}",
-                ]
-            )
+        csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
 
 
 def write_summary(summaries: Sequence[EvaluationSummary], path, format: str = "csv") -> None:
@@ -360,11 +372,7 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
 def read_manifest(path) -> DatasetManifest:
     """Load a manifest; file paths are resolved relative to its directory."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
+    doc = _read_json_object(path, "manifest")
     if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
         raise ArtifactError(
             f"{path}: unknown format_version {doc.get('format_version')!r}"

@@ -1,15 +1,15 @@
 """Uncertainty metrics: per-sample measures and grouped aggregates.
 
 Per-sample functions take a probability vector; aggregate functions take
-evaluation records (see :mod:`dualthresh.prediction`) and reduce them with
-numpy means, whose pairwise summation keeps results independent of how a
-batch was partitioned.
+an :class:`~dualthresh.prediction.Evaluations` batch and reduce its
+columns with numpy means, whose pairwise summation keeps results
+independent of how a batch was partitioned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .calibration import RocCurve, roc_points
 from .core import as_probabilities, normalized_entropies, top_two
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .prediction import EvaluationRecord
+    from .prediction import Evaluations
 
 
 def normalized_entropy(probs) -> float:
@@ -41,38 +41,13 @@ def margin(probs) -> float:
     return float(first - second)
 
 
-def _require_records(records: Sequence["EvaluationRecord"]):
-    if len(records) == 0:
-        raise ValueError("records must be non-empty")
-
-
-def empirical_coverage(records: Sequence["EvaluationRecord"]) -> float:
-    """Fraction of records whose true label fell inside the prediction set."""
-    _require_records(records)
-    return float(np.mean([r.covered for r in records]))
-
-
-def average_set_size(records: Sequence["EvaluationRecord"]) -> float:
-    _require_records(records)
-    return float(np.mean([r.prediction_set.size for r in records]))
-
-
-def abstention_rate(records: Sequence["EvaluationRecord"]) -> float:
-    """Fraction of records on which the system declined to predict."""
-    _require_records(records)
-    return float(np.mean([r.abstained for r in records]))
-
-
-def detection_auc(records: Sequence["EvaluationRecord"]) -> tuple[RocCurve, float]:
+def detection_auc(ev: "Evaluations") -> tuple[RocCurve, float]:
     """ROC of the top-1 score against the should-abstain ground truth.
 
-    Raises DegenerateLabelsError when the records contain only one flag
+    Raises DegenerateLabelsError when the batch contains only one flag
     class.
     """
-    _require_records(records)
-    scores = [r.score_top1 for r in records]
-    flags = [r.should_abstain for r in records]
-    curve = roc_points(scores, flags)
+    curve = roc_points(ev.score_top1, ev.should_abstain)
     return curve, curve.auc
 
 
@@ -96,34 +71,30 @@ class EvaluationSummary:
     auc: Optional[float]
 
 
-def summarize(records: Sequence["EvaluationRecord"]) -> list[EvaluationSummary]:
+def summarize(ev: "Evaluations") -> list[EvaluationSummary]:
     """One summary per (condition, severity) group, sorted by that key.
 
-    Group membership depends only on record tags, so permuting the input
-    yields identical output.
+    Group membership depends only on the tag columns, so permuting the
+    rows yields identical output.
     """
-    _require_records(records)
-    groups: dict[tuple[str, int], list] = {}
-    for r in records:
-        groups.setdefault((r.condition, r.severity), []).append(r)
-
+    if len(ev) == 0:
+        raise ValueError("evaluations must be non-empty")
     out = []
-    for (condition, severity) in sorted(groups):
-        grp = groups[(condition, severity)]
-        flags = {r.should_abstain for r in grp}
-        auc = detection_auc(grp)[1] if len(flags) == 2 else None
+    for condition, severity in sorted(set(zip(ev.condition.tolist(), ev.severity.tolist()))):
+        grp = ev.take((ev.condition == condition) & (ev.severity == severity))
+        n_flagged = int(grp.should_abstain.sum())
         out.append(
             EvaluationSummary(
                 condition=condition,
                 severity=severity,
                 n=len(grp),
-                coverage=empirical_coverage(grp),
-                avg_set_size=average_set_size(grp),
-                avg_entropy=float(np.mean([r.entropy for r in grp])),
-                avg_confidence=float(np.mean([r.confidence for r in grp])),
-                avg_margin=float(np.mean([r.margin for r in grp])),
-                abstention_rate=abstention_rate(grp),
-                auc=auc,
+                coverage=float(np.mean(grp.covered)),
+                avg_set_size=float(np.mean(grp.set_size)),
+                avg_entropy=float(np.mean(grp.entropy)),
+                avg_confidence=float(np.mean(grp.confidence)),
+                avg_margin=float(np.mean(grp.margin)),
+                abstention_rate=float(np.mean(grp.abstained)),
+                auc=detection_auc(grp)[1] if 0 < n_flagged < len(grp) else None,
             )
         )
     return out

@@ -274,7 +274,3 @@ class TestCalibratedThresholds:
         ]:
             with pytest.raises(ValueError):
                 CalibratedThresholds(**{**good, key: bad})
-
-    def test_created_utc_autofilled(self):
-        thr = CalibratedThresholds(1.0, 0.5, 0.1, 10, 0.5, 3)
-        assert thr.created_utc

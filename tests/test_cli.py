@@ -144,6 +144,17 @@ class TestCalibrate:
         assert "n=4" in stdout
         assert out.exists()
 
+    def test_rerun_is_byte_identical(self, tmp_path):
+        cal = tmp_path / "cal.csv"
+        cal.write_text(WORKED_CAL_CSV, encoding="utf-8")
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (first, second):
+            assert main(
+                ["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(out)]
+            ) == 0
+        assert first.read_bytes() == second.read_bytes()
+        assert json.loads(first.read_text(encoding="utf-8"))["created_utc"] == ""
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(
             ["calibrate", "--cal", str(tmp_path / "nope.csv"), "--out",
@@ -246,6 +257,25 @@ class TestEvaluate:
         )
         assert code == 2
         assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_non_object_json_artifact_exits_2(tmp_path, capsys, command):
+    artifact = tmp_path / "artifact.json"
+    artifact.write_text("[1, 2]", encoding="utf-8")
+    if command == "evaluate":
+        test = tmp_path / "test.csv"
+        test.write_text(WORKED_CAL_CSV, encoding="utf-8")
+        argv = ["evaluate", "--test", str(test), "--thresholds", str(artifact),
+                "--records-out", str(tmp_path / "r.csv"),
+                "--summary-out", str(tmp_path / "s.csv")]
+    else:
+        cfg = write_config(tmp_path, manifest="artifact.json")
+        argv = ["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be a JSON object" in err
+    assert len(err.splitlines()) == 1
 
 
 class TestSweep:

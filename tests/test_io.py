@@ -206,6 +206,15 @@ class TestThresholdsArtifact:
             read_thresholds(path)
 
 
+@pytest.mark.parametrize("reader", [read_thresholds, read_manifest])
+@pytest.mark.parametrize("text", ["[1, 2]", "[1]", "3", '"text"', "null"])
+def test_non_object_json_rejected(tmp_path, reader, text):
+    path = tmp_path / "artifact.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ArtifactError, match="must be a JSON object"):
+        reader(path)
+
+
 def _records(n=6):
     samples = [
         LabeledSample(f"s{i}", i % 2, [0.85, 0.15] if i % 3 else [0.45, 0.55],

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualthresh.calibration import CalibratedThresholds
 from dualthresh.core import DegenerateLabelsError, LabeledSample
 from dualthresh.metrics import (
-    abstention_rate,
-    average_set_size,
     confidence,
     detection_auc,
-    empirical_coverage,
     margin,
     normalized_entropy,
     summarize,
@@ -20,7 +19,7 @@ from dualthresh.prediction import evaluate_samples
 from .test_calibration import mann_whitney
 
 
-def records_from(probs_labels, q_conf=1.0, q_abs=0.7, condition="", severity=0):
+def evaluations_from(probs_labels, q_conf=1.0, q_abs=0.7, condition="", severity=0):
     k = len(probs_labels[0][0])
     thr = CalibratedThresholds(
         q_conf=q_conf, q_abs=q_abs, alpha=0.1, n_calibration=10,
@@ -80,43 +79,47 @@ class TestPerSampleMetrics:
 
 class TestAggregates:
     def test_coverage_counting(self):
-        recs = records_from(
+        ev = evaluations_from(
             [([0.9, 0.1], 0)] * 9 + [([0.9, 0.1], 1)], q_conf=0.3
         )
-        assert empirical_coverage(recs) == pytest.approx(0.9)
+        assert ev.covered.mean() == pytest.approx(0.9)
+        assert summarize(ev)[0].coverage == pytest.approx(0.9)
 
     def test_coverage_one_under_sentinel(self):
-        recs = records_from([([0.6, 0.4], 1), ([0.1, 0.9], 0)], q_conf=math.inf)
-        assert empirical_coverage(recs) == 1.0
+        ev = evaluations_from([([0.6, 0.4], 1), ([0.1, 0.9], 0)], q_conf=math.inf)
+        assert summarize(ev)[0].coverage == 1.0
 
     def test_average_set_size(self):
         # sizes 1, 1, 2 under q_conf = ln 2
-        recs = records_from(
+        ev = evaluations_from(
             [([0.9, 0.1], 0), ([0.8, 0.2], 0), ([0.5, 0.5], 0)],
             q_conf=math.log(2),
         )
-        assert average_set_size(recs) == pytest.approx(4.0 / 3.0)
+        assert ev.set_size.tolist() == [1, 1, 2]
+        assert summarize(ev)[0].avg_set_size == pytest.approx(4.0 / 3.0)
 
     def test_abstention_counting(self):
-        recs = records_from(
+        ev = evaluations_from(
             [([0.9, 0.1], 0)] * 6 + [([0.5, 0.5], 0)] * 2, q_abs=0.2
         )
-        assert abstention_rate(recs) == pytest.approx(0.25)
+        assert summarize(ev)[0].abstention_rate == pytest.approx(0.25)
 
     def test_one_hot_never_abstains_at_zero_threshold(self):
-        recs = records_from([([1.0, 0.0], 0)] * 4, q_abs=0.0)
-        assert abstention_rate(recs) == 0.0
+        ev = evaluations_from([([1.0, 0.0], 0)] * 4, q_abs=0.0)
+        assert summarize(ev)[0].abstention_rate == 0.0
 
     def test_empty_inputs_rejected(self):
-        for fn in (empirical_coverage, average_set_size, abstention_rate):
+        empty = evaluations_from([([0.9, 0.1], 0)]).take(np.zeros(1, dtype=bool))
+        assert len(empty) == 0
+        for fn in (summarize, detection_auc):
             with pytest.raises(ValueError, match="non-empty"):
-                fn([])
+                fn(empty)
 
     def test_detection_auc_perfect(self):
-        recs = records_from(
+        ev = evaluations_from(
             [([0.95, 0.05], 0)] * 3 + [([0.55, 0.45], 1)] * 3
         )
-        curve, auc = detection_auc(recs)
+        curve, auc = detection_auc(ev)
         assert auc == 1.0
 
     def test_detection_auc_matches_pairwise_oracle(self):
@@ -128,51 +131,52 @@ class TestAggregates:
                 p0 = float(rng.choice([0.5, 0.6, 0.7, 0.85, 0.95]))
                 label = int(rng.integers(0, 2))
                 pl.append(([p0, 1.0 - p0], label))
-            recs = records_from(pl)
-            flags = [r.should_abstain for r in recs]
+            ev = evaluations_from(pl)
+            flags = ev.should_abstain.tolist()
             if all(flags) or not any(flags):
                 continue
-            _, auc = detection_auc(recs)
-            scores = [r.score_top1 for r in recs]
+            _, auc = detection_auc(ev)
+            scores = ev.score_top1.tolist()
             assert auc == pytest.approx(mann_whitney(scores, flags), abs=1e-9)
 
     def test_detection_auc_degenerate(self):
-        recs = records_from([([0.9, 0.1], 0)] * 3)
+        ev = evaluations_from([([0.9, 0.1], 0)] * 3)
         with pytest.raises(DegenerateLabelsError):
-            detection_auc(recs)
+            detection_auc(ev)
+
+
+def _grid_evaluations():
+    samples = [
+        LabeledSample(f"{condition}-{severity}-{i}", label, probs, condition, severity)
+        for condition in ("fog", "rain")
+        for severity in (0, 1)
+        for i, (probs, label) in enumerate([([0.9, 0.1], 0), ([0.55, 0.45], 1)])
+    ]
+    thr = CalibratedThresholds(
+        q_conf=1.0, q_abs=0.7, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=2,
+    )
+    return evaluate_samples(samples, thr)
 
 
 class TestSummarize:
-    def _grid_records(self):
-        recs = []
-        for condition in ("fog", "rain"):
-            for severity in (0, 1):
-                recs += records_from(
-                    [([0.9, 0.1], 0), ([0.55, 0.45], 1)],
-                    condition=condition,
-                    severity=severity,
-                )
-        return recs
-
     def test_groups_sorted_and_counted(self):
-        recs = self._grid_records()
-        out = summarize(recs)
+        ev = _grid_evaluations()
+        out = summarize(ev)
         assert [(s.condition, s.severity) for s in out] == [
             ("fog", 0), ("fog", 1), ("rain", 0), ("rain", 1),
         ]
-        assert sum(s.n for s in out) == len(recs)
+        assert sum(s.n for s in out) == len(ev)
 
     def test_order_independence(self):
-        recs = self._grid_records()
+        ev = _grid_evaluations()
         rng = np.random.default_rng(9)
-        shuffled = [recs[i] for i in rng.permutation(len(recs))]
-        assert summarize(recs) == summarize(shuffled)
+        assert summarize(ev) == summarize(ev.take(rng.permutation(len(ev))))
 
     def test_single_group_direct_means(self):
-        recs = records_from(
+        ev = evaluations_from(
             [([0.9, 0.1], 0), ([0.55, 0.45], 1)], q_conf=0.3, q_abs=0.2
         )
-        (s,) = summarize(recs)
+        (s,) = summarize(ev)
         assert s.n == 2
         assert s.coverage == pytest.approx(0.5)
         assert s.avg_confidence == pytest.approx((0.9 + 0.55) / 2)
@@ -181,7 +185,40 @@ class TestSummarize:
         assert s.auc == 1.0
 
     def test_single_flag_class_reports_absent_auc(self):
-        recs = records_from([([0.9, 0.1], 0), ([0.8, 0.2], 0)])
-        (s,) = summarize(recs)
+        ev = evaluations_from([([0.9, 0.1], 0), ([0.8, 0.2], 0)])
+        (s,) = summarize(ev)
         assert s.auc is None
         assert s.coverage == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(1, 19),  # p(class 0) in twentieths: ties are common
+                st.integers(0, 1),
+                st.sampled_from(["fog", "rain", "snow"]),
+                st.integers(0, 2),
+            ),
+            min_size=1, max_size=40,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_permutation_invariance(self, rows, seed):
+        samples = [
+            LabeledSample(f"s{i}", label, [p / 20, 1 - p / 20], condition, severity)
+            for i, (p, label, condition, severity) in enumerate(rows)
+        ]
+        thr = CalibratedThresholds(
+            q_conf=0.8, q_abs=0.4, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=2,
+        )
+        ev = evaluate_samples(samples, thr)
+        perm = np.random.default_rng(seed).permutation(len(ev))
+        for a, b in zip(summarize(ev), summarize(ev.take(perm)), strict=True):
+            assert (a.condition, a.severity, a.n, a.coverage) == (
+                b.condition, b.severity, b.n, b.coverage,
+            )
+            assert (a.avg_set_size, a.abstention_rate, a.auc) == (
+                b.avg_set_size, b.abstention_rate, b.auc,
+            )
+            for name in ("avg_entropy", "avg_confidence", "avg_margin"):
+                assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-12)

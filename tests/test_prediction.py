@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualthresh.calibration import AbstentionGroundTruth, CalibratedThresholds
-from dualthresh.core import LabeledSample
+from dualthresh.core import LabeledSample, nonconformity
+from dualthresh.metrics import confidence, margin, normalized_entropy
 from dualthresh.prediction import (
+    Evaluations,
     abstain_decision,
-    evaluate_sample,
     evaluate_samples,
     prediction_set,
 )
@@ -25,33 +28,39 @@ def random_prob_vector(rng, k):
     return p / p.sum()
 
 
+def evaluate_one(sample, thr, **kwargs):
+    ev = evaluate_samples([sample], thr, **kwargs)
+    assert len(ev) == 1
+    return ev
+
+
+def assert_same(a: Evaluations, b: Evaluations):
+    for name in Evaluations.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 class TestPredictionSet:
     def test_hand_computed_members(self):
         # -ln 0.6 = 0.511 is the only score under ln 2
-        pset = prediction_set([0.6, 0.3, 0.1], math.log(2))
-        assert pset.members == (0,)
-        assert pset.size == 1
+        assert prediction_set([0.6, 0.3, 0.1], math.log(2)) == (0,)
 
     def test_sentinel_includes_everything(self):
-        pset = prediction_set([0.7, 0.1, 0.1, 0.1], math.inf)
-        assert pset.members == (0, 1, 2, 3)
+        assert prediction_set([0.7, 0.1, 0.1, 0.1], math.inf) == (0, 1, 2, 3)
 
     def test_boundary_is_inclusive(self):
-        pset = prediction_set([0.25, 0.25, 0.25, 0.25], math.log(4))
-        assert pset.members == (0, 1, 2, 3)
+        assert prediction_set([0.25, 0.25, 0.25, 0.25], math.log(4)) == (0, 1, 2, 3)
 
     def test_empty_set_is_legal(self):
-        pset = prediction_set([0.5, 0.5], 0.1)
-        assert pset.members == ()
-        assert pset.size == 0
+        assert prediction_set([0.5, 0.5], 0.1) == ()
 
     def test_monotone_in_q_conf(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = random_prob_vector(rng, int(rng.integers(2, 15)))
             q1, q2 = sorted(rng.uniform(0.0, 4.0, size=2))
-            small = set(prediction_set(p, q1).members)
-            large = set(prediction_set(p, q2).members)
+            small = set(prediction_set(p, q1))
+            large = set(prediction_set(p, q2))
             assert small <= large
 
 
@@ -77,51 +86,48 @@ class TestAbstainDecision:
 
 class TestEvaluateSample:
     def test_confident_correct_sample(self):
-        rec = evaluate_sample(
-            LabeledSample("a", 0, [0.9, 0.1]), thresholds(0.3, 0.2)
-        )
-        assert rec.covered and not rec.abstained and not rec.should_abstain
-        assert rec.top1 == 0
-        assert rec.score_top1 == pytest.approx(0.10536051565782628, abs=1e-12)
+        ev = evaluate_one(LabeledSample("a", 0, [0.9, 0.1]), thresholds(0.3, 0.2))
+        assert ev.covered[0] and not ev.abstained[0] and not ev.should_abstain[0]
+        assert ev.top1[0] == 0
+        assert ev.score_top1[0] == pytest.approx(0.10536051565782628, abs=1e-12)
 
     def test_uncertain_wrong_sample(self):
-        rec = evaluate_sample(
-            LabeledSample("b", 1, [0.5, 0.5]), thresholds(0.3, 0.2)
-        )
-        assert rec.prediction_set.size == 0
-        assert not rec.covered
-        assert rec.abstained
+        ev = evaluate_one(LabeledSample("b", 1, [0.5, 0.5]), thresholds(0.3, 0.2))
+        assert ev.set_size[0] == 0
+        assert not ev.covered[0]
+        assert ev.abstained[0]
         # argmax tie breaks to class 0, which differs from the label
-        assert rec.top1 == 0
-        assert rec.should_abstain
+        assert ev.top1[0] == 0
+        assert ev.should_abstain[0]
 
     def test_sentinel_threshold_always_covers(self):
         rng = np.random.default_rng(12)
         thr = thresholds(math.inf, 0.5, k=4)
-        for _ in range(100):
-            p = random_prob_vector(rng, 4)
-            label = int(rng.integers(0, 4))
-            rec = evaluate_sample(LabeledSample("x", label, p), thr)
-            assert rec.covered
-            assert rec.prediction_set.size == 4
+        samples = [
+            LabeledSample("x", int(rng.integers(0, 4)), random_prob_vector(rng, 4))
+            for _ in range(100)
+        ]
+        ev = evaluate_samples(samples, thr)
+        assert ev.covered.all()
+        assert (ev.set_size == 4).all()
 
     def test_not_covered_ground_truth(self):
         thr = thresholds(0.3, 0.2)
-        rec = evaluate_sample(
-            LabeledSample("a", 0, [0.9, 0.1]), thr,
-            ground_truth=AbstentionGroundTruth.NOT_COVERED,
+        ev = evaluate_samples(
+            [LabeledSample("a", 0, [0.9, 0.1]), LabeledSample("b", 0, [0.5, 0.5])],
+            thr, ground_truth=AbstentionGroundTruth.NOT_COVERED,
         )
-        assert rec.should_abstain is False
-        rec = evaluate_sample(
-            LabeledSample("b", 0, [0.5, 0.5]), thr,
-            ground_truth=AbstentionGroundTruth.NOT_COVERED,
-        )
-        assert rec.should_abstain is True
+        assert ev.should_abstain.tolist() == [False, True]
 
     def test_class_count_mismatch(self):
         with pytest.raises(ValueError, match="classes"):
-            evaluate_sample(
-                LabeledSample("a", 0, [0.2, 0.3, 0.5]), thresholds(0.3, 0.2, k=2)
+            evaluate_samples(
+                [LabeledSample("a", 0, [0.2, 0.3, 0.5])], thresholds(0.3, 0.2, k=2)
+            )
+        with pytest.raises(ValueError, match="'b' has 3 classes"):
+            evaluate_samples(
+                [LabeledSample("a", 0, [0.5, 0.5]), LabeledSample("b", 0, [0.2, 0.3, 0.5])],
+                thresholds(0.3, 0.2, k=2),
             )
 
     def test_covered_recomputable_and_margin_bounded(self):
@@ -131,23 +137,27 @@ class TestEvaluateSample:
             LabeledSample(f"s{i}", int(rng.integers(0, 6)), random_prob_vector(rng, 6))
             for i in range(300)
         ]
-        for rec, smp in zip(evaluate_samples(samples, thr), samples):
-            assert rec.covered == (rec.label in rec.prediction_set.members)
+        ev = evaluate_samples(samples, thr)
+        assert np.array_equal(ev.covered, ev.in_set[np.arange(len(ev)), ev.label])
+        for i, smp in enumerate(samples):
             score_label = -math.log(max(float(smp.probs[smp.label]), 1e-12))
-            assert rec.covered == (score_label <= thr.q_conf)
-            assert rec.margin <= rec.confidence
+            assert ev.covered[i] == (score_label <= thr.q_conf)
+        assert (ev.margin <= ev.confidence).all()
 
     def test_deterministic_and_order_preserving(self):
         rng = np.random.default_rng(33)
         thr = thresholds(1.0, 0.7, k=4)
         samples = [
-            LabeledSample(f"s{i}", int(rng.integers(0, 4)), random_prob_vector(rng, 4))
+            LabeledSample(f"s{i}", int(rng.integers(0, 4)), random_prob_vector(rng, 4),
+                          condition=f"c{i % 3}", severity=i % 6)
             for i in range(50)
         ]
         first = evaluate_samples(samples, thr)
-        second = evaluate_samples(samples, thr)
-        assert first == second
-        assert [r.sample_id for r in first] == [s.sample_id for s in samples]
+        assert_same(first, evaluate_samples(samples, thr))
+        assert first.sample_id.tolist() == [s.sample_id for s in samples]
+        assert first.label.tolist() == [s.label for s in samples]
+        assert first.condition.tolist() == [s.condition for s in samples]
+        assert first.severity.tolist() == [s.severity for s in samples]
 
     def test_single_sample_matches_batch(self):
         rng = np.random.default_rng(44)
@@ -157,27 +167,86 @@ class TestEvaluateSample:
             for i in range(40)
         ]
         batch = evaluate_samples(samples, thr)
-        singles = [evaluate_sample(s, thr) for s in samples]
-        assert batch == singles
+        for i, smp in enumerate(samples):
+            assert_same(batch.take([i]), evaluate_one(smp, thr))
 
     def test_empty_batch(self):
-        assert evaluate_samples([], thresholds(1.0, 0.5)) == []
+        with pytest.raises(ValueError, match="non-empty"):
+            evaluate_samples([], thresholds(1.0, 0.5))
 
     def test_record_fields_match_public_metrics(self):
         # the batch kernel must agree exactly with the single-vector
         # operations, including on vectors with exact zeros
-        from dualthresh.core import nonconformity
-        from dualthresh.metrics import confidence, margin, normalized_entropy
-
         rng = np.random.default_rng(55)
         thr = thresholds(1.0, 0.6, k=5)
         vectors = [random_prob_vector(rng, 5) for _ in range(60)]
         vectors += [np.array([0.5, 0.5, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0, 0.0])]
         samples = [LabeledSample(f"s{i}", 0, p) for i, p in enumerate(vectors)]
-        for rec, smp in zip(evaluate_samples(samples, thr), samples):
-            assert rec.entropy == normalized_entropy(smp.probs)
-            assert rec.confidence == confidence(smp.probs)
-            assert rec.margin == margin(smp.probs)
-            assert rec.score_top1 == nonconformity(smp.probs, rec.top1)
-            assert rec.prediction_set == prediction_set(smp.probs, thr.q_conf)
-            assert rec.abstained == abstain_decision(smp.probs, thr.q_abs)
+        assert_matches_scalar_helpers(evaluate_samples(samples, thr), samples, thr)
+
+
+def assert_matches_scalar_helpers(ev, samples, thr):
+    """Every row of the batch equals the single-vector reference helpers."""
+    for i, smp in enumerate(samples):
+        assert ev.entropy[i] == normalized_entropy(smp.probs)
+        assert ev.confidence[i] == confidence(smp.probs)
+        assert ev.margin[i] == margin(smp.probs)
+        assert ev.score_top1[i] == nonconformity(smp.probs, int(ev.top1[i]))
+        assert ev.top1[i] == int(np.argmax(smp.probs))
+        members = prediction_set(smp.probs, thr.q_conf)
+        assert tuple(np.flatnonzero(ev.in_set[i]).tolist()) == members
+        assert ev.set_size[i] == len(members)
+        assert ev.covered[i] == (smp.label in members)
+        assert ev.abstained[i] == abstain_decision(smp.probs, thr.q_abs)
+        assert ev.should_abstain[i] == (ev.top1[i] != smp.label)
+
+
+class TestEvaluationsBatch:
+    def test_len_set_size_and_take(self):
+        thr = thresholds(math.log(2), 0.2, k=2)
+        samples = [
+            LabeledSample("a", 0, [0.9, 0.1], "rain", 1),
+            LabeledSample("b", 1, [0.5, 0.5], "fog", 2),
+            LabeledSample("c", 1, [0.3, 0.7], "rain", 3),
+        ]
+        ev = evaluate_samples(samples, thr)
+        assert len(ev) == 3
+        assert ev.set_size.tolist() == [1, 2, 1]
+        by_index = ev.take(np.array([2, 0]))
+        assert by_index.sample_id.tolist() == ["c", "a"]
+        assert by_index.set_size.tolist() == [1, 1]
+        by_mask = ev.take(ev.condition == "rain")
+        assert by_mask.sample_id.tolist() == ["a", "c"]
+        assert by_mask.severity.tolist() == [1, 3]
+        assert by_mask.in_set.shape == (2, 2)
+
+
+# A probability row with some exact zeros and ties, which the scalar and
+# batch paths must treat identically.
+_prob_rows = st.integers(2, 6).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any),
+        min_size=1, max_size=12,
+    )
+)
+
+
+class TestBatchAgainstScalar:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=_prob_rows,
+        q_conf=st.one_of(st.floats(0.0, 5.0), st.just(math.inf)),
+        q_abs=st.floats(0.0, 3.0),
+        data=st.data(),
+    )
+    def test_every_row_equals_scalar_helpers(self, rows, q_conf, q_abs, data):
+        k = len(rows[0])
+        samples = [
+            LabeledSample(
+                f"s{i}", data.draw(st.integers(0, k - 1)),
+                np.asarray(w, dtype=np.float64) / sum(w),
+            )
+            for i, w in enumerate(rows)
+        ]
+        thr = thresholds(q_conf, q_abs, k=k)
+        assert_matches_scalar_helpers(evaluate_samples(samples, thr), samples, thr)
