@@ -1,20 +1,21 @@
 """Command-line pipeline: generate, calibrate, evaluate, sweep.
 
-Exit codes: 0 success, 2 usage or input error, 3 degenerate-statistics
-error (a threshold could not be placed because the calibration flags
-collapsed to one class). Errors print a single line prefixed ``error:``
-on standard error.
+Files are read and written through :mod:`dualthresh.io`, which also checks
+the config against the key tables below. Exit codes: 0 success, 2 usage
+or input error (including every malformed input file), 3 degenerate-
+statistics error (a threshold could not be placed because the calibration
+flags collapsed to one class). Errors print a single line prefixed
+``error:`` on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import __version__
 from .calibration import (
@@ -22,7 +23,7 @@ from .calibration import (
     CalibratedThresholds,
     calibrate,
 )
-from .core import DegenerateLabelsError, LabeledSample, SEVERITY_MAX, SEVERITY_MIN
+from .core import DegenerateLabelsError, SEVERITY_MAX, SEVERITY_MIN
 from .datagen import (
     DEFAULT_NOISE_SIGMA_PER_LEVEL,
     DEFAULT_TEMPERATURE_PER_LEVEL,
@@ -31,14 +32,20 @@ from .datagen import (
     generate_dataset,
 )
 from .io import (
+    INTEGER,
     MANIFEST_FORMAT_VERSION,
+    NUMBER,
     ArtifactError,
     DatasetManifest,
     ManifestEntry,
     ParseError,
+    check_fields,
+    is_int,
+    load_json,
     read_logits_csv,
     read_manifest,
     read_thresholds,
+    write_heatmap,
     write_manifest,
     write_records_csv,
     write_roc_csv,
@@ -49,41 +56,25 @@ from .io import (
 from .metrics import EvaluationSummary, detection_auc, summarize
 from .prediction import evaluate_samples
 
-HEATMAP_METRICS = (
-    "coverage",
-    "avg_set_size",
-    "avg_entropy",
-    "avg_confidence",
-    "avg_margin",
-    "abstention_rate",
-    "auc",
-)
-
 DEFAULT_CONDITIONS = ("rain", "fog", "snow", "motion_blur")
 DEFAULT_SEVERITIES = (0, 1, 2, 3, 4, 5)
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# The JSON type of each config key, as (description, check); the generator
-# keys live under the "generator" object.
-_INT = ("an integer", _is_int)
-_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+# The JSON type of each config key; the generator keys live under the
+# "generator" object.
 _TOP_KEY_TYPES = {
-    "alpha": _NUMBER,
+    "alpha": NUMBER,
     "conditions": ("a list of strings", lambda v: isinstance(v, list)
                    and all(isinstance(c, str) for c in v)),
     "severities": ("a list of integers", lambda v: isinstance(v, list)
-                   and all(map(_is_int, v))),
-    "seed": _INT,
-    "n_calibration": _INT,
+                   and all(map(is_int, v))),
+    "seed": INTEGER,
+    "n_calibration": INTEGER,
     "manifest": ("a string", lambda v: v is None or isinstance(v, str)),
+    "generator": ("an object", lambda v: isinstance(v, dict)),
 }
 _GEN_KEY_TYPES = {
-    "k_classes": _INT, "n_samples": _INT, "base_accuracy": _NUMBER,
-    "temperature_per_level": _NUMBER, "noise_sigma_per_level": _NUMBER,
+    "k_classes": INTEGER, "n_samples": INTEGER, "base_accuracy": NUMBER,
+    "temperature_per_level": NUMBER, "noise_sigma_per_level": NUMBER,
 }
 
 
@@ -126,26 +117,9 @@ class SweepConfig:
 
     @classmethod
     def from_file(cls, path) -> "SweepConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: config must be a JSON object")
-        gen = doc.pop("generator", {})
-        if not isinstance(gen, dict):
-            raise ValueError(f"{path}: 'generator' must be an object")
-        unknown = (doc.keys() - _TOP_KEY_TYPES.keys()) | (
-            gen.keys() - _GEN_KEY_TYPES.keys()
-        )
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        doc = check_fields(f"{path}: config", load_json(path), _TOP_KEY_TYPES)
+        gen = check_fields(f"{path}: config generator", doc.pop("generator", {}), _GEN_KEY_TYPES)
         kwargs = {**doc, **gen}
-        for key, value in kwargs.items():
-            want, ok = _TOP_KEY_TYPES.get(key) or _GEN_KEY_TYPES[key]
-            if not ok(value):
-                raise ValueError(f"{path}: {key!r} must be {want}, got {value!r}")
         for key in ("conditions", "severities"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
@@ -249,6 +223,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if not SEVERITY_MIN <= args.severity <= SEVERITY_MAX:
+        raise ValueError(
+            f"--severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], got {args.severity}"
+        )
     samples = read_logits_csv(args.test, condition=args.condition, severity=args.severity)
     thresholds = read_thresholds(args.thresholds)
     ev = evaluate_samples(samples, thresholds)
@@ -268,48 +246,26 @@ def cmd_evaluate(args) -> int:
 
 def _load_manifest_groups(manifest_path: Path):
     """Resolve (condition -> calibration samples, [(severity, samples)])
-    from a dataset manifest, in sorted condition and severity order."""
+    from a dataset manifest, in sorted condition and severity order;
+    ``read_manifest`` has checked that each condition has one calibration
+    file and some test files."""
     manifest = read_manifest(manifest_path)
 
-    by_condition: dict[str, dict] = {}
-    for entry in manifest.files:
-        slot = by_condition.setdefault(entry.condition, {"cal": None, "tests": []})
-        if entry.role == "calibration":
-            if entry.severity != 0:
-                raise ArtifactError(
-                    f"calibration file {entry.path!r} must have severity 0"
-                )
-            if slot["cal"] is not None:
-                raise ArtifactError(
-                    f"condition {entry.condition!r} has multiple calibration files"
-                )
-            slot["cal"] = entry
-        else:
-            slot["tests"].append(entry)
+    def load(entry: ManifestEntry):
+        samples = read_logits_csv(entry.path, entry.condition, entry.severity)
+        if samples[0].k_classes != manifest.k_classes:
+            raise ArtifactError(
+                f"{entry.path}: {samples[0].k_classes} classes, manifest "
+                f"declares {manifest.k_classes}"
+            )
+        return samples
 
     groups = {}
-    for cond in sorted(by_condition):
-        slot = by_condition[cond]
-        if slot["cal"] is None:
-            raise ArtifactError(
-                f"condition {cond!r} has no calibration file in the manifest"
-            )
-        if not slot["tests"]:
-            raise ArtifactError(f"condition {cond!r} has no test files in the manifest")
-
-        def load(entry: ManifestEntry) -> list[LabeledSample]:
-            samples = read_logits_csv(entry.path, entry.condition, entry.severity)
-            if samples[0].k_classes != manifest.k_classes:
-                raise ArtifactError(
-                    f"{entry.path}: {samples[0].k_classes} classes, manifest "
-                    f"declares {manifest.k_classes}"
-                )
-            return samples
-
-        groups[cond] = (
-            load(slot["cal"]),
-            [(e.severity, load(e)) for e in sorted(slot["tests"], key=lambda e: e.severity)],
-        )
+    for cond in sorted({e.condition for e in manifest.files}):
+        entries = [e for e in manifest.files if e.condition == cond]
+        cal = next(e for e in entries if e.role == "calibration")
+        tests = sorted((e for e in entries if e.role == "test"), key=lambda e: e.severity)
+        groups[cond] = (load(cal), [(e.severity, load(e)) for e in tests])
     return groups
 
 
@@ -354,22 +310,6 @@ def _run_condition(
         raise
 
 
-def _write_heatmap(summaries: Sequence[EvaluationSummary], path) -> None:
-    severities = sorted({s.severity for s in summaries})
-    conditions = sorted({s.condition for s in summaries})
-    cells = {(s.condition, s.severity): s for s in summaries}
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("metric,condition," + ",".join(f"severity_{v}" for v in severities) + "\n")
-        for metric in HEATMAP_METRICS:
-            for cond in conditions:
-                row = [metric, cond]
-                for sev in severities:
-                    s = cells.get((cond, sev))
-                    value = getattr(s, metric) if s is not None else None
-                    row.append("" if value is None else f"{value:.6f}")
-                fh.write(",".join(row) + "\n")
-
-
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_file(args.config)
     out = Path(args.out_dir)
@@ -397,7 +337,7 @@ def cmd_sweep(args) -> int:
     if all_summaries:
         write_summary(all_summaries, out / f"summary.csv{suffix}", format="csv")
         write_summary(all_summaries, out / f"summary.json{suffix}", format="json")
-        _write_heatmap(all_summaries, out / f"heatmap.csv{suffix}")
+        write_heatmap(all_summaries, out / f"heatmap.csv{suffix}")
         print(f"wrote {out / ('summary.csv' + suffix)}")
         print(f"wrote {out / ('summary.json' + suffix)}")
         print(f"wrote {out / ('heatmap.csv' + suffix)}")

@@ -85,8 +85,9 @@ def softmax(logits) -> np.ndarray:
 
 def nonconformity_scores(p: np.ndarray) -> np.ndarray:
     """Elementwise -log p of validated probabilities, each clamped to
-    [PROB_EPSILON, 1] first so every score is finite and nonnegative."""
-    return -np.log(np.clip(p, PROB_EPSILON, 1.0))
+    [PROB_EPSILON, 1] first so every score is finite and nonnegative
+    (``0.0 - log`` scores p = 1 as +0.0, not -0.0)."""
+    return 0.0 - np.log(np.clip(p, PROB_EPSILON, 1.0))
 
 
 def normalized_entropies(p: np.ndarray) -> np.ndarray:
@@ -94,10 +95,11 @@ def normalized_entropies(p: np.ndarray) -> np.ndarray:
 
     Uses the 0 * log 0 = 0 convention; the zero terms stay in the sum as
     exact zeros, so every row reduces in the same order whatever the batch.
-    The result is clipped to [0, 1] against last-bit float excursions.
+    The result is clipped to [0, 1] against last-bit float excursions
+    (``0.0 - sum`` gives a one-hot row +0.0; the clip would keep -0.0).
     """
     plogp = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return np.clip(-plogp.sum(axis=-1) / np.log(p.shape[-1]), 0.0, 1.0)
+    return np.clip((0.0 - plogp.sum(axis=-1)) / np.log(p.shape[-1]), 0.0, 1.0)
 
 
 def top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
 """File formats: logits/probability CSVs, threshold artifacts, per-sample
-evaluation and summary exports, dataset manifests.
+evaluation, summary and heatmap exports, dataset manifests, and the JSON
+checks the sweep config shares.
 
 All text files are UTF-8 with LF line endings and '.' decimal separators
 regardless of locale. Writers are deterministic: identical inputs produce
-byte-identical files.
+byte-identical files. Every JSON object read is checked against a table of
+its keys and their JSON types; nothing is coerced.
 """
 
 from __future__ import annotations
@@ -11,27 +13,24 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .calibration import THRESHOLDS_FORMAT_VERSION, CalibratedThresholds, RocCurve
-from .core import LabeledSample
+from .core import SEVERITY_MAX, SEVERITY_MIN, LabeledSample
 from .metrics import EvaluationSummary
 from .prediction import Evaluations
 
 MANIFEST_FORMAT_VERSION = 1
 
-RECORDS_HEADER = (
-    "sample_id,condition,severity,top1,covered,abstained,should_abstain,"
-    "set_size,entropy,confidence,margin,score_top1"
-)
-SUMMARY_HEADER = (
-    "condition,severity,n,coverage,avg_set_size,avg_entropy,avg_confidence,"
-    "avg_margin,abstention_rate,auc"
-)
+# The summary columns are EvaluationSummary's fields in order; those after
+# ``n`` are the metrics, which heatmap.csv pivots.
+_SUMMARY_COLUMNS = tuple(f.name for f in fields(EvaluationSummary))
+_SUMMARY_TAGS = _SUMMARY_COLUMNS[: _SUMMARY_COLUMNS.index("n") + 1]
+_SUMMARY_METRICS = _SUMMARY_COLUMNS[len(_SUMMARY_TAGS):]
 
 
 class ParseError(ValueError):
@@ -44,7 +43,50 @@ class ParseError(ValueError):
 
 
 class ArtifactError(ValueError):
-    """A persisted artifact failed version or invariant validation."""
+    """A JSON input failed type, version or invariant validation."""
+
+
+# ---------------------------------------------------------------------------
+# JSON inputs
+
+
+def is_int(value) -> bool:
+    """True for a JSON integer; bool subclasses int but is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A JSON type as (the phrase an error message uses, check).
+INTEGER = ("an integer", is_int)
+NUMBER = ("a number", lambda v: is_int(v) or isinstance(v, float))
+STRING = ("a string", lambda v: isinstance(v, str))
+
+
+def load_json(path):
+    """Parse a UTF-8 JSON file; invalid JSON is an ArtifactError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
+
+
+def check_fields(where: str, doc, types: dict, required=()) -> dict:
+    """Return ``doc`` if it is a JSON object holding every ``required`` key
+    and only keys of ``types``, each passing its ``(phrase, check)`` type;
+    otherwise raise an ArtifactError starting with ``where``."""
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"{where} must be a JSON object")
+    unknown = doc.keys() - types.keys()
+    if unknown:
+        raise ArtifactError(f"{where} has unknown keys {sorted(unknown)}")
+    missing = set(required) - doc.keys()
+    if missing:
+        raise ArtifactError(f"{where} is missing keys {sorted(missing)}")
+    for key, value in doc.items():
+        want, ok = types[key]
+        if not ok(value):
+            raise ArtifactError(f"{where} key {key!r} must be {want}, got {value!r}")
+    return doc
 
 
 def _open_write(path):
@@ -157,43 +199,30 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
 # ---------------------------------------------------------------------------
 # thresholds artifact
 
+# A real that may be infinite; JSON has no number for inf.
+_REAL = ("a number or 'inf'/'-inf'", lambda v: v in ("inf", "-inf") or NUMBER[1](v))
 
-def _number_out(x: float):
-    if math.isinf(x):
+# Every thresholds key in file order, with its JSON type; all are required.
+_THRESHOLDS_FIELDS = {
+    "q_conf": _REAL,
+    "q_abs": _REAL,
+    "alpha": NUMBER,
+    "n_calibration": INTEGER,
+    "youden_j": NUMBER,
+    "k_classes": INTEGER,
+    "created_utc": STRING,
+    "format_version": INTEGER,
+}
+
+
+def _number_out(x):
+    if isinstance(x, float) and math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return x
 
 
-def _number_in(value, field: str) -> float:
-    if value in ("inf", "-inf"):
-        return math.inf if value == "inf" else -math.inf
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ArtifactError(f"field {field!r} must be a number or 'inf'/'-inf', got {value!r}")
-
-
-def _read_json_object(path, what: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ArtifactError(f"{path}: {what} must be a JSON object")
-    return doc
-
-
 def write_thresholds(thresholds: CalibratedThresholds, path) -> None:
-    doc = {
-        "q_conf": _number_out(thresholds.q_conf),
-        "q_abs": _number_out(thresholds.q_abs),
-        "alpha": thresholds.alpha,
-        "n_calibration": thresholds.n_calibration,
-        "youden_j": thresholds.youden_j,
-        "k_classes": thresholds.k_classes,
-        "created_utc": thresholds.created_utc,
-        "format_version": thresholds.format_version,
-    }
+    doc = {key: _number_out(getattr(thresholds, key)) for key in _THRESHOLDS_FIELDS}
     with _open_write(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -202,34 +231,24 @@ def write_thresholds(thresholds: CalibratedThresholds, path) -> None:
 def read_thresholds(path) -> CalibratedThresholds:
     """Load and re-validate a thresholds artifact.
 
-    Unknown format versions and any invariant violation (tampered alpha,
-    negative q_conf, ...) are rejected rather than propagated.
+    Every key must be present with its JSON type. Unknown format versions
+    and any invariant violation (tampered alpha, negative q_conf, ...) are
+    rejected rather than propagated.
     """
-    doc = _read_json_object(path, "thresholds")
-    required = {
-        "q_conf", "q_abs", "alpha", "n_calibration", "youden_j",
-        "k_classes", "created_utc", "format_version",
-    }
-    missing = required - doc.keys()
-    if missing:
-        raise ArtifactError(f"{path}: missing keys {sorted(missing)}")
+    doc = check_fields(
+        f"{path}: thresholds", load_json(path), _THRESHOLDS_FIELDS, _THRESHOLDS_FIELDS
+    )
     if doc["format_version"] != THRESHOLDS_FORMAT_VERSION:
         raise ArtifactError(
             f"{path}: unknown format_version {doc['format_version']!r}, "
             f"expected {THRESHOLDS_FORMAT_VERSION}"
         )
     try:
-        return CalibratedThresholds(
-            q_conf=_number_in(doc["q_conf"], "q_conf"),
-            q_abs=_number_in(doc["q_abs"], "q_abs"),
-            alpha=float(doc["alpha"]),
-            n_calibration=int(doc["n_calibration"]),
-            youden_j=float(doc["youden_j"]),
-            k_classes=int(doc["k_classes"]),
-            created_utc=str(doc["created_utc"]),
-            format_version=int(doc["format_version"]),
-        )
-    except (TypeError, ValueError) as exc:
+        return CalibratedThresholds(**{
+            key: float(value) if _THRESHOLDS_FIELDS[key] in (_REAL, NUMBER) else value
+            for key, value in doc.items()
+        })
+    except (OverflowError, ValueError) as exc:
         raise ArtifactError(f"{path}: {exc}") from None
 
 
@@ -247,22 +266,33 @@ def write_records_csv(ev: Evaluations, path) -> None:
     if len(ev) == 0:
         raise ValueError("evaluations must be non-empty")
     columns = (
-        ev.sample_id.tolist(),
-        ev.condition.tolist(),
-        ev.severity.tolist(),
-        ev.top1.tolist(),
-        ev.covered.astype(np.int64).tolist(),
-        ev.abstained.astype(np.int64).tolist(),
-        ev.should_abstain.astype(np.int64).tolist(),
-        ev.set_size.tolist(),
-        _fixed6(ev.entropy),
-        _fixed6(ev.confidence),
-        _fixed6(ev.margin),
-        _fixed6(ev.score_top1),
+        ("sample_id", ev.sample_id.tolist()),
+        ("condition", ev.condition.tolist()),
+        ("severity", ev.severity.tolist()),
+        ("top1", ev.top1.tolist()),
+        ("covered", ev.covered.astype(np.int64).tolist()),
+        ("abstained", ev.abstained.astype(np.int64).tolist()),
+        ("should_abstain", ev.should_abstain.astype(np.int64).tolist()),
+        ("set_size", ev.set_size.tolist()),
+        ("entropy", _fixed6(ev.entropy)),
+        ("confidence", _fixed6(ev.confidence)),
+        ("margin", _fixed6(ev.margin)),
+        ("score_top1", _fixed6(ev.score_top1)),
     )
     with _open_write(path) as fh:
-        fh.write(RECORDS_HEADER + "\n")
-        csv.writer(fh, lineterminator="\n").writerows(zip(*columns))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(name for name, _ in columns)
+        writer.writerows(zip(*(column for _, column in columns)))
+
+
+def _cell(value) -> str:
+    return "" if value is None else f"{value:.6f}"
+
+
+def _summary_row(s: EvaluationSummary, metric_out) -> list:
+    return [getattr(s, c) for c in _SUMMARY_TAGS] + [
+        metric_out(getattr(s, m)) for m in _SUMMARY_METRICS
+    ]
 
 
 def write_summary(summaries: Sequence[EvaluationSummary], path, format: str = "csv") -> None:
@@ -274,37 +304,12 @@ def write_summary(summaries: Sequence[EvaluationSummary], path, format: str = "c
         raise ValueError("summaries must be non-empty")
     if format == "csv":
         with _open_write(path) as fh:
-            fh.write(SUMMARY_HEADER + "\n")
             writer = csv.writer(fh, lineterminator="\n")
-            for s in summaries:
-                writer.writerow(
-                    [
-                        s.condition,
-                        s.severity,
-                        s.n,
-                        f"{s.coverage:.6f}",
-                        f"{s.avg_set_size:.6f}",
-                        f"{s.avg_entropy:.6f}",
-                        f"{s.avg_confidence:.6f}",
-                        f"{s.avg_margin:.6f}",
-                        f"{s.abstention_rate:.6f}",
-                        "" if s.auc is None else f"{s.auc:.6f}",
-                    ]
-                )
+            writer.writerow(_SUMMARY_COLUMNS)
+            writer.writerows(_summary_row(s, _cell) for s in summaries)
     elif format == "json":
         docs = [
-            {
-                "condition": s.condition,
-                "severity": s.severity,
-                "n": s.n,
-                "coverage": round(s.coverage, 6),
-                "avg_set_size": round(s.avg_set_size, 6),
-                "avg_entropy": round(s.avg_entropy, 6),
-                "avg_confidence": round(s.avg_confidence, 6),
-                "avg_margin": round(s.avg_margin, 6),
-                "abstention_rate": round(s.abstention_rate, 6),
-                "auc": None if s.auc is None else round(s.auc, 6),
-            }
+            dict(zip(_SUMMARY_COLUMNS, _summary_row(s, lambda v: v if v is None else round(v, 6))))
             for s in summaries
         ]
         with _open_write(path) as fh:
@@ -312,6 +317,24 @@ def write_summary(summaries: Sequence[EvaluationSummary], path, format: str = "c
             fh.write("\n")
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+
+
+def write_heatmap(summaries: Sequence[EvaluationSummary], path) -> None:
+    """Pivot summaries into ``metric,condition,severity_*`` rows: one block
+    per summary metric, one row per condition, sorted; a group that is
+    absent or has no value for a metric is an empty cell."""
+    severities = sorted({s.severity for s in summaries})
+    conditions = sorted({s.condition for s in summaries})
+    cells = {(s.condition, s.severity): s for s in summaries}
+    with _open_write(path) as fh:
+        fh.write("metric,condition," + ",".join(f"severity_{v}" for v in severities) + "\n")
+        for metric in _SUMMARY_METRICS:
+            for cond in conditions:
+                row = [metric, cond]
+                for sev in severities:
+                    s = cells.get((cond, sev))
+                    row.append(_cell(None if s is None else getattr(s, metric)))
+                fh.write(",".join(row) + "\n")
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
@@ -334,6 +357,18 @@ class ManifestEntry:
     role: str = "test"  # "calibration" or "test"
 
 
+# Every entry key in file order, with its JSON type; ``role`` is optional.
+_ENTRY_FIELDS = {
+    "path": STRING,
+    "condition": STRING,
+    "severity": (
+        f"an integer in [{SEVERITY_MIN}, {SEVERITY_MAX}]",
+        lambda v: is_int(v) and SEVERITY_MIN <= v <= SEVERITY_MAX,
+    ),
+    "role": ("'calibration' or 'test'", lambda v: v in ("calibration", "test")),
+}
+
+
 @dataclass(frozen=True)
 class DatasetManifest:
     k_classes: int
@@ -350,49 +385,58 @@ class DatasetManifest:
         return DatasetManifest(self.k_classes, files, self.format_version)
 
 
+# Every manifest key in file order, with its JSON type; all are required.
+_MANIFEST_FIELDS = {
+    "format_version": INTEGER,
+    "k_classes": INTEGER,
+    "files": ("a list", lambda v: isinstance(v, list)),
+}
+
+
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {
-        "format_version": manifest.format_version,
-        "k_classes": manifest.k_classes,
-        "files": [
-            {
-                "path": e.path,
-                "condition": e.condition,
-                "severity": e.severity,
-                "role": e.role,
-            }
-            for e in manifest.files
-        ],
-    }
+    doc = {key: getattr(manifest, key) for key in _MANIFEST_FIELDS}
+    doc["files"] = [{key: getattr(e, key) for key in _ENTRY_FIELDS} for e in manifest.files]
     with _open_write(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def read_manifest(path) -> DatasetManifest:
-    """Load a manifest; file paths are resolved relative to its directory."""
+    """Load and check a manifest; file paths are resolved relative to its
+    directory.
+
+    Besides the key types, the files must form a sweep: at least one file,
+    each condition with exactly one calibration file, at severity 0, and
+    at least one test file.
+    """
     path = Path(path)
-    doc = _read_json_object(path, "manifest")
-    if doc.get("format_version") != MANIFEST_FORMAT_VERSION:
+    where = f"{path}: manifest"
+    doc = check_fields(where, load_json(path), _MANIFEST_FIELDS, _MANIFEST_FIELDS)
+    if doc["format_version"] != MANIFEST_FORMAT_VERSION:
         raise ArtifactError(
-            f"{path}: unknown format_version {doc.get('format_version')!r}"
+            f"{path}: unknown format_version {doc['format_version']!r}, "
+            f"expected {MANIFEST_FORMAT_VERSION}"
         )
-    try:
-        entries = tuple(
-            ManifestEntry(
-                path=str(e["path"]),
-                condition=str(e["condition"]),
-                severity=int(e["severity"]),
-                role=str(e.get("role", "test")),
+    files = tuple(
+        ManifestEntry(**check_fields(
+            f"{where} files[{i}]", entry, _ENTRY_FIELDS, ("path", "condition", "severity")
+        ))
+        for i, entry in enumerate(doc["files"])
+    )
+    if not files:
+        raise ArtifactError(f"{where} lists no files")
+    for e in files:
+        if e.role == "calibration" and e.severity != 0:
+            raise ArtifactError(
+                f"{where}: calibration file {e.path!r} must have severity 0, got {e.severity}"
             )
-            for e in doc["files"]
-        )
-        manifest = DatasetManifest(
-            k_classes=int(doc["k_classes"]), files=entries
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{path}: malformed manifest ({exc})") from None
-    for e in manifest.files:
-        if e.role not in ("calibration", "test"):
-            raise ArtifactError(f"{path}: unknown role {e.role!r} for {e.path!r}")
-    return manifest.resolve(path.parent)
+    for cond in sorted({e.condition for e in files}):
+        roles = [e.role for e in files if e.condition == cond]
+        if roles.count("calibration") != 1:
+            raise ArtifactError(
+                f"{where}: condition {cond!r} has {roles.count('calibration')} "
+                "calibration files, expected exactly 1"
+            )
+        if "test" not in roles:
+            raise ArtifactError(f"{where}: condition {cond!r} has no test files")
+    return DatasetManifest(doc["k_classes"], files).resolve(path.parent)

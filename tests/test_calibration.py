@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dualthresh.calibration import (
     AbstentionGroundTruth,
@@ -274,3 +276,68 @@ class TestCalibratedThresholds:
         ]:
             with pytest.raises(ValueError):
                 CalibratedThresholds(**{**good, key: bad})
+
+
+# Scores on a coarse grid, so ties are common, with should-abstain flags.
+_SCORED_FLAGS = st.lists(
+    st.tuples(st.integers(0, 6).map(lambda i: i / 4), st.booleans()),
+    min_size=2, max_size=30,
+)
+
+
+class TestStatisticsOracles:
+    """Property tests of each calibration statistic against an exhaustive
+    definition computed in exact arithmetic."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        grid=st.lists(st.integers(0, 8), min_size=40, max_size=40),
+        # twentieths put (n+1)(1-alpha) within float error of an integer
+        alpha=st.integers(1, 19).map(lambda i: i / 20)
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(n=4, grid=list(range(8)) * 5, alpha=0.6)  # float rank: 2, exact: 3
+    def test_conformal_threshold_is_the_rank_order_statistic(self, n, grid, alpha):
+        scores = [i / 8 for i in grid[:n]]
+        target = (n + 1) * (1 - Fraction(alpha))
+        rank = next(r for r in range(1, n + 2) if r >= target)
+        if rank > n:
+            expected = math.inf
+        else:
+            # the value whose block of ties in sorted order spans the rank
+            (expected,) = {
+                v for v in scores
+                if sum(s < v for s in scores) < rank <= sum(s <= v for s in scores)
+            }
+        assert conformal_threshold(scores, alpha) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_SCORED_FLAGS)
+    def test_auc_is_mann_whitney_with_half_credit_for_ties(self, rows):
+        scores, flags = zip(*rows)
+        assume(0 < sum(flags) < len(flags))
+        pos = [s for s, f in rows if f]
+        neg = [s for s, f in rows if not f]
+        wins = sum(Fraction(int(p > q) + int(p >= q), 2) for p in pos for q in neg)
+        assert roc_points(scores, flags).auc == pytest.approx(
+            float(wins / (len(pos) * len(neg))), abs=1e-12
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_SCORED_FLAGS)
+    def test_abstention_threshold_is_the_exhaustive_youden_optimum(self, rows):
+        scores, flags = zip(*rows)
+        n_pos = sum(flags)
+        n_neg = len(flags) - n_pos
+        assume(n_pos and n_neg)
+
+        def youden(tau):
+            tp = sum(f and s > tau for s, f in rows)
+            fp = sum(not f and s > tau for s, f in rows)
+            return Fraction(tp, n_pos) - Fraction(fp, n_neg)
+
+        candidates = [math.inf, *set(scores), -math.inf]
+        best = max(map(youden, candidates))
+        tau = min(t for t in candidates if youden(t) == best)
+        assert abstention_threshold(roc_points(scores, flags)) == (tau, float(best))

@@ -258,6 +258,48 @@ class TestEvaluate:
         assert code == 2
         assert "classes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_calibration", 3.7),
+            ("n_calibration", True),
+            ("k_classes", "3"),
+            ("alpha", "0.1"),
+            ("created_utc", 5),
+            ("q_conf", "1.5"),
+            ("colour", "blue"),
+        ],
+    )
+    def test_mistyped_thresholds_value_exits_2(self, tmp_path, capsys, key, value):
+        cal, thr = self._calibrated(tmp_path)
+        doc = json.loads(thr.read_text(encoding="utf-8"))
+        doc[key] = value
+        thr.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--test", str(cal), "--thresholds", str(thr),
+             "--records-out", str(tmp_path / "r.csv"),
+             "--summary-out", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_out_of_range_severity_flag_exits_2(self, tmp_path, capsys):
+        cal, thr = self._calibrated(tmp_path)
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--test", str(cal), "--thresholds", str(thr),
+             "--records-out", str(tmp_path / "r.csv"),
+             "--summary-out", str(tmp_path / "s.csv"), "--severity", "9"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: --severity must be in [0, 5], got 9\n"
+        assert not (tmp_path / "r.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_non_object_json_artifact_exits_2(tmp_path, capsys, command):
@@ -275,6 +317,48 @@ def test_non_object_json_artifact_exits_2(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "must be a JSON object" in err
+    assert len(err.splitlines()) == 1
+
+
+def _cal(condition="rain", **fields):
+    return {"path": "rain_cal.csv", "condition": condition, "severity": 0,
+            "role": "calibration", **fields}
+
+
+def _test(condition="rain", **fields):
+    return {"path": "rain_s3.csv", "condition": condition, "severity": 3,
+            "role": "test", **fields}
+
+
+@pytest.mark.parametrize(
+    "manifest, named",
+    [
+        ({"k_classes": 3.5}, "'k_classes'"),
+        ({"format_version": 1.0}, "'format_version'"),
+        ({"format_version": 2}, "format_version"),
+        ({"files": {}}, "'files'"),
+        ({"files": []}, "no files"),
+        ({"files": [_cal(), _test(severity=2.7)]}, "'severity'"),
+        ({"files": [_cal(), _test(severity=True)]}, "'severity'"),
+        ({"files": [_cal(), _test(severity=9)]}, "'severity'"),
+        ({"files": [_cal(), _test(condition=7)]}, "'condition'"),
+        ({"files": [_cal(), _test(role="holdout")]}, "'role'"),
+        ({"files": [_cal(), {"path": "x.csv", "condition": "rain", "severity": 3,
+                             "rol": "test"}]}, "'rol'"),
+        ({"files": [_cal(), {"path": "x.csv", "severity": 3}]}, "'condition'"),
+        ({"files": [_cal(role="test"), _test()]}, "0 calibration files"),
+        ({"files": [_cal(), _cal(), _test()]}, "2 calibration files"),
+        ({"files": [_cal(severity=3), _test()]}, "severity 0"),
+        ({"files": [_cal(), _test(), _cal("fog")]}, "'fog' has no test files"),
+    ],
+)
+def test_malformed_manifest_exits_2_naming_the_fault(tmp_path, capsys, manifest, named):
+    doc = {"format_version": 1, "k_classes": 6, "files": [_cal(), _test()], **manifest}
+    (tmp_path / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+    cfg = write_config(tmp_path, manifest="manifest.json")
+    assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
     assert len(err.splitlines()) == 1
 
 

@@ -1,8 +1,11 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualthresh.calibration import CalibratedThresholds, calibrate, roc_points
 from dualthresh.core import LabeledSample
@@ -22,8 +25,21 @@ from dualthresh.io import (
     write_summary,
     write_thresholds,
 )
-from dualthresh.metrics import summarize
+from dualthresh.metrics import EvaluationSummary, summarize
 from dualthresh.prediction import evaluate_samples
+
+
+# Text with the characters CSV quoting must handle. Left out: lone
+# surrogates, which UTF-8 cannot encode, and a bare carriage return, which
+# csv.writer with an LF line terminator leaves unquoted (a known defect:
+# the row then reads back split in two).
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(',"\n \'\ufeff'),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+    ),
+    max_size=8,
+)
 
 
 def thresholds(**overrides):
@@ -159,6 +175,35 @@ class TestSamplesCsv:
         assert err.value.line == 4
         assert "line 2" in str(err.value)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                _TEXT,
+                st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(any),
+                st.integers(0, 2),
+            ),
+            min_size=1, max_size=12, unique_by=lambda row: row[0],
+        ),
+        condition=_TEXT,
+        severity=st.integers(0, 5),
+    )
+    def test_round_trip_keeps_ids_labels_tags_and_probabilities(
+        self, tmp_path_factory, rows, condition, severity
+    ):
+        samples = [
+            LabeledSample(sid, label, np.array(w) / sum(w), condition, severity)
+            for sid, w, label in rows
+        ]
+        path = tmp_path_factory.mktemp("csv") / "samples.csv"
+        write_samples_csv(samples, path)
+        back = read_logits_csv(path, condition=condition, severity=severity)
+        assert [(b.sample_id, b.label, b.condition, b.severity) for b in back] == [
+            (a.sample_id, a.label, condition, severity) for a in samples
+        ]
+        for a, b in zip(samples, back):
+            assert np.max(np.abs(a.probs - b.probs)) <= 1e-9
+
 
 class TestThresholdsArtifact:
     def test_round_trip_exact(self, tmp_path):
@@ -204,6 +249,24 @@ class TestThresholdsArtifact:
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(ArtifactError, match="JSON"):
             read_thresholds(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q_conf=st.one_of(st.floats(0.0, 1e300), st.just(math.inf)),
+        q_abs=st.sampled_from([math.inf, -math.inf]) | st.floats(allow_nan=False),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        n_calibration=st.integers(1, 10**12),
+        youden_j=st.floats(-1.0, 1.0),
+        k_classes=st.integers(2, 10**6),
+        created_utc=st.text(),
+    )
+    def test_write_then_read_is_the_identity(self, tmp_path_factory, **fields):
+        thr = CalibratedThresholds(**fields)
+        path = tmp_path_factory.mktemp("thr") / "thr.json"
+        write_thresholds(thr, path)
+        back = read_thresholds(path)
+        assert back == thr
+        assert all(type(getattr(back, k)) is type(v) for k, v in fields.items())
 
 
 @pytest.mark.parametrize("reader", [read_thresholds, read_manifest])
@@ -299,6 +362,68 @@ class TestExports:
         path = tmp_path / "records.csv"
         write_records_csv(_records(), path)
         assert b"\r" not in path.read_bytes()
+
+    def test_one_hot_row_exports_positive_zero(self, tmp_path):
+        samples = [LabeledSample("a", 0, [1.0, 0.0, 0.0]),
+                   LabeledSample("b", 1, [0.2, 0.5, 0.3])]
+        path = tmp_path / "records.csv"
+        write_records_csv(evaluate_samples(samples, thresholds()), path)
+        rows = list(csv.DictReader(path.open(encoding="utf-8", newline="")))
+        assert (rows[0]["entropy"], rows[0]["score_top1"]) == ("0.000000", "0.000000")
+        assert "-0.000000" not in path.read_text(encoding="utf-8")
+
+    def test_all_one_hot_summary_has_positive_zero_entropy(self, tmp_path):
+        samples = [LabeledSample(f"s{i}", i % 2, [1.0, 0.0] if i % 2 == 0 else [0.0, 1.0])
+                   for i in range(4)]
+        summaries = summarize(evaluate_samples(samples, thresholds(k_classes=2)))
+        csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
+        write_summary(summaries, csv_path, format="csv")
+        write_summary(summaries, json_path, format="json")
+        row = next(csv.DictReader(csv_path.open(encoding="utf-8", newline="")))
+        assert row["avg_entropy"] == "0.000000"
+        assert math.copysign(1.0, json.loads(json_path.read_text())[0]["avg_entropy"]) == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        summaries=st.lists(
+            st.builds(
+                EvaluationSummary,
+                condition=_TEXT,
+                severity=st.integers(0, 5),
+                n=st.integers(1, 10**9),
+                coverage=st.floats(0.0, 1.0),
+                avg_set_size=st.floats(0.0, 1000.0),
+                avg_entropy=st.floats(0.0, 1.0),
+                avg_confidence=st.floats(0.0, 1.0),
+                avg_margin=st.floats(0.0, 1.0),
+                abstention_rate=st.floats(0.0, 1.0),
+                auc=st.none() | st.floats(0.0, 1.0),
+            ),
+            min_size=1, max_size=5,
+        )
+    )
+    def test_summary_parses_back_at_six_decimals(self, tmp_path_factory, summaries):
+        tmp = tmp_path_factory.mktemp("summary")
+        write_summary(summaries, tmp / "s.csv", format="csv")
+        write_summary(summaries, tmp / "s.json", format="json")
+        with open(tmp / "s.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        docs = json.loads((tmp / "s.json").read_text(encoding="utf-8"))
+        assert len(rows) == len(docs) == len(summaries)
+        for s, row, doc in zip(summaries, rows, docs):
+            expected = {
+                name: value if name in ("condition", "severity", "n") or value is None
+                else round(value, 6)
+                for name, value in vars(s).items()
+            }
+            assert doc == expected
+            assert list(row) == list(expected)
+            assert (row["condition"], int(row["severity"]), int(row["n"])) == (
+                s.condition, s.severity, s.n,
+            )
+            for name in list(expected)[3:]:
+                cell = row[name]
+                assert (None if cell == "" else float(cell)) == expected[name], name
 
 
 class TestManifest:
