@@ -9,7 +9,6 @@ uncertainty/detection metric suite over condition x severity groups.
 __version__ = "0.1.0"
 
 from .calibration import (
-    AbstentionGroundTruth,
     CalibratedThresholds,
     RocCurve,
     abstention_threshold,
@@ -49,7 +48,6 @@ from .prediction import (
 )
 
 __all__ = [
-    "AbstentionGroundTruth",
     "CalibratedThresholds",
     "DegenerateLabelsError",
     "EvaluationSummary",

@@ -6,14 +6,14 @@ Two thresholds come out of one calibration pass:
   nonconformity scores that makes prediction sets cover the true label
   with probability at least ``1 - alpha``;
 * an abstention threshold ``q_abs`` -- the score cutoff that maximizes
-  TPR - FPR for detecting samples the model should not be trusted on.
+  TPR - FPR for detecting top-1 errors (``argmax p != label``, argmax
+  ties to the lowest class index), the samples to abstain on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,21 +27,6 @@ from .core import (
 )
 
 THRESHOLDS_FORMAT_VERSION = 1
-
-
-class AbstentionGroundTruth(Enum):
-    """Which rule marks a calibration sample as one to abstain on.
-
-    TOP1_ERROR (the default) flags samples whose argmax prediction
-
-    disagrees with the true label. NOT_COVERED flags samples whose true
-    label falls outside the conformal prediction set; it is a plausible
-    alternative reading and is exposed so callers can switch explicitly
-    rather than silently.
-    """
-
-    TOP1_ERROR = "top1-error"
-    NOT_COVERED = "not-covered"
 
 
 @dataclass(frozen=True)
@@ -217,27 +202,17 @@ def calibration_scores(samples: Sequence[LabeledSample]) -> np.ndarray:
     return nonconformity_scores(probs[np.arange(labels.size), labels])
 
 
-def calibrate(
-    samples: Sequence[LabeledSample],
-    alpha: float,
-    ground_truth: AbstentionGroundTruth = AbstentionGroundTruth.TOP1_ERROR,
-) -> CalibratedThresholds:
+def calibrate(samples: Sequence[LabeledSample], alpha: float) -> CalibratedThresholds:
     """Run the full calibration pass over a held-out labeled set.
 
     Scores every sample against its true label, takes the conformal
-    quantile at level alpha, derives should-abstain flags per
-    ``ground_truth``, and places the abstention threshold at the Youden
-    optimum of the score ROC.
+    quantile at level alpha, flags the top-1 errors, and places the
+    abstention threshold at the Youden optimum of the score ROC.
     """
     labels, probs = stack_samples(samples)
     scores = nonconformity_scores(probs[np.arange(labels.size), labels])
     q_conf = conformal_threshold(scores, alpha)
-
-    if ground_truth is AbstentionGroundTruth.TOP1_ERROR:
-        flags = probs.argmax(axis=1) != labels
-    else:
-        flags = scores > q_conf
-
+    flags = probs.argmax(axis=1) != labels
     try:
         roc = roc_points(scores, flags)
     except DegenerateLabelsError as exc:
@@ -247,9 +222,9 @@ def calibrate(
             else "every calibration sample is flagged"
         )
         raise DegenerateLabelsError(
-            f"cannot place an abstention threshold: {detail} under the "
-            f"{ground_truth.value} rule ({exc}); provide calibration data "
-            "containing both correct and incorrect predictions"
+            f"cannot place an abstention threshold: {detail} ({exc}); "
+            "provide calibration data containing both correct and incorrect "
+            "predictions"
         ) from exc
 
     q_abs, youden_j = abstention_threshold(roc)

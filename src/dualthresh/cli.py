@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,13 +24,7 @@ from .calibration import (
     calibrate,
 )
 from .core import DegenerateLabelsError, SEVERITY_MAX, SEVERITY_MIN
-from .datagen import (
-    DEFAULT_NOISE_SIGMA_PER_LEVEL,
-    DEFAULT_TEMPERATURE_PER_LEVEL,
-    GeneratorConfig,
-    derive_seed,
-    generate_dataset,
-)
+from .datagen import GeneratorConfig, derive_seed, generate_dataset
 from .io import (
     INTEGER,
     MANIFEST_FORMAT_VERSION,
@@ -76,22 +70,28 @@ _GEN_KEY_TYPES = {
     "k_classes": INTEGER, "n_samples": INTEGER, "base_accuracy": NUMBER,
     "temperature_per_level": NUMBER, "noise_sigma_per_level": NUMBER,
 }
+# The generator settings a config overrides key by key; severity, seed and
+# condition are set per generated file.
+DEFAULT_GENERATOR = GeneratorConfig(
+    k_classes=10, n_samples=1000, base_accuracy=0.9, severity=0, seed=0
+)
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Parsed sweep/generation configuration file."""
+    """Parsed sweep/generation configuration file.
+
+    ``generator`` is the template every generated file is drawn from: its
+    ``n_samples`` sizes each test file, and the calibration and test
+    configs replace its size, severity, seed and condition.
+    """
 
     alpha: float = 0.1
     conditions: tuple[str, ...] = DEFAULT_CONDITIONS
     severities: tuple[int, ...] = DEFAULT_SEVERITIES
     seed: int = 2024
     n_calibration: int = 500
-    k_classes: int = 10
-    n_samples: int = 1000
-    base_accuracy: float = 0.9
-    temperature_per_level: float = DEFAULT_TEMPERATURE_PER_LEVEL
-    noise_sigma_per_level: float = DEFAULT_NOISE_SIGMA_PER_LEVEL
+    generator: GeneratorConfig = DEFAULT_GENERATOR
     manifest: Optional[str] = None
 
     def __post_init__(self):
@@ -112,41 +112,43 @@ class SweepConfig:
             raise ValueError("severities contain duplicates")
         if self.n_calibration < 1:
             raise ValueError("n_calibration must be >= 1")
-        # Delegate generator field validation.
-        self.generator_config("", 0, 1)
 
     @classmethod
     def from_file(cls, path) -> "SweepConfig":
         doc = check_fields(f"{path}: config", load_json(path), _TOP_KEY_TYPES)
         gen = check_fields(f"{path}: config generator", doc.pop("generator", {}), _GEN_KEY_TYPES)
-        kwargs = {**doc, **gen}
         for key in ("conditions", "severities"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
-
-    def generator_config(self, condition: str, severity: int, n: int, *seed_parts) -> GeneratorConfig:
-        return GeneratorConfig(
-            k_classes=self.k_classes,
-            n_samples=n,
-            base_accuracy=self.base_accuracy,
-            severity=severity,
-            seed=derive_seed(self.seed, condition, *seed_parts),
-            condition=condition,
-            temperature_per_level=self.temperature_per_level,
-            noise_sigma_per_level=self.noise_sigma_per_level,
-        )
+            if key in doc:
+                doc[key] = tuple(doc[key])
+        return cls(**doc, generator=replace(DEFAULT_GENERATOR, **gen))
 
     def calibration_config(self, condition: str) -> GeneratorConfig:
-        return self.generator_config(condition, 0, self.n_calibration, "cal")
+        return replace(
+            self.generator, n_samples=self.n_calibration, severity=0,
+            seed=derive_seed(self.seed, condition, "cal"), condition=condition,
+        )
 
     def test_config(self, condition: str, severity: int) -> GeneratorConfig:
-        return self.generator_config(condition, severity, self.n_samples, "test", severity)
+        return replace(
+            self.generator, severity=severity,
+            seed=derive_seed(self.seed, condition, "test", severity), condition=condition,
+        )
 
 
-def _slug(condition: str) -> str:
-    s = re.sub(r"[^A-Za-z0-9._-]+", "_", condition)
-    return s or "unnamed"
+def _slugs(conditions) -> dict[str, str]:
+    """Map each condition to the name its files carry, with every run of
+    characters other than letters, digits, ``.``, ``_`` and ``-`` made
+    ``_``. Conditions sharing a name would overwrite each other's files,
+    so that is a ValueError naming the first two in sorted order."""
+    owner: dict[str, str] = {}
+    for cond in sorted(conditions):
+        slug = re.sub(r"[^A-Za-z0-9._-]+", "_", cond) or "unnamed"
+        if slug in owner:
+            raise ValueError(
+                f"conditions {owner[slug]!r} and {cond!r} share the file name {slug!r}"
+            )
+        owner[slug] = cond
+    return {cond: slug for slug, cond in owner.items()}
 
 
 def _print_thresholds(thresholds: CalibratedThresholds) -> None:
@@ -172,10 +174,11 @@ def _warn_sentinel(thresholds: CalibratedThresholds) -> None:
 def _generate_tree(cfg: SweepConfig, out: Path, quiet: bool = False) -> Path:
     """Write all per-(condition, severity) CSVs plus a manifest; return the
     manifest path."""
+    slugs = _slugs(cfg.conditions)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
     for cond in cfg.conditions:
-        slug = _slug(cond)
+        slug = slugs[cond]
         cal_name = f"{slug}_cal.csv"
         cal = generate_dataset(cfg.calibration_config(cond))
         write_samples_csv(cal, out / cal_name)
@@ -190,7 +193,7 @@ def _generate_tree(cfg: SweepConfig, out: Path, quiet: bool = False) -> Path:
                 print(f"wrote {out / name} ({len(samples)} samples)")
             entries.append(ManifestEntry(name, cond, sev, "test"))
 
-    manifest = DatasetManifest(k_classes=cfg.k_classes, files=tuple(entries))
+    manifest = DatasetManifest(k_classes=cfg.generator.k_classes, files=tuple(entries))
     manifest_path = out / "manifest.json"
     write_manifest(manifest, manifest_path)
     if not quiet:
@@ -244,12 +247,11 @@ def cmd_evaluate(args) -> int:
 # sweep
 
 
-def _load_manifest_groups(manifest_path: Path):
+def _load_manifest_groups(manifest: DatasetManifest):
     """Resolve (condition -> calibration samples, [(severity, samples)])
     from a dataset manifest, in sorted condition and severity order;
     ``read_manifest`` has checked that each condition has one calibration
     file and some test files."""
-    manifest = read_manifest(manifest_path)
 
     def load(entry: ManifestEntry):
         samples = read_logits_csv(entry.path, entry.condition, entry.severity)
@@ -270,13 +272,13 @@ def _load_manifest_groups(manifest_path: Path):
 
 
 def _run_condition(
-    alpha: float, cond: str, cal_samples, groups, out: Path, summaries: list
+    alpha: float, cond: str, slug: str, cal_samples, groups, out: Path, summaries: list
 ) -> None:
     """Calibrate one condition, then evaluate and export each of its
-    severity groups, printing a line per step and appending each group's
-    summary to ``summaries``. On failure the files written so far are
-    renamed ``*.partial`` and the error is re-raised."""
-    slug = _slug(cond)
+    severity groups to files named by ``slug``, printing a line per step
+    and appending each group's summary to ``summaries``. On failure the
+    files written so far are renamed ``*.partial`` and the error is
+    re-raised."""
     written = []
     try:
         thresholds = calibrate(cal_samples, alpha)
@@ -295,7 +297,7 @@ def _run_condition(
             summary = summarize(ev)[0]
             if summary.auc is not None:
                 roc_path = out / f"roc_{slug}_s{sev}.csv"
-                write_roc_csv(detection_auc(ev)[0], roc_path)
+                write_roc_csv(detection_auc(ev), roc_path)
                 written.append(roc_path)
             summaries.append(summary)
             print(
@@ -313,7 +315,6 @@ def _run_condition(
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_file(args.config)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     # Data always flows through the CSV ingestion path, whether freshly
     # generated or supplied via a manifest; a one-group sweep is then
@@ -325,11 +326,14 @@ def cmd_sweep(args) -> int:
     else:
         manifest_path = _generate_tree(cfg, out / "data", quiet=True)
         print(f"generated dataset under {out / 'data'}")
+    manifest = read_manifest(manifest_path)
+    slugs = _slugs({e.condition for e in manifest.files})
+    out.mkdir(parents=True, exist_ok=True)
     all_summaries: list[EvaluationSummary] = []
     failures = {}
-    for cond, (cal_samples, groups) in _load_manifest_groups(manifest_path).items():
+    for cond, (cal_samples, groups) in _load_manifest_groups(manifest).items():
         try:
-            _run_condition(cfg.alpha, cond, cal_samples, groups, out, all_summaries)
+            _run_condition(cfg.alpha, cond, slugs[cond], cal_samples, groups, out, all_summaries)
         except Exception as exc:  # reported per condition; sweep continues
             failures[cond] = exc
 

@@ -322,19 +322,20 @@ def write_summary(summaries: Sequence[EvaluationSummary], path, format: str = "c
 def write_heatmap(summaries: Sequence[EvaluationSummary], path) -> None:
     """Pivot summaries into ``metric,condition,severity_*`` rows: one block
     per summary metric, one row per condition, sorted; a group that is
-    absent or has no value for a metric is an empty cell."""
+    absent or has no value for a metric is an empty cell. Cells are quoted
+    as in the other CSV exports."""
     severities = sorted({s.severity for s in summaries})
     conditions = sorted({s.condition for s in summaries})
     cells = {(s.condition, s.severity): s for s in summaries}
     with _open_write(path) as fh:
-        fh.write("metric,condition," + ",".join(f"severity_{v}" for v in severities) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["metric", "condition"] + [f"severity_{v}" for v in severities])
         for metric in _SUMMARY_METRICS:
             for cond in conditions:
-                row = [metric, cond]
-                for sev in severities:
-                    s = cells.get((cond, sev))
-                    row.append(_cell(None if s is None else getattr(s, metric)))
-                fh.write(",".join(row) + "\n")
+                groups = [cells.get((cond, sev)) for sev in severities]
+                writer.writerow([metric, cond] + [
+                    _cell(None if s is None else getattr(s, metric)) for s in groups
+                ])
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:

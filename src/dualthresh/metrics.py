@@ -41,14 +41,14 @@ def margin(probs) -> float:
     return float(first - second)
 
 
-def detection_auc(ev: "Evaluations") -> tuple[RocCurve, float]:
-    """ROC of the top-1 score against the should-abstain ground truth.
+def detection_auc(ev: "Evaluations") -> RocCurve:
+    """ROC of the top-1 score against the should-abstain flags; its
+    ``auc`` is the detection AUC.
 
     Raises DegenerateLabelsError when the batch contains only one flag
     class.
     """
-    curve = roc_points(ev.score_top1, ev.should_abstain)
-    return curve, curve.auc
+    return roc_points(ev.score_top1, ev.should_abstain)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def summarize(ev: "Evaluations") -> list[EvaluationSummary]:
                 avg_confidence=float(np.mean(grp.confidence)),
                 avg_margin=float(np.mean(grp.margin)),
                 abstention_rate=float(np.mean(grp.abstained)),
-                auc=detection_auc(grp)[1] if 0 < n_flagged < len(grp) else None,
+                auc=detection_auc(grp).auc if 0 < n_flagged < len(grp) else None,
             )
         )
     return out

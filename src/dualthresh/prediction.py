@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import AbstentionGroundTruth, CalibratedThresholds
+from .calibration import CalibratedThresholds
 from .core import (
     LabeledSample,
     as_probabilities,
@@ -77,16 +77,13 @@ def abstain_decision(probs, q_abs: float) -> bool:
 
 
 def evaluate_samples(
-    samples: Sequence[LabeledSample],
-    thresholds: CalibratedThresholds,
-    ground_truth: AbstentionGroundTruth = AbstentionGroundTruth.TOP1_ERROR,
+    samples: Sequence[LabeledSample], thresholds: CalibratedThresholds
 ) -> Evaluations:
     """Evaluate a non-empty batch in one vectorized pass, preserving input
     order.
 
-    ``ground_truth`` must match the rule used at calibration time for the
-    resulting should-abstain flags (and hence detection AUC) to be
-    consistent. Argmax ties break toward the lowest class index.
+    ``should_abstain`` flags the top-1 errors, the rule ``calibrate``
+    placed ``q_abs`` by; argmax ties break toward the lowest class index.
     """
     labels, p_mat = stack_samples(samples)
     if p_mat.shape[1] != thresholds.k_classes:
@@ -101,10 +98,6 @@ def evaluate_samples(
     covered = in_set[rows, labels]
     top1 = p_mat.argmax(axis=1)
     score_top1 = scores[rows, top1]
-    if ground_truth is AbstentionGroundTruth.TOP1_ERROR:
-        should = top1 != labels
-    else:
-        should = ~covered
     conf, second = top_two(p_mat)
 
     return Evaluations(
@@ -115,7 +108,7 @@ def evaluate_samples(
         in_set=in_set,
         covered=covered,
         abstained=score_top1 > thresholds.q_abs,
-        should_abstain=should,
+        should_abstain=top1 != labels,
         top1=top1,
         score_top1=score_top1,
         entropy=normalized_entropies(p_mat),

@@ -7,7 +7,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualthresh.calibration import (
-    AbstentionGroundTruth,
     CalibratedThresholds,
     abstention_threshold,
     calibrate,
@@ -16,6 +15,7 @@ from dualthresh.calibration import (
     roc_points,
 )
 from dualthresh.core import DegenerateLabelsError, LabeledSample
+from dualthresh.prediction import evaluate_samples
 
 
 def oracle_quantile(scores, alpha):
@@ -241,20 +241,6 @@ class TestCalibrate:
         with pytest.raises(DegenerateLabelsError, match="flagged"):
             calibrate(samples, alpha=0.1)
 
-    def test_not_covered_ground_truth_rule(self):
-        # same four samples; under NOT_COVERED the flags follow q_conf
-        samples = [
-            self._sample("c1", math.exp(-0.1), 0),
-            self._sample("c2", math.exp(-0.2), 0),
-            self._sample("m1", math.exp(-0.8), 0),
-            self._sample("m2", math.exp(-0.9), 0),
-        ]
-        thr = calibrate(samples, alpha=0.5, ground_truth=AbstentionGroundTruth.NOT_COVERED)
-        # q_conf = 3rd smallest = 0.8; only the 0.9 sample is uncovered
-        assert thr.q_conf == pytest.approx(0.8, abs=1e-12)
-        assert thr.q_abs == pytest.approx(0.8, abs=1e-12)
-        assert thr.youden_j == pytest.approx(1.0)
-
     def test_mixed_class_counts_rejected(self):
         samples = [
             LabeledSample("a", 0, [0.9, 0.1]),
@@ -276,6 +262,22 @@ class TestCalibratedThresholds:
         ]:
             with pytest.raises(ValueError):
                 CalibratedThresholds(**{**good, key: bad})
+
+
+def exhaustive_youden(scores, flags):
+    """(tau, J) maximizing J = TPR - FPR over +inf, every score and -inf,
+    in exact arithmetic; J-ties go to the smallest tau."""
+    n_pos = sum(flags)
+    n_neg = len(flags) - n_pos
+
+    def youden(tau):
+        tp = sum(f and s > tau for s, f in zip(scores, flags))
+        fp = sum(not f and s > tau for s, f in zip(scores, flags))
+        return Fraction(tp, n_pos) - Fraction(fp, n_neg)
+
+    candidates = [math.inf, *set(scores), -math.inf]
+    best = max(map(youden, candidates))
+    return min(t for t in candidates if youden(t) == best), float(best)
 
 
 # Scores on a coarse grid, so ties are common, with should-abstain flags.
@@ -328,16 +330,37 @@ class TestStatisticsOracles:
     @given(rows=_SCORED_FLAGS)
     def test_abstention_threshold_is_the_exhaustive_youden_optimum(self, rows):
         scores, flags = zip(*rows)
-        n_pos = sum(flags)
-        n_neg = len(flags) - n_pos
-        assume(n_pos and n_neg)
+        assume(0 < sum(flags) < len(flags))
+        assert abstention_threshold(roc_points(scores, flags)) == exhaustive_youden(scores, flags)
 
-        def youden(tau):
-            tp = sum(f and s > tau for s, f in rows)
-            fp = sum(not f and s > tau for s, f in rows)
-            return Fraction(tp, n_pos) - Fraction(fp, n_neg)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            # integer weights: equal weights give equal probabilities, so
+            # argmax ties are common and exact
+            st.tuples(st.lists(st.integers(0, 3), min_size=3, max_size=3)
+                      .filter(any), st.integers(0, 2)),
+            min_size=2, max_size=25,
+        )
+    )
+    def test_should_abstain_is_the_top1_error(self, rows):
+        samples = [
+            LabeledSample(f"s{i}", label, [w / sum(weights) for w in weights])
+            for i, (weights, label) in enumerate(rows)
+        ]
+        # top-1 error, argmax ties to the lowest class index
+        flags = [weights.index(max(weights)) != label for weights, label in rows]
 
-        candidates = [math.inf, *set(scores), -math.inf]
-        best = max(map(youden, candidates))
-        tau = min(t for t in candidates if youden(t) == best)
-        assert abstention_threshold(roc_points(scores, flags)) == (tau, float(best))
+        ev = evaluate_samples(samples, CalibratedThresholds(
+            q_conf=1.0, q_abs=0.5, alpha=0.1, n_calibration=1, youden_j=0.0, k_classes=3
+        ))
+        assert ev.should_abstain.tolist() == flags
+
+        if all(flags) or not any(flags):
+            with pytest.raises(DegenerateLabelsError, match="flagged"):
+                calibrate(samples, alpha=0.1)
+            return
+        thr = calibrate(samples, alpha=0.1)
+        assert (thr.q_abs, thr.youden_j) == exhaustive_youden(
+            calibration_scores(samples).tolist(), flags
+        )

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -35,6 +36,11 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(small_config(**overrides)), encoding="utf-8")
     return path
+
+
+# Three conditions whose file names would all be a_b.
+COLLIDING = ["a_b", "a,b", "a b"]
+COLLISION_ERROR = "error: conditions 'a b' and 'a,b' share the file name 'a_b'\n"
 
 
 def tree_bytes(root):
@@ -127,6 +133,19 @@ class TestGen:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
+
+    def test_generator_fault_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, generator={"n_samples": 0})
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == "error: n_samples must be >= 1, got 0\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_conditions_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, conditions=COLLIDING)
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == COLLISION_ERROR
         assert not (tmp_path / "d").exists()
 
 
@@ -450,3 +469,35 @@ class TestSweep:
         assert not (tmp_path / "sw" / "summary.csv").exists()
         # the healthy condition still produced its group outputs
         assert (tmp_path / "sw" / "records_rain_s1.csv").exists()
+
+    def test_conditions_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, conditions=COLLIDING)
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err == COLLISION_ERROR
+        assert not (tmp_path / "sw").exists()
+
+    def test_manifest_conditions_sharing_a_file_name_exit_2(self, tmp_path, capsys):
+        main(["gen", str(write_config(tmp_path)), "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        doc = {"format_version": 1, "k_classes": 6, "files": [
+            entry for cond in COLLIDING for entry in (_cal(cond), _test(cond))
+        ]}
+        (tmp_path / "data" / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err == COLLISION_ERROR
+        assert not (tmp_path / "sw").exists()
+
+    def test_heatmap_quotes_condition_cells(self, tmp_path):
+        cfg = write_config(tmp_path, conditions=["a,b", 'x"y'])
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 0
+        with open(tmp_path / "sw" / "summary.csv", encoding="utf-8", newline="") as fh:
+            summary = {(row["condition"], row["severity"]): row for row in csv.DictReader(fh)}
+        with open(tmp_path / "sw" / "heatmap.csv", encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["metric", "condition", "severity_0", "severity_3"]
+        assert len(rows) == 7 * 2  # seven metrics, two conditions
+        for metric, cond, *cells in rows:
+            assert len(cells) == 2
+            assert cells == [summary[(cond, sev)][metric] for sev in ("0", "3")]
+        assert {row[1] for row in rows} == {"a,b", 'x"y'}

@@ -119,8 +119,7 @@ class TestAggregates:
         ev = evaluations_from(
             [([0.95, 0.05], 0)] * 3 + [([0.55, 0.45], 1)] * 3
         )
-        curve, auc = detection_auc(ev)
-        assert auc == 1.0
+        assert detection_auc(ev).auc == 1.0
 
     def test_detection_auc_matches_pairwise_oracle(self):
         rng = np.random.default_rng(6)
@@ -135,7 +134,7 @@ class TestAggregates:
             flags = ev.should_abstain.tolist()
             if all(flags) or not any(flags):
                 continue
-            _, auc = detection_auc(ev)
+            auc = detection_auc(ev).auc
             scores = ev.score_top1.tolist()
             assert auc == pytest.approx(mann_whitney(scores, flags), abs=1e-9)
 

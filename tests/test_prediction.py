@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualthresh.calibration import AbstentionGroundTruth, CalibratedThresholds
+from dualthresh.calibration import CalibratedThresholds
 from dualthresh.core import LabeledSample, nonconformity
 from dualthresh.metrics import confidence, margin, normalized_entropy
 from dualthresh.prediction import (
@@ -110,14 +110,6 @@ class TestEvaluateSample:
         ev = evaluate_samples(samples, thr)
         assert ev.covered.all()
         assert (ev.set_size == 4).all()
-
-    def test_not_covered_ground_truth(self):
-        thr = thresholds(0.3, 0.2)
-        ev = evaluate_samples(
-            [LabeledSample("a", 0, [0.9, 0.1]), LabeledSample("b", 0, [0.5, 0.5])],
-            thr, ground_truth=AbstentionGroundTruth.NOT_COVERED,
-        )
-        assert ev.should_abstain.tolist() == [False, True]
 
     def test_class_count_mismatch(self):
         with pytest.raises(ValueError, match="classes"):
