@@ -108,6 +108,9 @@ class SweepConfig:
                 )
         if len(set(self.conditions)) != len(self.conditions):
             raise ValueError("conditions contain duplicates")
+        for cond in self.conditions:
+            if "\r" in cond:
+                raise ValueError(f"conditions must not hold a carriage return, got {cond!r}")
         if len(set(self.severities)) != len(self.severities):
             raise ValueError("severities contain duplicates")
         if self.n_calibration < 1:
@@ -230,6 +233,8 @@ def cmd_evaluate(args) -> int:
         raise ValueError(
             f"--severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], got {args.severity}"
         )
+    if "\r" in args.condition:
+        raise ValueError(f"--condition must not hold a carriage return, got {args.condition!r}")
     samples = read_logits_csv(args.test, condition=args.condition, severity=args.severity)
     thresholds = read_thresholds(args.thresholds)
     ev = evaluate_samples(samples, thresholds)

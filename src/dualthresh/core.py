@@ -6,6 +6,7 @@ from any number of threads and safe to pass between them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ def as_logits(values) -> np.ndarray:
         raise ValueError(f"logits must be one-dimensional, got shape {z.shape}")
     if z.size < 2:
         raise ValueError(f"need at least 2 classes, got {z.size}")
-    if not np.all(np.isfinite(z)):
+    # A finite sum means every entry is finite; only a NaN, an infinity or
+    # an overflowing sum pays for the elementwise check.
+    if not math.isfinite(sum(z.tolist())) and not np.all(np.isfinite(z)):
         raise ValueError("logits contain NaN or infinite entries")
     z.flags.writeable = False
     return z
@@ -57,14 +60,27 @@ def as_probabilities(values) -> np.ndarray:
         raise ValueError(f"probabilities must be one-dimensional, got shape {p.shape}")
     if p.size < 2:
         raise ValueError(f"need at least 2 classes, got {p.size}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probabilities contain NaN or infinite entries")
-    if np.any(p < -_BOUND_SLACK) or np.any(p > 1.0 + _BOUND_SLACK):
-        raise ValueError("probabilities outside [0, 1]")
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    # Accept a valid row from its extremes and its sum alone; only a
+    # rejected row runs the checks below, in the order that picks its
+    # message. A NaN fails a bound (min and max return one that comes
+    # first) or makes the sum NaN; an infinity fails a bound. The sum is
+    # numpy's pairwise one, as below, and runs only once every other
+    # entry is bounded, so it cannot overflow or warn.
+    entries = p.tolist()
+    low, high = min(entries), max(entries)
+    if not (
+        low >= -_BOUND_SLACK
+        and high <= 1.0 + _BOUND_SLACK
+        and abs(float(np.add.reduce(p)) - 1.0) <= PROB_SUM_TOL
+    ):
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities contain NaN or infinite entries")
+        if np.any(p < -_BOUND_SLACK) or np.any(p > 1.0 + _BOUND_SLACK):
+            raise ValueError("probabilities outside [0, 1]")
+        total = float(np.add.reduce(p))
         raise ValueError(f"probabilities sum to {total:.9f}, expected 1 within {PROB_SUM_TOL}")
-    p = np.clip(p, 0.0, 1.0)
+    if low < 0.0 or high > 1.0:
+        p = np.clip(p, 0.0, 1.0)
     p.flags.writeable = False
     return p
 
@@ -118,7 +134,7 @@ def nonconformity(probs, label: int) -> float:
     return float(nonconformity_scores(p)[label])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSample:
     """One evaluation unit: a probability vector, its true label, and
     condition/severity tags describing where it came from.

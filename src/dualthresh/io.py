@@ -142,54 +142,69 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
     softmax) or probabilities (validated as-is); mixing is rejected. The
     samples are tagged with the given condition and severity, which the
     file format itself does not carry. Sample ids must be unique within
-    the file. A leading UTF-8 byte-order mark (as spreadsheet exports
-    write) is ignored.
+    the file and may not hold a carriage return, which the LF-terminated
+    exports would leave unquoted. A leading UTF-8 byte-order mark (as
+    spreadsheet exports write) is ignored.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    # Records end at LF or CRLF only, so an unquoted carriage return
+    # anywhere else makes the csv reader fail on its line rather than
+    # split the row in two.
+    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "file is empty") from None
-        kind, k = _parse_header(path, header)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(path, 1, "file is empty") from None
+            kind, k = _parse_header(path, header)
 
-        samples = []
-        first_line: dict[str, int] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != k + 2:
-                raise ParseError(
-                    path, line_no, f"expected {k + 2} cells, got {len(row)}"
-                )
-            sample_id = row[0]
-            if sample_id in first_line:
-                raise ParseError(
-                    path, line_no, f"duplicate sample_id {sample_id!r} "
-                    f"(first on line {first_line[sample_id]})"
-                )
-            first_line[sample_id] = line_no
-            try:
-                label = int(row[1])
-            except ValueError:
-                raise ParseError(path, line_no, f"label {row[1]!r} is not an integer") from None
-            if not 0 <= label < k:
-                raise ParseError(
-                    path, line_no, f"label {label} out of range for {k} classes"
-                )
-            try:
-                values = [float(cell) for cell in row[2:]]
-            except ValueError:
-                raise ParseError(path, line_no, "non-numeric value cell") from None
-            try:
-                if kind == "logit":
-                    smp = LabeledSample.from_logits(
-                        sample_id, label, values, condition, severity
+            samples = []
+            first_line: dict[str, int] = {}
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != k + 2:
+                    raise ParseError(
+                        path, line_no, f"expected {k + 2} cells, got {len(row)}"
                     )
-                else:
-                    smp = LabeledSample(sample_id, label, values, condition, severity)
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            samples.append(smp)
+                sample_id = row[0]
+                if "\r" in sample_id:
+                    raise ParseError(
+                        path, line_no, f"sample_id {sample_id!r} holds a carriage return"
+                    )
+                if sample_id in first_line:
+                    raise ParseError(
+                        path, line_no, f"duplicate sample_id {sample_id!r} "
+                        f"(first on line {first_line[sample_id]})"
+                    )
+                first_line[sample_id] = line_no
+                try:
+                    label = int(row[1])
+                except ValueError:
+                    raise ParseError(path, line_no, f"label {row[1]!r} is not an integer") from None
+                if not 0 <= label < k:
+                    raise ParseError(
+                        path, line_no, f"label {label} out of range for {k} classes"
+                    )
+                try:
+                    values = [float(cell) for cell in row[2:]]
+                except ValueError:
+                    raise ParseError(path, line_no, "non-numeric value cell") from None
+                try:
+                    if kind == "logit":
+                        smp = LabeledSample.from_logits(
+                            sample_id, label, values, condition, severity
+                        )
+                    else:
+                        smp = LabeledSample(sample_id, label, values, condition, severity)
+                except ValueError as exc:
+                    raise ParseError(path, line_no, str(exc)) from None
+                samples.append(smp)
+        except csv.Error as exc:
+            reason = (
+                "carriage return outside a quoted cell"
+                if "new-line" in str(exc) else str(exc)
+            )
+            raise ParseError(path, reader.line_num, reason) from None
 
     if not samples:
         raise ParseError(path, 2, "file contains a header but no data rows")
@@ -361,7 +376,9 @@ class ManifestEntry:
 # Every entry key in file order, with its JSON type; ``role`` is optional.
 _ENTRY_FIELDS = {
     "path": STRING,
-    "condition": STRING,
+    "condition": (
+        "a string without a carriage return", lambda v: isinstance(v, str) and "\r" not in v
+    ),
     "severity": (
         f"an integer in [{SEVERITY_MIN}, {SEVERITY_MAX}]",
         lambda v: is_int(v) and SEVERITY_MIN <= v <= SEVERITY_MAX,
@@ -408,7 +425,8 @@ def read_manifest(path) -> DatasetManifest:
 
     Besides the key types, the files must form a sweep: at least one file,
     each condition with exactly one calibration file, at severity 0, and
-    at least one test file.
+    at least one test file, with at most one per severity. No condition
+    may hold a carriage return.
     """
     path = Path(path)
     where = f"{path}: manifest"
@@ -440,4 +458,13 @@ def read_manifest(path) -> DatasetManifest:
             )
         if "test" not in roles:
             raise ArtifactError(f"{where}: condition {cond!r} has no test files")
+    tests: dict[tuple[str, int], str] = {}
+    for e in files:
+        if e.role == "test":
+            if (e.condition, e.severity) in tests:
+                raise ArtifactError(
+                    f"{where}: files {tests[e.condition, e.severity]!r} and {e.path!r} are "
+                    f"both test files for condition {e.condition!r} severity {e.severity}"
+                )
+            tests[e.condition, e.severity] = e.path
     return DatasetManifest(doc["k_classes"], files).resolve(path.parent)

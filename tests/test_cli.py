@@ -148,6 +148,14 @@ class TestGen:
         assert capsys.readouterr().err == COLLISION_ERROR
         assert not (tmp_path / "d").exists()
 
+    def test_condition_holding_a_carriage_return_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, conditions=["rain", "a\rb"])
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == (
+            "error: conditions must not hold a carriage return, got 'a\\rb'\n"
+        )
+        assert not (tmp_path / "d").exists()
+
 
 class TestCalibrate:
     def test_worked_four_sample_file(self, tmp_path, capsys):
@@ -306,6 +314,20 @@ class TestEvaluate:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()
 
+    def test_condition_flag_holding_a_carriage_return_exits_2(self, tmp_path, capsys):
+        cal, thr = self._calibrated(tmp_path)
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--test", str(cal), "--thresholds", str(thr),
+             "--records-out", str(tmp_path / "r.csv"),
+             "--summary-out", str(tmp_path / "s.csv"), "--condition", "a\rb"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --condition must not hold a carriage return, got 'a\\rb'\n"
+        )
+        assert not (tmp_path / "r.csv").exists()
+
     def test_out_of_range_severity_flag_exits_2(self, tmp_path, capsys):
         cal, thr = self._calibrated(tmp_path)
         capsys.readouterr()
@@ -369,6 +391,9 @@ def _test(condition="rain", **fields):
         ({"files": [_cal(), _cal(), _test()]}, "2 calibration files"),
         ({"files": [_cal(severity=3), _test()]}, "severity 0"),
         ({"files": [_cal(), _test(), _cal("fog")]}, "'fog' has no test files"),
+        ({"files": [_cal(), _test(), _test(path="x.csv")]},
+         "files 'rain_s3.csv' and 'x.csv' are both test files for condition 'rain' severity 3"),
+        ({"files": [_cal(), _test(condition="a\rb")]}, "'condition'"),
     ],
 )
 def test_malformed_manifest_exits_2_naming_the_fault(tmp_path, capsys, manifest, named):
@@ -486,6 +511,24 @@ class TestSweep:
         cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
         assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
         assert capsys.readouterr().err == COLLISION_ERROR
+        assert not (tmp_path / "sw").exists()
+
+    def test_two_test_files_for_one_group_exit_2(self, tmp_path, capsys):
+        main(["gen", str(write_config(tmp_path, severities=[1, 2])),
+              "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        manifest = tmp_path / "data" / "manifest.json"
+        doc = {"format_version": 1, "k_classes": 6, "files": [
+            _cal(), _test(path="rain_s1.csv", severity=1),
+            _test(path="rain_s2.csv", severity=1),
+        ]}
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: manifest: files 'rain_s1.csv' and 'rain_s2.csv' "
+            "are both test files for condition 'rain' severity 1\n"
+        )
         assert not (tmp_path / "sw").exists()
 
     def test_heatmap_quotes_condition_cells(self, tmp_path):

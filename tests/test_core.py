@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualthresh.core import (
+    PROB_SUM_TOL,
     LabeledSample,
     as_logits,
     as_probabilities,
@@ -102,6 +105,121 @@ class TestValidation:
     def test_logits_require_two_classes(self):
         with pytest.raises(ValueError):
             as_logits([3.0])
+
+
+def sequential_probabilities(values):
+    """Reference validator: every check in order on the whole row, then an
+    unconditional clip."""
+    p = np.array(values, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError(f"probabilities must be one-dimensional, got shape {p.shape}")
+    if p.size < 2:
+        raise ValueError(f"need at least 2 classes, got {p.size}")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities contain NaN or infinite entries")
+    if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
+        raise ValueError("probabilities outside [0, 1]")
+    total = float(p.sum())
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"probabilities sum to {total:.9f}, expected 1 within {PROB_SUM_TOL}")
+    return np.clip(p, 0.0, 1.0)
+
+
+def sequential_logits(values):
+    """Reference validator for logits: shape, class count, then finiteness."""
+    z = np.array(values, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError(f"logits must be one-dimensional, got shape {z.shape}")
+    if z.size < 2:
+        raise ValueError(f"need at least 2 classes, got {z.size}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits contain NaN or infinite entries")
+    return z
+
+
+def _outcome(validate, values):
+    """('ok', shape, bytes) for an accepted row, ('error', message) otherwise."""
+    try:
+        out = validate(values)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", out.shape, out.tobytes())
+
+
+def _ulps_from(x, n):
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
+
+
+# The doubles where the sum test flips: the largest total still within
+# PROB_SUM_TOL above 1 and the smallest within it below.
+_SUM_EDGE_HIGH = max(
+    x for x in (_ulps_from(1.0 + PROB_SUM_TOL, n) for n in range(-4, 5))
+    if x - 1.0 <= PROB_SUM_TOL
+)
+_SUM_EDGE_LOW = min(
+    x for x in (_ulps_from(1.0 - PROB_SUM_TOL, n) for n in range(-4, 5))
+    if 1.0 - x <= PROB_SUM_TOL
+)
+
+# Entries at each edge the validators test: the bound slack around 0 and
+# 1, signed zero, huge finite values (whose sum overflows) and non-finite.
+_EDGE_ENTRY = st.sampled_from([
+    0.0, -0.0, 1.0, 0.5, -1e-9, 1e-9, -2e-9, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 + 2e-9,
+    math.nextafter(-1e-9, -1.0), math.nextafter(1.0 + 1e-9, 2.0),
+    1.7e308, -1.7e308, math.nan, math.inf, -math.inf,
+])
+_ENTRY = st.one_of(_EDGE_ENTRY, st.floats(-2.0, 2.0), st.floats())
+
+
+@st.composite
+def _rows_summing_near_the_edge(draw):
+    """Rows whose last entry puts the exact sum a few ulps from a sum-test
+    edge, so summation order decides acceptance. From 8 entries on numpy
+    sums pairwise, not left to right; random mantissas make the two
+    orders round differently."""
+    k = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = (rng.dirichlet(np.ones(k)) * 0.99)[: k - 1].tolist()
+    edge = draw(st.sampled_from([_SUM_EDGE_HIGH, _SUM_EDGE_LOW, 1.0]))
+    target = _ulps_from(edge, draw(st.integers(-3, 3)))
+    row = rest + [target - math.fsum(rest)]
+    if draw(st.booleans()):
+        row[draw(st.integers(0, k - 1))] = draw(_EDGE_ENTRY)
+    return row
+
+
+_ROWS = st.one_of(
+    st.lists(_ENTRY, min_size=0, max_size=12),
+    _rows_summing_near_the_edge(),
+    st.lists(st.lists(_ENTRY, min_size=2, max_size=2), min_size=1, max_size=3),
+    st.lists(_ENTRY, min_size=1, max_size=1),
+    _ENTRY,
+)
+
+
+# A warning would print beside the one-line error on the command line.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestValidatorOracle:
+    @settings(max_examples=1500, deadline=None)
+    @given(values=_ROWS)
+    def test_probabilities_match_the_sequential_checks(self, values):
+        assert _outcome(as_probabilities, values) == _outcome(sequential_probabilities, values)
+
+    @settings(max_examples=500, deadline=None)
+    @given(values=_ROWS)
+    def test_logits_match_the_sequential_checks(self, values):
+        assert _outcome(as_logits, values) == _outcome(sequential_logits, values)
+
+    def test_sum_edges_are_the_tolerance(self):
+        assert _SUM_EDGE_HIGH - 1.0 <= PROB_SUM_TOL < math.nextafter(_SUM_EDGE_HIGH, 2.0) - 1.0
+        assert 1.0 - _SUM_EDGE_LOW <= PROB_SUM_TOL < 1.0 - math.nextafter(_SUM_EDGE_LOW, 0.0)
+
+    def test_signed_zero_is_kept(self):
+        p = as_probabilities([-0.0, 1.0])
+        assert math.copysign(1.0, p[0]) == -1.0
+        assert p.tobytes() == sequential_probabilities([-0.0, 1.0]).tobytes()
 
 
 class TestLabeledSample:

@@ -30,16 +30,16 @@ from dualthresh.prediction import evaluate_samples
 
 
 # Text with the characters CSV quoting must handle. Left out: lone
-# surrogates, which UTF-8 cannot encode, and a bare carriage return, which
-# csv.writer with an LF line terminator leaves unquoted (a known defect:
-# the row then reads back split in two).
+# surrogates, which UTF-8 cannot encode.
 _TEXT = st.text(
     st.one_of(
-        st.sampled_from(',"\n \'\ufeff'),
-        st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+        st.sampled_from(',"\n\r \'\ufeff'),
+        st.characters(blacklist_categories=("Cs",)),
     ),
     max_size=8,
 )
+# Conditions holding a carriage return are rejected where they enter.
+_CONDITION = _TEXT.filter(lambda text: "\r" not in text)
 
 
 def thresholds(**overrides):
@@ -163,6 +163,37 @@ class TestSamplesCsv:
             b.q_conf, b.q_abs, b.youden_j, b.n_calibration
         )
 
+    def test_carriage_return_in_a_sample_id_is_rejected(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(
+            b'sample_id,label,prob_0,prob_1\na,0,0.9,0.1\n"b\rc",1,0.3,0.7\n'
+        )
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value) == f"{path}:3: sample_id 'b\\rc' holds a carriage return"
+
+    def test_unquoted_carriage_return_does_not_split_the_row(self, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"sample_id,label,prob_0,prob_1\na,0,0.9,0.1\nb\rc,1,0.3,0.7\n")
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value) == f"{path}:3: carriage return outside a quoted cell"
+
+    def test_crlf_line_endings_are_read(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"sample_id,label,prob_0,prob_1\r\na,0,0.9,0.1\r\nb,1,0.3,0.7\r\n")
+        assert [smp.sample_id for smp in read_logits_csv(path)] == ["a", "b"]
+
+    def test_oversized_cell_names_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            f"sample_id,label,prob_0,prob_1\na,0,0.9,0.1\n{'x' * 200_000},1,0.3,0.7\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value) == f"{path}:3: field larger than field limit (131072)"
+
     def test_duplicate_sample_id_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(
@@ -197,6 +228,10 @@ class TestSamplesCsv:
         ]
         path = tmp_path_factory.mktemp("csv") / "samples.csv"
         write_samples_csv(samples, path)
+        if any("\r" in smp.sample_id for smp in samples):
+            with pytest.raises(ParseError, match="carriage return"):
+                read_logits_csv(path, condition=condition, severity=severity)
+            return
         back = read_logits_csv(path, condition=condition, severity=severity)
         assert [(b.sample_id, b.label, b.condition, b.severity) for b in back] == [
             (a.sample_id, a.label, condition, severity) for a in samples
@@ -388,7 +423,7 @@ class TestExports:
         summaries=st.lists(
             st.builds(
                 EvaluationSummary,
-                condition=_TEXT,
+                condition=_CONDITION,
                 severity=st.integers(0, 5),
                 n=st.integers(1, 10**9),
                 coverage=st.floats(0.0, 1.0),
