@@ -14,13 +14,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
+from io import StringIO
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .calibration import THRESHOLDS_FORMAT_VERSION, CalibratedThresholds, RocCurve
-from .core import SEVERITY_MAX, SEVERITY_MIN, LabeledSample
+from .core import SEVERITY_MAX, SEVERITY_MIN, LabeledSample, stack_samples
 from .metrics import EvaluationSummary
 from .prediction import Evaluations
 
@@ -93,22 +92,45 @@ def _open_write(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _text_cells(values: list[str]) -> list[str]:
+    """Return free-text values as the CSV cells ``csv.writer`` writes for
+    them in a row of several cells.
+
+    A value holding none of ``,`` ``"`` ``\\n`` ``\\r`` is its own cell; any
+    other goes through ``csv.writer`` itself, which alone decides quoting.
+    """
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cells = []
+    for value in values:
+        if "," in value or '"' in value or "\n" in value or "\r" in value:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow([value])
+            value = buf.getvalue()[:-1]
+        cells.append(value)
+    return cells
+
+
 # ---------------------------------------------------------------------------
 # logits / probability CSV
 
 
 def write_samples_csv(samples: Sequence[LabeledSample], path) -> None:
-    """Write samples as probability rows at 9 significant digits."""
-    if len(samples) == 0:
-        raise ValueError("samples must be non-empty")
-    k = samples[0].k_classes
+    """Write samples as probability rows at 9 significant digits.
+
+    A batch with mixed class counts is rejected before the file is opened.
+    """
+    labels, probs = stack_samples(samples)
+    k = probs.shape[1]
+    row = "%s,%d," + ",".join(["%.9g"] * k) + "\n"
+    ids = _text_cells([smp.sample_id for smp in samples])
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "label"] + [f"prob_{j}" for j in range(k)])
-        for smp in samples:
-            writer.writerow(
-                [smp.sample_id, smp.label] + [f"{v:.9g}" for v in smp.probs]
-            )
+        fh.write(",".join(["sample_id", "label"] + [f"prob_{j}" for j in range(k)]) + "\n")
+        fh.writelines(
+            row % (sid, label, *values)
+            for sid, label, values in zip(ids, labels.tolist(), probs.tolist())
+        )
 
 
 def _parse_header(path, header: list[str]) -> tuple[str, int]:
@@ -161,7 +183,10 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
 
             samples = []
             first_line: dict[str, int] = {}
-            for line_no, row in enumerate(reader, start=2):
+            next_line = reader.line_num + 1
+            for row in reader:
+                # A quoted cell may span lines; name the record's first one.
+                line_no, next_line = next_line, reader.line_num + 1
                 if len(row) != k + 2:
                     raise ParseError(
                         path, line_no, f"expected {k + 2} cells, got {len(row)}"
@@ -271,33 +296,29 @@ def read_thresholds(path) -> CalibratedThresholds:
 # evaluation exports
 
 
-def _fixed6(values) -> list[str]:
-    return [f"{v:.6f}" for v in values.tolist()]
-
-
 def write_records_csv(ev: Evaluations, path) -> None:
     """Write one row per evaluated sample, booleans as 0/1, reals at 6
     decimals."""
     if len(ev) == 0:
         raise ValueError("evaluations must be non-empty")
     columns = (
-        ("sample_id", ev.sample_id.tolist()),
-        ("condition", ev.condition.tolist()),
-        ("severity", ev.severity.tolist()),
-        ("top1", ev.top1.tolist()),
-        ("covered", ev.covered.astype(np.int64).tolist()),
-        ("abstained", ev.abstained.astype(np.int64).tolist()),
-        ("should_abstain", ev.should_abstain.astype(np.int64).tolist()),
-        ("set_size", ev.set_size.tolist()),
-        ("entropy", _fixed6(ev.entropy)),
-        ("confidence", _fixed6(ev.confidence)),
-        ("margin", _fixed6(ev.margin)),
-        ("score_top1", _fixed6(ev.score_top1)),
+        ("sample_id", "%s", _text_cells(ev.sample_id.tolist())),
+        ("condition", "%s", _text_cells(ev.condition.tolist())),
+        ("severity", "%d", ev.severity.tolist()),
+        ("top1", "%d", ev.top1.tolist()),
+        ("covered", "%d", ev.covered.tolist()),
+        ("abstained", "%d", ev.abstained.tolist()),
+        ("should_abstain", "%d", ev.should_abstain.tolist()),
+        ("set_size", "%d", ev.set_size.tolist()),
+        ("entropy", "%.6f", ev.entropy.tolist()),
+        ("confidence", "%.6f", ev.confidence.tolist()),
+        ("margin", "%.6f", ev.margin.tolist()),
+        ("score_top1", "%.6f", ev.score_top1.tolist()),
     )
+    row = ",".join(spec for _, spec, _ in columns) + "\n"
     with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(name for name, _ in columns)
-        writer.writerows(zip(*(column for _, column in columns)))
+        fh.write(",".join(name for name, _, _ in columns) + "\n")
+        fh.writelines(row % cells for cells in zip(*(column for _, _, column in columns)))
 
 
 def _cell(value) -> str:

@@ -26,7 +26,7 @@ from dualthresh.io import (
     write_thresholds,
 )
 from dualthresh.metrics import EvaluationSummary, summarize
-from dualthresh.prediction import evaluate_samples
+from dualthresh.prediction import Evaluations, evaluate_samples
 
 
 # Text with the characters CSV quoting must handle. Left out: lone
@@ -40,6 +40,103 @@ _TEXT = st.text(
 )
 # Conditions holding a carriage return are rejected where they enter.
 _CONDITION = _TEXT.filter(lambda text: "\r" not in text)
+
+
+# Reference writers: the csv.writer-based bodies that the one-format-per-row
+# writers replaced. The new writers must write exactly their bytes.
+def csv_writer_samples(samples, path):
+    k = samples[0].k_classes
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["sample_id", "label"] + [f"prob_{j}" for j in range(k)])
+        for smp in samples:
+            writer.writerow([smp.sample_id, smp.label] + [f"{v:.9g}" for v in smp.probs])
+
+
+def csv_writer_records(ev, path):
+    def fixed6(values):
+        return [f"{v:.6f}" for v in values.tolist()]
+
+    columns = (
+        ("sample_id", ev.sample_id.tolist()),
+        ("condition", ev.condition.tolist()),
+        ("severity", ev.severity.tolist()),
+        ("top1", ev.top1.tolist()),
+        ("covered", ev.covered.astype(np.int64).tolist()),
+        ("abstained", ev.abstained.astype(np.int64).tolist()),
+        ("should_abstain", ev.should_abstain.astype(np.int64).tolist()),
+        ("set_size", ev.set_size.tolist()),
+        ("entropy", fixed6(ev.entropy)),
+        ("confidence", fixed6(ev.confidence)),
+        ("margin", fixed6(ev.margin)),
+        ("score_top1", fixed6(ev.score_top1)),
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(name for name, _ in columns)
+        writer.writerows(zip(*(column for _, column in columns)))
+
+
+# Floats whose text is easy to get wrong: signed zero, the smallest
+# subnormal, and values that %.9g writes in exponent form.
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e-12, 3.5e-5, 2.5e-7, 1e-100])
+
+
+@st.composite
+def _sample_batches(draw):
+    """Valid samples sharing one class count; one entry of each row is 1
+    minus the others, so rows of tiny entries hold 1.0."""
+    k = draw(st.integers(2, 5))
+    entry = _EDGE_FLOATS | st.floats(0.0, 1.0 / k)
+    samples = []
+    for _ in range(draw(st.integers(1, 10))):
+        probs = draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
+        probs.insert(draw(st.integers(0, k - 1)), 1.0 - math.fsum(probs))
+        samples.append(LabeledSample(draw(_TEXT), draw(st.integers(0, k - 1)), probs))
+    return samples
+
+
+@st.composite
+def _evaluations(draw):
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+
+    def column(elements, dtype):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=dtype)
+
+    real = _EDGE_FLOATS | st.sampled_from([1.0, 0.5e-6, -2.5e-7, 1e300]) | st.floats()
+    return Evaluations(
+        sample_id=column(_TEXT, object),
+        label=column(st.integers(0, k - 1), np.int64),
+        condition=column(_TEXT, object),
+        severity=column(st.integers(0, 5), np.int64),
+        in_set=column(st.lists(st.booleans(), min_size=k, max_size=k), bool),
+        covered=column(st.booleans(), bool),
+        abstained=column(st.booleans(), bool),
+        should_abstain=column(st.booleans(), bool),
+        top1=column(st.integers(0, k - 1), np.int64),
+        score_top1=column(real, np.float64),
+        entropy=column(real, np.float64),
+        confidence=column(real, np.float64),
+        margin=column(real, np.float64),
+    )
+
+
+class TestWritersMatchCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(samples=_sample_batches())
+    def test_samples_csv_bytes(self, tmp_path_factory, samples):
+        tmp = tmp_path_factory.mktemp("samples")
+        write_samples_csv(samples, tmp / "new.csv")
+        csv_writer_samples(samples, tmp / "old.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(ev=_evaluations())
+    def test_records_csv_bytes(self, tmp_path_factory, ev):
+        tmp = tmp_path_factory.mktemp("records")
+        write_records_csv(ev, tmp / "new.csv")
+        csv_writer_records(ev, tmp / "old.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
 def thresholds(**overrides):
@@ -205,6 +302,26 @@ class TestSamplesCsv:
             read_logits_csv(path)
         assert err.value.line == 4
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("rows, message", [
+        ('"a\nb",0,0.9,0.1\nc,7,0.3,0.7\n', "4: label 7 out of range for 2 classes"),
+        ('"a\nb",0,0.9,0.1\nc,0,0.3,0.7\n"a\nb",1,0.2,0.8\n',
+         "5: duplicate sample_id 'a\\nb' (first on line 2)"),
+    ])
+    def test_errors_name_physical_lines_after_a_multiline_cell(self, tmp_path, rows, message):
+        path = tmp_path / "ln.csv"
+        path.write_text("sample_id,label,prob_0,prob_1\n" + rows, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value) == f"{path}:{message}"
+
+    def test_mixed_class_counts_rejected_before_writing(self, tmp_path):
+        samples = [LabeledSample("a", 0, [0.9, 0.1]), LabeledSample("b", 1, [0.2, 0.3, 0.5])]
+        path = tmp_path / "mixed.csv"
+        with pytest.raises(ValueError) as err:
+            write_samples_csv(samples, path)
+        assert str(err.value) == "sample 'b' has 3 classes, expected 2"
+        assert not path.exists()
 
     @settings(max_examples=100, deadline=None)
     @given(
