@@ -235,9 +235,13 @@ def cmd_evaluate(args) -> int:
         )
     if "\r" in args.condition:
         raise ValueError(f"--condition must not hold a carriage return, got {args.condition!r}")
-    samples = read_logits_csv(args.test, condition=args.condition, severity=args.severity)
     thresholds = read_thresholds(args.thresholds)
-    ev = evaluate_samples(samples, thresholds)
+    # The rows go straight into evaluation, so they are freed before the
+    # export; only the per-row outputs stay.
+    ev = evaluate_samples(
+        read_logits_csv(args.test, condition=args.condition, severity=args.severity),
+        thresholds,
+    )
     write_records_csv(ev, args.records_out)
     summaries = summarize(ev)
     fmt = "json" if str(args.summary_out).endswith(".json") else "csv"

@@ -178,7 +178,7 @@ def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     if len(samples) == 0:
         raise ValueError("samples must be non-empty")
     try:
-        probs = np.stack([smp.probs for smp in samples])
+        probs = np.array([smp.probs for smp in samples])
     except ValueError:
         k = samples[0].k_classes
         bad = next(smp for smp in samples if smp.k_classes != k)

@@ -75,26 +75,33 @@ def summarize(ev: "Evaluations") -> list[EvaluationSummary]:
     """One summary per (condition, severity) group, sorted by that key.
 
     Group membership depends only on the tag columns, so permuting the
-    rows yields identical output.
+    rows yields identical output. Each group copies only the columns it
+    reduces, one at a time.
     """
     if len(ev) == 0:
         raise ValueError("evaluations must be non-empty")
     out = []
     for condition, severity in sorted(set(zip(ev.condition.tolist(), ev.severity.tolist()))):
-        grp = ev.take((ev.condition == condition) & (ev.severity == severity))
-        n_flagged = int(grp.should_abstain.sum())
+        mask = (ev.condition == condition) & (ev.severity == severity)
+        should_abstain = ev.should_abstain[mask]
+        n = should_abstain.size
+        n_flagged = int(should_abstain.sum())
         out.append(
             EvaluationSummary(
                 condition=condition,
                 severity=severity,
-                n=len(grp),
-                coverage=float(np.mean(grp.covered)),
-                avg_set_size=float(np.mean(grp.set_size)),
-                avg_entropy=float(np.mean(grp.entropy)),
-                avg_confidence=float(np.mean(grp.confidence)),
-                avg_margin=float(np.mean(grp.margin)),
-                abstention_rate=float(np.mean(grp.abstained)),
-                auc=detection_auc(grp).auc if 0 < n_flagged < len(grp) else None,
+                n=n,
+                coverage=float(np.mean(ev.covered[mask])),
+                avg_set_size=float(np.mean(ev.in_set[mask].sum(axis=1))),
+                avg_entropy=float(np.mean(ev.entropy[mask])),
+                avg_confidence=float(np.mean(ev.confidence[mask])),
+                avg_margin=float(np.mean(ev.margin[mask])),
+                abstention_rate=float(np.mean(ev.abstained[mask])),
+                auc=(
+                    roc_points(ev.score_top1[mask], should_abstain).auc
+                    if 0 < n_flagged < n
+                    else None
+                ),
             )
         )
     return out

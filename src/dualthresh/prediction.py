@@ -24,6 +24,11 @@ from .core import (
 )
 
 
+# Cells per block of evaluate_samples' kernels: their (rows, k)
+# temporaries stay near 0.5 MiB each whatever the batch size.
+BLOCK_CELLS = 65536
+
+
 @dataclass(frozen=True, eq=False)
 class Evaluations:
     """Everything observed about a batch of samples under fixed thresholds.
@@ -79,39 +84,48 @@ def abstain_decision(probs, q_abs: float) -> bool:
 def evaluate_samples(
     samples: Sequence[LabeledSample], thresholds: CalibratedThresholds
 ) -> Evaluations:
-    """Evaluate a non-empty batch in one vectorized pass, preserving input
+    """Evaluate a non-empty batch with vectorized kernels, preserving input
     order.
 
     ``should_abstain`` flags the top-1 errors, the rule ``calibrate``
     placed ``q_abs`` by; argmax ties break toward the lowest class index.
+    The kernels run over blocks of about BLOCK_CELLS cells; each works row
+    by row, so the blocking changes no output bit.
     """
     labels, p_mat = stack_samples(samples)
-    if p_mat.shape[1] != thresholds.k_classes:
+    n, k = p_mat.shape
+    if k != thresholds.k_classes:
         raise ValueError(
-            f"sample {samples[0].sample_id!r} has {p_mat.shape[1]} classes, "
+            f"sample {samples[0].sample_id!r} has {k} classes, "
             f"thresholds were calibrated for {thresholds.k_classes}"
         )
-    rows = np.arange(labels.size)
 
-    scores = nonconformity_scores(p_mat)
-    in_set = scores <= thresholds.q_conf
-    covered = in_set[rows, labels]
-    top1 = p_mat.argmax(axis=1)
-    score_top1 = scores[rows, top1]
-    conf, second = top_two(p_mat)
+    in_set = np.empty((n, k), dtype=bool)
+    top1 = np.empty(n, dtype=np.intp)
+    score_top1, entropy, conf, second = (np.empty(n) for _ in range(4))
+    step = max(1, BLOCK_CELLS // k)
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        p = p_mat[block]
+        scores = nonconformity_scores(p)
+        in_set[block] = scores <= thresholds.q_conf
+        top1[block] = top = p.argmax(axis=1)
+        score_top1[block] = scores[np.arange(top.size), top]
+        entropy[block] = normalized_entropies(p)
+        conf[block], second[block] = top_two(p)
 
     return Evaluations(
         sample_id=np.array([smp.sample_id for smp in samples], dtype=object),
         label=labels,
         condition=np.array([smp.condition for smp in samples], dtype=object),
-        severity=np.fromiter((smp.severity for smp in samples), dtype=np.int64, count=rows.size),
+        severity=np.fromiter((smp.severity for smp in samples), dtype=np.int64, count=n),
         in_set=in_set,
-        covered=covered,
+        covered=in_set[np.arange(n), labels],
         abstained=score_top1 > thresholds.q_abs,
         should_abstain=top1 != labels,
         top1=top1,
         score_top1=score_top1,
-        entropy=normalized_entropies(p_mat),
+        entropy=entropy,
         confidence=conf,
         margin=conf - second,
     )

@@ -314,6 +314,21 @@ class TestEvaluate:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()
 
+    def test_thresholds_read_before_the_test_csv(self, tmp_path, capsys):
+        # The parsed rows go straight into evaluation, so the thresholds
+        # are read first: a bad thresholds file is the error reported
+        # even when the test CSV is missing as well.
+        thr = tmp_path / "thr.json"
+        thr.write_text("[1, 2]", encoding="utf-8")
+        code = main(
+            ["evaluate", "--test", str(tmp_path / "missing.csv"), "--thresholds", str(thr),
+             "--records-out", str(tmp_path / "r.csv"),
+             "--summary-out", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {thr}") and "must be a JSON object" in err
+
     def test_condition_flag_holding_a_carriage_return_exits_2(self, tmp_path, capsys):
         cal, thr = self._calibrated(tmp_path)
         capsys.readouterr()

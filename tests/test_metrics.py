@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dualthresh.calibration import CalibratedThresholds
 from dualthresh.core import DegenerateLabelsError, LabeledSample
 from dualthresh.metrics import (
+    EvaluationSummary,
     confidence,
     detection_auc,
     margin,
@@ -17,6 +18,7 @@ from dualthresh.metrics import (
 from dualthresh.prediction import evaluate_samples
 
 from .test_calibration import mann_whitney
+from .test_prediction import dirichlet_samples, traced_peak
 
 
 def evaluations_from(probs_labels, q_conf=1.0, q_abs=0.7, condition="", severity=0):
@@ -221,3 +223,69 @@ class TestSummarize:
             )
             for name in ("avg_entropy", "avg_confidence", "avg_margin"):
                 assert getattr(a, name) == pytest.approx(getattr(b, name), abs=1e-12)
+
+
+# Reference: the summarize body that copied every column of each group
+# with Evaluations.take; the column-wise summarize must give its floats.
+def take_summarize(ev):
+    if len(ev) == 0:
+        raise ValueError("evaluations must be non-empty")
+    out = []
+    for condition, severity in sorted(set(zip(ev.condition.tolist(), ev.severity.tolist()))):
+        grp = ev.take((ev.condition == condition) & (ev.severity == severity))
+        n_flagged = int(grp.should_abstain.sum())
+        out.append(
+            EvaluationSummary(
+                condition=condition,
+                severity=severity,
+                n=len(grp),
+                coverage=float(np.mean(grp.covered)),
+                avg_set_size=float(np.mean(grp.set_size)),
+                avg_entropy=float(np.mean(grp.entropy)),
+                avg_confidence=float(np.mean(grp.confidence)),
+                avg_margin=float(np.mean(grp.margin)),
+                abstention_rate=float(np.mean(grp.abstained)),
+                auc=detection_auc(grp).auc if 0 < n_flagged < len(grp) else None,
+            )
+        )
+    return out
+
+
+@st.composite
+def _tagged_evaluations(draw):
+    """A batch over a few (condition, severity) groups. Small integer
+    weights make probability ties common, and groups holding one flag
+    class only (every top-1 right, or every one wrong) have no AUC."""
+    k = draw(st.integers(2, 4))
+    samples = []
+    for i in range(draw(st.integers(1, 40))):
+        weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+        samples.append(
+            LabeledSample(
+                f"s{i}", draw(st.integers(0, k - 1)),
+                np.asarray(weights, dtype=np.float64) / sum(weights),
+                draw(st.sampled_from(["", "fog", "rain"])), draw(st.integers(0, 1)),
+            )
+        )
+    thr = CalibratedThresholds(
+        q_conf=draw(st.one_of(st.floats(0.0, 3.0), st.just(math.inf))),
+        q_abs=draw(st.floats(0.0, 2.0)),
+        alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=k,
+    )
+    return evaluate_samples(samples, thr)
+
+
+class TestSummarizeAgainstTake:
+    @settings(max_examples=300, deadline=None)
+    @given(ev=_tagged_evaluations())
+    def test_summaries_equal(self, ev):
+        assert summarize(ev) == take_summarize(ev)
+
+    def test_summarize_peak(self):
+        # The take-based body peaked at 2.57x the (n, k) matrix.
+        n, k = 20_000, 10
+        thr = CalibratedThresholds(
+            q_conf=2.0, q_abs=1.0, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=k,
+        )
+        ev = evaluate_samples(dirichlet_samples(n, k, seed=3), thr)
+        assert traced_peak(summarize, ev) <= 2.0 * n * k * 8

@@ -1,12 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualthresh import prediction
 from dualthresh.calibration import CalibratedThresholds
-from dualthresh.core import LabeledSample, nonconformity
+from dualthresh.core import (
+    LabeledSample,
+    nonconformity,
+    nonconformity_scores,
+    normalized_entropies,
+    top_two,
+)
 from dualthresh.metrics import confidence, margin, normalized_entropy
 from dualthresh.prediction import (
     Evaluations,
@@ -242,3 +250,149 @@ class TestBatchAgainstScalar:
         ]
         thr = thresholds(q_conf, q_abs, k=k)
         assert_matches_scalar_helpers(evaluate_samples(samples, thr), samples, thr)
+
+
+# Reference: the unblocked body that the row-blocked evaluate_samples
+# replaced, with the np.stack-based stacking it called. The blocked
+# kernels must give exactly its arrays and its error messages.
+def unblocked_evaluate(samples, thresholds):
+    if len(samples) == 0:
+        raise ValueError("samples must be non-empty")
+    try:
+        p_mat = np.stack([smp.probs for smp in samples])
+    except ValueError:
+        k = samples[0].k_classes
+        bad = next(smp for smp in samples if smp.k_classes != k)
+        raise ValueError(
+            f"sample {bad.sample_id!r} has {bad.k_classes} classes, expected {k}"
+        ) from None
+    labels = np.fromiter((smp.label for smp in samples), dtype=np.int64, count=len(samples))
+    if p_mat.shape[1] != thresholds.k_classes:
+        raise ValueError(
+            f"sample {samples[0].sample_id!r} has {p_mat.shape[1]} classes, "
+            f"thresholds were calibrated for {thresholds.k_classes}"
+        )
+    rows = np.arange(labels.size)
+
+    scores = nonconformity_scores(p_mat)
+    in_set = scores <= thresholds.q_conf
+    covered = in_set[rows, labels]
+    top1 = p_mat.argmax(axis=1)
+    score_top1 = scores[rows, top1]
+    conf, second = top_two(p_mat)
+
+    return Evaluations(
+        sample_id=np.array([smp.sample_id for smp in samples], dtype=object),
+        label=labels,
+        condition=np.array([smp.condition for smp in samples], dtype=object),
+        severity=np.fromiter((smp.severity for smp in samples), dtype=np.int64, count=rows.size),
+        in_set=in_set,
+        covered=covered,
+        abstained=score_top1 > thresholds.q_abs,
+        should_abstain=top1 != labels,
+        top1=top1,
+        score_top1=score_top1,
+        entropy=normalized_entropies(p_mat),
+        confidence=conf,
+        margin=conf - second,
+    )
+
+
+@st.composite
+def _blocked_batches(draw):
+    """(samples, rows per block): a batch of n rows straddling a multiple
+    of the block, with exact zeros and ties among the probabilities."""
+    k = draw(st.integers(2, 6))
+    block = draw(st.integers(1, 4))
+    n = max(1, block * draw(st.integers(1, 4)) + draw(st.integers(-1, 1)))
+    samples = []
+    for i in range(n):
+        weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
+        samples.append(
+            LabeledSample(
+                f"s{i}", draw(st.integers(0, k - 1)),
+                np.asarray(weights, dtype=np.float64) / sum(weights),
+                draw(st.sampled_from(["", "fog", "rain"])), draw(st.integers(0, 5)),
+            )
+        )
+    return samples, block
+
+
+class TestBlockedAgainstUnblocked:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        batch=_blocked_batches(),
+        spare_cells=st.integers(0, 5),
+        q_conf=st.one_of(st.floats(0.0, 5.0), st.just(math.inf)),
+        q_abs=st.floats(0.0, 3.0),
+    )
+    def test_every_field_equal(self, batch, spare_cells, q_conf, q_abs):
+        samples, block = batch
+        k = samples[0].k_classes
+        thr = thresholds(q_conf, q_abs, k=k)
+        # Any cell budget from block * k to block * k + k - 1 gives
+        # blocks of `block` rows.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prediction, "BLOCK_CELLS", block * k + spare_cells % k)
+            assert_same(evaluate_samples(samples, thr), unblocked_evaluate(samples, thr))
+
+    def test_default_block_over_several_blocks(self):
+        rng = np.random.default_rng(61)
+        k = 10
+        n = 2 * (prediction.BLOCK_CELLS // k) + 1
+        probs = rng.dirichlet(np.full(k, 0.5), size=n)
+        probs[::7, 3] = 0.0  # exact zeros, renormalized below
+        probs /= probs.sum(axis=1, keepdims=True)
+        samples = [
+            LabeledSample(f"s{i}", int(label), p)
+            for i, (label, p) in enumerate(zip(rng.integers(0, k, size=n), probs))
+        ]
+        thr = thresholds(1.5, 0.9, k=k)
+        assert_same(evaluate_samples(samples, thr), unblocked_evaluate(samples, thr))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        class_counts=st.lists(st.integers(2, 4), min_size=1, max_size=6),
+        k_thresholds=st.integers(2, 4),
+    )
+    def test_error_messages_unchanged(self, class_counts, k_thresholds):
+        samples = [
+            LabeledSample(f"s{i}", 0, np.full(k, 1.0 / k)) for i, k in enumerate(class_counts)
+        ]
+        thr = thresholds(1.0, 0.5, k=k_thresholds)
+        try:
+            want = unblocked_evaluate(samples, thr)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                evaluate_samples(samples, thr)
+            assert str(got.value) == str(exc)
+        else:
+            assert_same(evaluate_samples(samples, thr), want)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes allocated while fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dirichlet_samples(n, k, seed):
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.ones(k), size=n)
+    labels = rng.integers(0, k, size=n)
+    return [LabeledSample(f"s{i}", int(y), p) for i, (y, p) in enumerate(zip(labels, probs))]
+
+
+class TestWorkingMemory:
+    """Evaluation's peak stays near the one (n, k) matrix it stacks, not a
+    multiple of it (the unblocked body peaked at 5.99x and 5.26x)."""
+
+    @pytest.mark.parametrize("n, k, limit", [(20_000, 10, 3.5), (5_000, 1000, 1.5)])
+    def test_evaluate_samples_peak(self, n, k, limit):
+        samples = dirichlet_samples(n, k, seed=k)
+        peak = traced_peak(evaluate_samples, samples, thresholds(2.0, 1.0, k=k))
+        assert peak <= limit * n * k * 8
