@@ -13,7 +13,6 @@ from .calibration import (
     RocCurve,
     abstention_threshold,
     calibrate,
-    calibration_scores,
     conformal_threshold,
     roc_points,
 )
@@ -22,7 +21,6 @@ from .core import (
     LabeledSample,
     as_logits,
     as_probabilities,
-    nonconformity,
     softmax,
 )
 from .datagen import (
@@ -34,17 +32,12 @@ from .datagen import (
 )
 from .metrics import (
     EvaluationSummary,
-    confidence,
     detection_auc,
-    margin,
-    normalized_entropy,
     summarize,
 )
 from .prediction import (
     Evaluations,
-    abstain_decision,
     evaluate_samples,
-    prediction_set,
 )
 
 __all__ = [
@@ -56,23 +49,16 @@ __all__ = [
     "LabeledSample",
     "RocCurve",
     "__version__",
-    "abstain_decision",
     "abstention_threshold",
     "as_logits",
     "as_probabilities",
     "calibrate",
-    "calibration_scores",
-    "confidence",
     "conformal_threshold",
     "derive_seed",
     "detection_auc",
     "evaluate_samples",
     "exchangeable_split",
     "generate_dataset",
-    "margin",
-    "nonconformity",
-    "normalized_entropy",
-    "prediction_set",
     "roc_points",
     "signal_strength",
     "softmax",

@@ -196,12 +196,6 @@ def abstention_threshold(roc: RocCurve) -> tuple[float, float]:
     return q_abs, youden_j
 
 
-def calibration_scores(samples: Sequence[LabeledSample]) -> np.ndarray:
-    """Nonconformity of each sample against its own true label."""
-    labels, probs = stack_samples(samples)
-    return nonconformity_scores(probs[np.arange(labels.size), labels])
-
-
 def calibrate(samples: Sequence[LabeledSample], alpha: float) -> CalibratedThresholds:
     """Run the full calibration pass over a held-out labeled set.
 

@@ -291,6 +291,7 @@ def _run_condition(
     written = []
     try:
         thresholds = calibrate(cal_samples, alpha)
+        _warn_sentinel(thresholds)
         print(
             f"[{cond}] q_conf={thresholds.q_conf:.6f}"
             f" q_abs={thresholds.q_abs:.6f} youden_j={thresholds.youden_j:.6f}"
@@ -343,6 +344,8 @@ def cmd_sweep(args) -> int:
     for cond, (cal_samples, groups) in _load_manifest_groups(manifest).items():
         try:
             _run_condition(cfg.alpha, cond, slugs[cond], cal_samples, groups, out, all_summaries)
+        except BrokenPipeError:  # stdout is gone: no later condition can report
+            raise
         except Exception as exc:  # reported per condition; sweep continues
             failures[cond] = exc
 
@@ -414,10 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("config", help="JSON config file")
     p_sweep.add_argument("--out-dir", required=True, help="output directory")
-    p_sweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted and ignored; conditions run one after another",
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -125,15 +125,6 @@ def top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top[..., k - 1], top[..., k - 2]
 
 
-def nonconformity(probs, label: int) -> float:
-    """Score how atypical a labeled example is: -log p(label); lower means
-    the model agreed more with the label."""
-    p = as_probabilities(probs)
-    if not 0 <= label < p.size:
-        raise ValueError(f"label {label} out of range for {p.size} classes")
-    return float(nonconformity_scores(p)[label])
-
-
 @dataclass(frozen=True, slots=True)
 class LabeledSample:
     """One evaluation unit: a probability vector, its true label, and

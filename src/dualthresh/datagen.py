@@ -105,10 +105,22 @@ class GeneratorConfig:
                 f"severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], "
                 f"got {self.severity}"
             )
-        if self.temperature_per_level <= 0.0:
-            raise ValueError("temperature_per_level must be positive")
-        if self.noise_sigma_per_level < 0.0:
-            raise ValueError("noise_sigma_per_level must be nonnegative")
+        # JSON configs may carry NaN and Infinity (NaN fails every
+        # comparison), and a finite setting may overflow at the top severity.
+        temperature, sigma = self.temperature_per_level, self.noise_sigma_per_level
+        with np.errstate(over="ignore"):
+            top_scale = np.float64(temperature) ** SEVERITY_MAX
+            top_noise = SEVERITY_MAX * np.float64(sigma)
+        if not (temperature > 0.0 and np.isfinite(top_scale)):
+            raise ValueError(
+                "temperature_per_level must be positive, and finite raised to "
+                f"the top severity {SEVERITY_MAX}, got {temperature}"
+            )
+        if not (sigma >= 0.0 and np.isfinite(top_noise)):
+            raise ValueError(
+                "noise_sigma_per_level must be nonnegative, and finite times "
+                f"the top severity {SEVERITY_MAX}, got {sigma}"
+            )
         if not 0 <= self.seed < 2**_SEED_BITS:
             raise ValueError(f"seed must be an unsigned {_SEED_BITS}-bit integer")
 

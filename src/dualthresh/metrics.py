@@ -1,9 +1,9 @@
-"""Uncertainty metrics: per-sample measures and grouped aggregates.
+"""Uncertainty metrics aggregated over (condition, severity) groups.
 
-Per-sample functions take a probability vector; aggregate functions take
-an :class:`~dualthresh.prediction.Evaluations` batch and reduce its
-columns with numpy means, whose pairwise summation keeps results
-independent of how a batch was partitioned.
+The per-sample measures are columns of an
+:class:`~dualthresh.prediction.Evaluations` batch; the functions here take
+that batch and reduce its columns with numpy means, whose pairwise
+summation keeps results independent of how a batch was partitioned.
 """
 
 from __future__ import annotations
@@ -14,31 +14,9 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .calibration import RocCurve, roc_points
-from .core import as_probabilities, normalized_entropies, top_two
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .prediction import Evaluations
-
-
-def normalized_entropy(probs) -> float:
-    """Shannon entropy scaled into [0, 1] by log K.
-
-    Uses the 0 * log 0 = 0 convention, so one-hot vectors score exactly 0
-    and the uniform distribution exactly 1 (the result is clipped against
-    last-bit float excursions outside [0, 1]).
-    """
-    return float(normalized_entropies(as_probabilities(probs)))
-
-
-def confidence(probs) -> float:
-    """Top-1 probability."""
-    return float(top_two(as_probabilities(probs))[0])
-
-
-def margin(probs) -> float:
-    """Gap between the largest and second-largest probabilities."""
-    first, second = top_two(as_probabilities(probs))
-    return float(first - second)
 
 
 def detection_auc(ev: "Evaluations") -> RocCurve:

@@ -1,8 +1,9 @@
-"""Apply calibrated thresholds to new samples.
+"""Apply calibrated thresholds to a batch of new samples.
 
-Set construction and the abstention verdict are independent decisions:
-the set carries the coverage guarantee, the abstention flag vetoes the
-top-1 decision. An evaluation reports both so downstream consumers can
+``evaluate_samples`` gives each row its prediction set, its abstention
+verdict and its per-sample measures. The set carries the coverage
+guarantee, the abstention flag vetoes the top-1 decision; the two are
+independent, and an evaluation reports both so downstream consumers can
 choose their own system-level semantics.
 """
 
@@ -16,7 +17,6 @@ import numpy as np
 from .calibration import CalibratedThresholds
 from .core import (
     LabeledSample,
-    as_probabilities,
     nonconformity_scores,
     normalized_entropies,
     stack_samples,
@@ -63,22 +63,6 @@ class Evaluations:
     def take(self, index) -> "Evaluations":
         """The rows selected by an index array or a bool mask, in that order."""
         return Evaluations(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
-
-
-def prediction_set(probs, q_conf: float) -> tuple[int, ...]:
-    """Sorted labels y with -log p(y) <= q_conf (boundary included).
-
-    An infinite q_conf admits every label; a finite one may admit none,
-    and the empty tuple is returned as-is.
-    """
-    members = np.flatnonzero(nonconformity_scores(as_probabilities(probs)) <= q_conf)
-    return tuple(int(m) for m in members)
-
-
-def abstain_decision(probs, q_abs: float) -> bool:
-    """True when the top-1 score strictly exceeds the abstention threshold."""
-    p = as_probabilities(probs)
-    return bool(nonconformity_scores(p)[p.argmax()] > q_abs)
 
 
 def evaluate_samples(

@@ -20,10 +20,11 @@ from dualthresh.calibration import (
 )
 from dualthresh.cli import main
 from dualthresh.datagen import GeneratorConfig, derive_seed, exchangeable_split, generate_dataset
-from dualthresh.metrics import confidence, margin, normalized_entropy
 from dualthresh.prediction import evaluate_samples
 
 from .test_calibration import mann_whitney, oracle_quantile, youden_sweep
+from .test_metrics import batches_by_class_count
+from .test_prediction import evaluations_from
 
 BASE_SEED = 20260809
 
@@ -158,20 +159,24 @@ def test_criterion_4_abstention_threshold_optimality():
 
 def test_criterion_5_metric_exactness():
     """Entropy hits its endpoints exactly; margin never exceeds confidence;
-    entropy stays inside [0, 1] on 10,000 random vectors."""
+    entropy stays inside [0, 1] on 10,000 random vectors, evaluated in one
+    batch per class count."""
     for k in (2, 5, 100):
-        assert abs(normalized_entropy([1.0 / k] * k) - 1.0) < 1e-12
         one_hot = [0.0] * k
         one_hot[k // 2] = 1.0
-        assert abs(normalized_entropy(one_hot)) < 1e-12
+        uniform_h, one_hot_h = evaluations_from([([1.0 / k] * k, 0), (one_hot, 0)]).entropy
+        assert abs(uniform_h - 1.0) < 1e-12
+        assert abs(one_hot_h) < 1e-12
     rng = np.random.default_rng(derive_seed(BASE_SEED, "metrics"))
+    rows = []
     for _ in range(10_000):
         k = int(rng.integers(2, 12))
         p = rng.dirichlet(np.ones(k) * rng.uniform(0.1, 5.0))
-        p = p / p.sum()
-        h = normalized_entropy(p)
-        assert 0.0 <= h <= 1.0
-        assert margin(p) <= confidence(p) + 1e-15
+        rows.append(p / p.sum())
+    for batch in batches_by_class_count(rows):
+        ev = evaluations_from([(p, 0) for p in batch])
+        assert ((0.0 <= ev.entropy) & (ev.entropy <= 1.0)).all()
+        assert (ev.margin <= ev.confidence + 1e-15).all()
     ok("criterion 5: entropy endpoints exact at 1e-12; margin <= confidence on 10k vectors")
 
 

@@ -1,4 +1,6 @@
 import csv
+import errno
+import io
 import json
 import math
 import os
@@ -41,6 +43,16 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 # Three conditions whose file names would all be a_b.
 COLLIDING = ["a_b", "a,b", "a b"]
 COLLISION_ERROR = "error: conditions 'a b' and 'a,b' share the file name 'a_b'\n"
+
+
+class ClosedAfterFirstLine(io.StringIO):
+    """An unbuffered standard output whose reader goes away after the
+    first line, so the next write fails."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
 
 
 def tree_bytes(root):
@@ -146,6 +158,35 @@ class TestGen:
         cfg = write_config(tmp_path, conditions=COLLIDING)
         assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
         assert capsys.readouterr().err == COLLISION_ERROR
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    @pytest.mark.parametrize(
+        "key, value, got",
+        [
+            ("temperature_per_level", math.nan, "nan"),
+            ("temperature_per_level", math.inf, "inf"),
+            ("temperature_per_level", 1e70, "1e+70"),  # 1e350 at severity 5
+            ("noise_sigma_per_level", math.nan, "nan"),
+            ("noise_sigma_per_level", math.inf, "inf"),
+            ("noise_sigma_per_level", 1e308, "1e+308"),  # 5e308 at severity 5
+        ],
+    )
+    def test_non_finite_generator_setting_exits_2(
+        self, tmp_path, capsys, command, key, value, got
+    ):
+        # json reads the NaN and Infinity literals that json.dumps writes
+        cfg = write_config(tmp_path, generator={key: value})
+        out_flag = "--out" if command == "gen" else "--out-dir"
+        assert main([command, str(cfg), out_flag, str(tmp_path / "d")]) == 2
+        rule = (
+            "positive, and finite raised to"
+            if key == "temperature_per_level"
+            else "nonnegative, and finite times"
+        )
+        assert capsys.readouterr().err == (
+            f"error: {key} must be {rule} the top severity 5, got {got}\n"
+        )
         assert not (tmp_path / "d").exists()
 
     def test_condition_holding_a_carriage_return_exits_2(self, tmp_path, capsys):
@@ -458,11 +499,37 @@ class TestSweep:
         main(["sweep", str(cfg), "--out-dir", str(tmp_path / "b")])
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
-    def test_parallel_jobs_identical_output(self, tmp_path):
-        cfg = write_config(tmp_path, conditions=["rain", "fog", "snow"])
-        main(["sweep", str(cfg), "--out-dir", str(tmp_path / "serial")])
-        main(["sweep", str(cfg), "--out-dir", str(tmp_path / "par"), "--jobs", "3"])
-        assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "par")
+    def test_jobs_flag_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0 and "--jobs" not in capsys.readouterr().out
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw"), "--jobs", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_unreachable_alpha_warns_as_calibrate_does(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, alpha=0.001, n_calibration=50)
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: q_conf=inf") and captured.err.count("\n") == 1
+        assert "[rain] q_conf=inf " in captured.out and "warning" not in captured.out
+        main(["calibrate", "--cal", str(tmp_path / "sw" / "data" / "rain_cal.csv"),
+              "--alpha", "0.001", "--out", str(tmp_path / "thr.json")])
+        assert capsys.readouterr().err == captured.err
+
+    def test_closed_stdout_ends_the_sweep(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, conditions=["fog", "rain"])
+        stdout = ClosedAfterFirstLine()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        # one error line: the first condition's progress line fails and
+        # no later condition runs
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert stdout.getvalue() == f"generated dataset under {tmp_path / 'sw' / 'data'}\n"
+        assert [p.name for p in (tmp_path / "sw").iterdir()] == ["data"]
 
     def test_expected_outputs_exist(self, tmp_path):
         cfg = write_config(tmp_path)

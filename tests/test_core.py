@@ -10,9 +10,10 @@ from dualthresh.core import (
     LabeledSample,
     as_logits,
     as_probabilities,
-    nonconformity,
     softmax,
 )
+
+from .test_prediction import evaluations_from
 
 
 class TestSoftmax:
@@ -51,37 +52,46 @@ class TestSoftmax:
 
 
 class TestNonconformity:
+    """The -log p score, read from an evaluation's top-1 score and set
+    membership columns."""
+
     def test_certain_correct_prediction(self):
-        assert nonconformity([1.0, 0.0], 0) == 0.0
+        assert evaluations_from([([1.0, 0.0], 0)]).score_top1[0] == 0.0
 
     def test_even_split(self):
-        assert nonconformity([0.5, 0.5], 1) == pytest.approx(math.log(2), abs=1e-12)
+        score = evaluations_from([([0.5, 0.5], 0)]).score_top1[0]
+        assert score == pytest.approx(math.log(2), abs=1e-12)
 
     def test_clamp_floor(self):
-        # -log of the 1e-12 clamp floor
-        assert nonconformity([1.0, 0.0], 1) == pytest.approx(27.631021115928547, abs=1e-9)
+        # a zero-probability class scores -log of the 1e-12 clamp floor, so
+        # it joins the set at exactly that q_conf and not one float below
+        floor_score = 27.631021115928547
+        below = np.nextafter(floor_score, 0.0)
+        for q_conf, in_set in ((floor_score, [True, True]), (below, [True, False])):
+            assert evaluations_from([([1.0, 0.0], 0)], q_conf=q_conf).in_set[0].tolist() == in_set
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            nonconformity([0.5, 0.5], 2)
-        with pytest.raises(ValueError):
-            nonconformity([0.5, 0.5], -1)
+        for label in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                LabeledSample("a", label, [0.5, 0.5])
 
     def test_monotone_decreasing_in_probability(self):
+        # the other 99 classes share 1 - p, so p > 0.01 is the top-1 entry
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            p1, p2 = sorted(rng.uniform(0.01, 0.99, size=2))
-            if p1 == p2:
-                continue
-            s_low = nonconformity([p2, 1.0 - p2], 0)
-            s_high = nonconformity([p1, 1.0 - p1], 0)
-            assert s_low < s_high
+        p1, p2 = np.sort(rng.uniform(0.02, 0.99, size=(200, 2)), axis=1).T
+        distinct = p1 < p2
+        rows = [[p] + [(1.0 - p) / 99] * 99 for p in np.concatenate([p2[distinct], p1[distinct]])]
+        ev = evaluations_from([(p, 0) for p in rows])
+        assert (ev.top1 == 0).all()
+        s_low, s_high = ev.score_top1.reshape(2, -1)
+        assert (s_low < s_high).all()
 
     def test_zero_iff_probability_is_one(self):
-        assert nonconformity([1.0, 0.0], 0) == 0.0
+        rows = [[1.0, 0.0], [1.0 - 1e-12, 1e-12], [0.9999, 0.0001]]
+        scores = evaluations_from([(p, 0) for p in rows]).score_top1
+        assert scores[0] == 0.0
         # anything at least 1e-12 below 1 scores strictly positive
-        assert nonconformity([1.0 - 1e-12, 1e-12], 0) > 0.0
-        assert nonconformity([0.9999, 0.0001], 0) > 0.0
+        assert (scores[1:] > 0.0).all()
 
 
 class TestValidation:

@@ -8,7 +8,9 @@ from dualthresh.datagen import (
     generate_dataset,
     signal_strength,
 )
-from dualthresh.metrics import confidence, normalized_entropy
+from dualthresh.prediction import evaluate_samples
+
+from .test_prediction import thresholds
 
 
 def config(**overrides):
@@ -83,8 +85,9 @@ class TestGenerateDataset:
     def test_entropy_strictly_higher_at_max_severity(self):
         clean = generate_dataset(config(n_samples=5000, seed=5))
         heavy = generate_dataset(config(n_samples=5000, seed=5, severity=5))
-        h0 = np.mean([normalized_entropy(s.probs) for s in clean])
-        h5 = np.mean([normalized_entropy(s.probs) for s in heavy])
+        thr = thresholds(1.0, 0.5, k=10)
+        h0 = evaluate_samples(clean, thr).entropy.mean()
+        h5 = evaluate_samples(heavy, thr).entropy.mean()
         assert h5 > h0
 
     def test_severity_monotone_in_expectation(self):
@@ -93,8 +96,9 @@ class TestGenerateDataset:
             samples = generate_dataset(
                 config(n_samples=5000, seed=13, severity=severity)
             )
-            ents.append(np.mean([normalized_entropy(s.probs) for s in samples]))
-            confs.append(np.mean([confidence(s.probs) for s in samples]))
+            ev = evaluate_samples(samples, thresholds(1.0, 0.5, k=10))
+            ents.append(ev.entropy.mean())
+            confs.append(ev.confidence.mean())
         assert all(a <= b for a, b in zip(ents, ents[1:]))
         assert all(a >= b for a, b in zip(confs, confs[1:]))
 
@@ -114,6 +118,13 @@ class TestGenerateDataset:
             dict(temperature_per_level=0.0),
             dict(noise_sigma_per_level=-0.1),
             dict(seed=-1),
+            dict(temperature_per_level=float("nan")),
+            dict(temperature_per_level=float("inf")),
+            dict(noise_sigma_per_level=float("nan")),
+            dict(noise_sigma_per_level=float("inf")),
+            # finite, but overflowing at the top severity
+            dict(temperature_per_level=1e70),
+            dict(noise_sigma_per_level=1e308),
         ],
     )
     def test_config_validation(self, bad):

@@ -7,76 +7,72 @@ from hypothesis import strategies as st
 
 from dualthresh.calibration import CalibratedThresholds
 from dualthresh.core import DegenerateLabelsError, LabeledSample
-from dualthresh.metrics import (
-    EvaluationSummary,
-    confidence,
-    detection_auc,
-    margin,
-    normalized_entropy,
-    summarize,
-)
+from dualthresh.metrics import EvaluationSummary, detection_auc, summarize
 from dualthresh.prediction import evaluate_samples
 
 from .test_calibration import mann_whitney
-from .test_prediction import dirichlet_samples, traced_peak
+from .test_prediction import dirichlet_samples, evaluations_from, traced_peak
 
 
-def evaluations_from(probs_labels, q_conf=1.0, q_abs=0.7, condition="", severity=0):
-    k = len(probs_labels[0][0])
-    thr = CalibratedThresholds(
-        q_conf=q_conf, q_abs=q_abs, alpha=0.1, n_calibration=10,
-        youden_j=0.5, k_classes=k,
-    )
-    samples = [
-        LabeledSample(f"s{i}", label, probs, condition, severity)
-        for i, (probs, label) in enumerate(probs_labels)
-    ]
-    return evaluate_samples(samples, thr)
+def batches_by_class_count(rows):
+    """Group probability rows by class count, keeping the order of each
+    group, so every group is one evaluation batch."""
+    groups = {}
+    for p in rows:
+        groups.setdefault(len(p), []).append(p)
+    return groups.values()
 
 
 class TestPerSampleMetrics:
     def test_entropy_uniform_is_one(self):
-        assert normalized_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
-        assert normalized_entropy([0.25] * 4) == pytest.approx(1.0, abs=1e-12)
+        assert evaluations_from([([0.5, 0.5], 0)]).entropy[0] == pytest.approx(1.0, abs=1e-12)
+        assert evaluations_from([([0.25] * 4, 0)]).entropy[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_entropy_one_hot_is_zero(self):
-        assert normalized_entropy([1.0, 0.0, 0.0]) == 0.0
+        assert evaluations_from([([1.0, 0.0, 0.0], 0)]).entropy[0] == 0.0
 
     def test_entropy_hand_value(self):
         # oracle: -(0.7 ln 0.7 + 3 * 0.1 ln 0.1) / ln 4
         expected = -(0.7 * math.log(0.7) + 0.3 * math.log(0.1)) / math.log(4)
         assert expected == pytest.approx(0.6783898247235198, abs=1e-12)
-        assert normalized_entropy([0.7, 0.1, 0.1, 0.1]) == pytest.approx(expected, abs=1e-12)
+        h = evaluations_from([([0.7, 0.1, 0.1, 0.1], 0)]).entropy[0]
+        assert h == pytest.approx(expected, abs=1e-12)
 
     def test_entropy_bounds_and_extremes(self):
         rng = np.random.default_rng(2)
+        rows = []
         for _ in range(2000):
             k = int(rng.integers(2, 12))
             p = rng.dirichlet(np.ones(k) * rng.uniform(0.2, 5.0))
-            h = normalized_entropy(p / p.sum())
-            assert 0.0 <= h <= 1.0
-        assert normalized_entropy([1.0 / 3] * 3) == pytest.approx(1.0, abs=1e-9)
+            rows.append(p / p.sum())
+        for batch in batches_by_class_count(rows):
+            h = evaluations_from([(p, 0) for p in batch]).entropy
+            assert ((0.0 <= h) & (h <= 1.0)).all()
+        assert evaluations_from([([1.0 / 3] * 3, 0)]).entropy[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_confidence_examples(self):
-        assert confidence([0.6, 0.3, 0.1]) == 0.6
-        assert confidence([0.0, 1.0]) == 1.0
-        assert confidence([0.2] * 5) == 0.2
+        assert evaluations_from([([0.6, 0.3, 0.1], 0)]).confidence[0] == 0.6
+        assert evaluations_from([([0.0, 1.0], 0)]).confidence[0] == 1.0
+        assert evaluations_from([([0.2] * 5, 0)]).confidence[0] == 0.2
 
     def test_margin_examples(self):
-        assert margin([0.6, 0.3, 0.1]) == pytest.approx(0.3, abs=1e-15)
-        assert margin([0.0, 1.0]) == 1.0
-        assert margin([0.25] * 4) == 0.0
+        assert evaluations_from([([0.6, 0.3, 0.1], 0)]).margin[0] == pytest.approx(0.3, abs=1e-15)
+        assert evaluations_from([([0.0, 1.0], 0)]).margin[0] == 1.0
+        assert evaluations_from([([0.25] * 4, 0)]).margin[0] == 0.0
 
     def test_margin_bounded_by_confidence_and_permutation_invariant(self):
         rng = np.random.default_rng(4)
+        rows = []
         for _ in range(2000):
             k = int(rng.integers(2, 10))
             p = rng.dirichlet(np.ones(k))
-            p = p / p.sum()
-            assert margin(p) <= confidence(p) + 1e-15
-            perm = rng.permutation(k)
-            assert margin(p[perm]) == pytest.approx(margin(p), abs=1e-15)
-            assert confidence(p[perm]) == confidence(p)
+            rows.append(p / p.sum())
+        for batch in batches_by_class_count(rows):
+            ev = evaluations_from([(p, 0) for p in batch])
+            permuted = evaluations_from([(rng.permutation(p), 0) for p in batch])
+            assert (ev.margin <= ev.confidence + 1e-15).all()
+            np.testing.assert_allclose(permuted.margin, ev.margin, rtol=0, atol=1e-15)
+            assert np.array_equal(permuted.confidence, ev.confidence)
 
 
 class TestAggregates:

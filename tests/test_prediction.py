@@ -10,18 +10,11 @@ from dualthresh import prediction
 from dualthresh.calibration import CalibratedThresholds
 from dualthresh.core import (
     LabeledSample,
-    nonconformity,
     nonconformity_scores,
     normalized_entropies,
     top_two,
 )
-from dualthresh.metrics import confidence, margin, normalized_entropy
-from dualthresh.prediction import (
-    Evaluations,
-    abstain_decision,
-    evaluate_samples,
-    prediction_set,
-)
+from dualthresh.prediction import Evaluations, evaluate_samples
 
 
 def thresholds(q_conf, q_abs, k=2, alpha=0.1, n=10):
@@ -42,6 +35,20 @@ def evaluate_one(sample, thr, **kwargs):
     return ev
 
 
+def evaluations_from(probs_labels, q_conf=1.0, q_abs=0.7, condition="", severity=0):
+    """Evaluate (probabilities, label) pairs of one class count as one batch."""
+    samples = [
+        LabeledSample(f"s{i}", label, probs, condition, severity)
+        for i, (probs, label) in enumerate(probs_labels)
+    ]
+    return evaluate_samples(samples, thresholds(q_conf, q_abs, k=len(probs_labels[0][0])))
+
+
+def members(ev, i=0):
+    """The sorted labels in row i's prediction set."""
+    return tuple(np.flatnonzero(ev.in_set[i]).tolist())
+
+
 def assert_same(a: Evaluations, b: Evaluations):
     for name in Evaluations.__dataclass_fields__:
         x, y = getattr(a, name), getattr(b, name)
@@ -51,37 +58,40 @@ def assert_same(a: Evaluations, b: Evaluations):
 class TestPredictionSet:
     def test_hand_computed_members(self):
         # -ln 0.6 = 0.511 is the only score under ln 2
-        assert prediction_set([0.6, 0.3, 0.1], math.log(2)) == (0,)
+        assert members(evaluations_from([([0.6, 0.3, 0.1], 0)], q_conf=math.log(2))) == (0,)
 
     def test_sentinel_includes_everything(self):
-        assert prediction_set([0.7, 0.1, 0.1, 0.1], math.inf) == (0, 1, 2, 3)
+        ev = evaluations_from([([0.7, 0.1, 0.1, 0.1], 0)], q_conf=math.inf)
+        assert members(ev) == (0, 1, 2, 3)
 
     def test_boundary_is_inclusive(self):
-        assert prediction_set([0.25, 0.25, 0.25, 0.25], math.log(4)) == (0, 1, 2, 3)
+        ev = evaluations_from([([0.25, 0.25, 0.25, 0.25], 0)], q_conf=math.log(4))
+        assert members(ev) == (0, 1, 2, 3)
 
     def test_empty_set_is_legal(self):
-        assert prediction_set([0.5, 0.5], 0.1) == ()
+        ev = evaluations_from([([0.5, 0.5], 0)], q_conf=0.1)
+        assert members(ev) == () and ev.set_size[0] == 0
 
     def test_monotone_in_q_conf(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = random_prob_vector(rng, int(rng.integers(2, 15)))
             q1, q2 = sorted(rng.uniform(0.0, 4.0, size=2))
-            small = set(prediction_set(p, q1))
-            large = set(prediction_set(p, q2))
+            small = set(members(evaluations_from([(p, 0)], q_conf=q1)))
+            large = set(members(evaluations_from([(p, 0)], q_conf=q2)))
             assert small <= large
 
 
 class TestAbstainDecision:
     def test_confident_sample_not_abstained(self):
-        assert abstain_decision([0.9, 0.1], 0.2) is False
+        assert not evaluations_from([([0.9, 0.1], 0)], q_abs=0.2).abstained[0]
 
     def test_uncertain_sample_abstained(self):
-        assert abstain_decision([0.5, 0.5], 0.2) is True
+        assert evaluations_from([([0.5, 0.5], 0)], q_abs=0.2).abstained[0]
 
     def test_one_hot_never_abstains(self):
         for q_abs in (0.0, 0.1, 5.0):
-            assert abstain_decision([0.0, 1.0], q_abs) is False
+            assert not evaluations_from([([0.0, 1.0], 0)], q_abs=q_abs).abstained[0]
 
     def test_equivalent_to_confidence_cutoff(self):
         # -log(max p) > q  <=>  max p < exp(-q), up to the clamp
@@ -89,7 +99,8 @@ class TestAbstainDecision:
         for _ in range(10_000):
             p = random_prob_vector(rng, int(rng.integers(2, 8)))
             q_abs = float(rng.uniform(0.0, 3.0))
-            assert abstain_decision(p, q_abs) == (p.max() < math.exp(-q_abs))
+            ev = evaluations_from([(p, 0)], q_abs=q_abs)
+            assert ev.abstained[0] == (p.max() < math.exp(-q_abs))
 
 
 class TestEvaluateSample:
@@ -175,30 +186,27 @@ class TestEvaluateSample:
             evaluate_samples([], thresholds(1.0, 0.5))
 
     def test_record_fields_match_public_metrics(self):
-        # the batch kernel must agree exactly with the single-vector
-        # operations, including on vectors with exact zeros
+        # every per-sample column against its definition, worked out per
+        # vector with Python floats, including on vectors with exact zeros
         rng = np.random.default_rng(55)
         thr = thresholds(1.0, 0.6, k=5)
         vectors = [random_prob_vector(rng, 5) for _ in range(60)]
         vectors += [np.array([0.5, 0.5, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0, 0.0])]
         samples = [LabeledSample(f"s{i}", 0, p) for i, p in enumerate(vectors)]
-        assert_matches_scalar_helpers(evaluate_samples(samples, thr), samples, thr)
-
-
-def assert_matches_scalar_helpers(ev, samples, thr):
-    """Every row of the batch equals the single-vector reference helpers."""
-    for i, smp in enumerate(samples):
-        assert ev.entropy[i] == normalized_entropy(smp.probs)
-        assert ev.confidence[i] == confidence(smp.probs)
-        assert ev.margin[i] == margin(smp.probs)
-        assert ev.score_top1[i] == nonconformity(smp.probs, int(ev.top1[i]))
-        assert ev.top1[i] == int(np.argmax(smp.probs))
-        members = prediction_set(smp.probs, thr.q_conf)
-        assert tuple(np.flatnonzero(ev.in_set[i]).tolist()) == members
-        assert ev.set_size[i] == len(members)
-        assert ev.covered[i] == (smp.label in members)
-        assert ev.abstained[i] == abstain_decision(smp.probs, thr.q_abs)
-        assert ev.should_abstain[i] == (ev.top1[i] != smp.label)
+        ev = evaluate_samples(samples, thr)
+        for i, p in enumerate(p.tolist() for p in vectors):
+            second, first = sorted(p)[-2:]
+            scores = [-math.log(max(x, 1e-12)) for x in p]
+            entropy = -sum(x * math.log(x) for x in p if x > 0.0) / math.log(5)
+            assert ev.entropy[i] == pytest.approx(entropy, abs=1e-12)
+            assert ev.confidence[i] == first
+            assert ev.margin[i] == first - second
+            assert ev.top1[i] == p.index(first)
+            assert ev.score_top1[i] == pytest.approx(scores[p.index(first)], abs=1e-12)
+            assert ev.in_set[i].tolist() == [s <= thr.q_conf for s in scores]
+            assert ev.covered[i] == (scores[0] <= thr.q_conf)
+            assert ev.abstained[i] == (scores[p.index(first)] > thr.q_abs)
+            assert ev.should_abstain[i] == (p.index(first) != 0)
 
 
 class TestEvaluationsBatch:
@@ -221,8 +229,8 @@ class TestEvaluationsBatch:
         assert by_mask.in_set.shape == (2, 2)
 
 
-# A probability row with some exact zeros and ties, which the scalar and
-# batch paths must treat identically.
+# A probability row with some exact zeros and ties, which a one-sample
+# batch and a longer batch must treat identically.
 _prob_rows = st.integers(2, 6).flatmap(
     lambda k: st.lists(
         st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any),
@@ -239,7 +247,7 @@ class TestBatchAgainstScalar:
         q_abs=st.floats(0.0, 3.0),
         data=st.data(),
     )
-    def test_every_row_equals_scalar_helpers(self, rows, q_conf, q_abs, data):
+    def test_every_row_equals_its_one_sample_batch(self, rows, q_conf, q_abs, data):
         k = len(rows[0])
         samples = [
             LabeledSample(
@@ -249,7 +257,9 @@ class TestBatchAgainstScalar:
             for i, w in enumerate(rows)
         ]
         thr = thresholds(q_conf, q_abs, k=k)
-        assert_matches_scalar_helpers(evaluate_samples(samples, thr), samples, thr)
+        batch = evaluate_samples(samples, thr)
+        for i, smp in enumerate(samples):
+            assert_same(batch.take([i]), evaluate_one(smp, thr))
 
 
 # Reference: the unblocked body that the row-blocked evaluate_samples
