@@ -74,7 +74,6 @@ class CalibratedThresholds:
     youden_j: float
     k_classes: int
     created_utc: str = ""
-    format_version: int = THRESHOLDS_FORMAT_VERSION
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:

@@ -11,6 +11,7 @@ flags collapsed to one class). Errors print a single line prefixed
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -31,7 +32,7 @@ from .io import (
     NUMBER,
     ArtifactError,
     DatasetManifest,
-    ManifestEntry,
+    ManifestCondition,
     ParseError,
     check_fields,
     is_int,
@@ -179,7 +180,7 @@ def _generate_tree(cfg: SweepConfig, out: Path, quiet: bool = False) -> Path:
     manifest path."""
     slugs = _slugs(cfg.conditions)
     out.mkdir(parents=True, exist_ok=True)
-    entries = []
+    conditions = []
     for cond in cfg.conditions:
         slug = slugs[cond]
         cal_name = f"{slug}_cal.csv"
@@ -187,20 +188,21 @@ def _generate_tree(cfg: SweepConfig, out: Path, quiet: bool = False) -> Path:
         write_samples_csv(cal, out / cal_name)
         if not quiet:
             print(f"wrote {out / cal_name} ({len(cal)} samples)")
-        entries.append(ManifestEntry(cal_name, cond, 0, "calibration"))
+        tests = []
         for sev in cfg.severities:
             name = f"{slug}_s{sev}.csv"
             samples = generate_dataset(cfg.test_config(cond, sev))
             write_samples_csv(samples, out / name)
             if not quiet:
                 print(f"wrote {out / name} ({len(samples)} samples)")
-            entries.append(ManifestEntry(name, cond, sev, "test"))
+            tests.append((sev, name))
+        conditions.append(ManifestCondition(cond, cal_name, tuple(tests)))
 
-    manifest = DatasetManifest(k_classes=cfg.generator.k_classes, files=tuple(entries))
     manifest_path = out / "manifest.json"
-    write_manifest(manifest, manifest_path)
+    write_manifest(DatasetManifest(cfg.generator.k_classes, tuple(conditions)), manifest_path)
     if not quiet:
-        print(f"wrote {manifest_path} ({len(entries)} files)")
+        n_files = len(conditions) * (1 + len(cfg.severities))
+        print(f"wrote {manifest_path} ({n_files} files)")
     return manifest_path
 
 
@@ -256,41 +258,29 @@ def cmd_evaluate(args) -> int:
 # sweep
 
 
-def _load_manifest_groups(manifest: DatasetManifest):
-    """Resolve (condition -> calibration samples, [(severity, samples)])
-    from a dataset manifest, in sorted condition and severity order;
-    ``read_manifest`` has checked that each condition has one calibration
-    file and some test files."""
-
-    def load(entry: ManifestEntry):
-        samples = read_logits_csv(entry.path, entry.condition, entry.severity)
-        if samples[0].k_classes != manifest.k_classes:
-            raise ArtifactError(
-                f"{entry.path}: {samples[0].k_classes} classes, manifest "
-                f"declares {manifest.k_classes}"
-            )
-        return samples
-
-    groups = {}
-    for cond in sorted({e.condition for e in manifest.files}):
-        entries = [e for e in manifest.files if e.condition == cond]
-        cal = next(e for e in entries if e.role == "calibration")
-        tests = sorted((e for e in entries if e.role == "test"), key=lambda e: e.severity)
-        groups[cond] = (load(cal), [(e.severity, load(e)) for e in tests])
-    return groups
+def _read_manifest_file(path, cond: str, severity: int, k_classes: int):
+    """Read one file of a manifest, which must hold ``k_classes`` classes."""
+    samples = read_logits_csv(path, cond, severity)
+    if samples[0].k_classes != k_classes:
+        raise ArtifactError(
+            f"{path}: {samples[0].k_classes} classes, manifest declares {k_classes}"
+        )
+    return samples
 
 
 def _run_condition(
-    alpha: float, cond: str, slug: str, cal_samples, groups, out: Path, summaries: list
+    alpha: float, k_classes: int, group: ManifestCondition, slug: str, out: Path,
+    summaries: list,
 ) -> None:
-    """Calibrate one condition, then evaluate and export each of its
-    severity groups to files named by ``slug``, printing a line per step
-    and appending each group's summary to ``summaries``. On failure the
-    files written so far are renamed ``*.partial`` and the error is
-    re-raised."""
+    """Calibrate one condition on its calibration file, then read, evaluate
+    and export its test files one at a time to files named by ``slug``,
+    printing a line per step and appending each group's summary to
+    ``summaries``. On failure the files written so far are renamed
+    ``*.partial`` and the error is re-raised."""
+    cond = group.condition
     written = []
     try:
-        thresholds = calibrate(cal_samples, alpha)
+        thresholds = calibrate(_read_manifest_file(group.calibration, cond, 0, k_classes), alpha)
         _warn_sentinel(thresholds)
         print(
             f"[{cond}] q_conf={thresholds.q_conf:.6f}"
@@ -298,8 +288,8 @@ def _run_condition(
             f" n={thresholds.n_calibration}"
         )
 
-        for sev, samples in groups:
-            ev = evaluate_samples(samples, thresholds)
+        for sev, path in group.tests:
+            ev = evaluate_samples(_read_manifest_file(path, cond, sev, k_classes), thresholds)
             rec_path = out / f"records_{slug}_s{sev}.csv"
             write_records_csv(ev, rec_path)
             written.append(rec_path)
@@ -337,17 +327,19 @@ def cmd_sweep(args) -> int:
         manifest_path = _generate_tree(cfg, out / "data", quiet=True)
         print(f"generated dataset under {out / 'data'}")
     manifest = read_manifest(manifest_path)
-    slugs = _slugs({e.condition for e in manifest.files})
+    slugs = _slugs(c.condition for c in manifest.conditions)
     out.mkdir(parents=True, exist_ok=True)
     all_summaries: list[EvaluationSummary] = []
     failures = {}
-    for cond, (cal_samples, groups) in _load_manifest_groups(manifest).items():
+    for group in manifest.conditions:
         try:
-            _run_condition(cfg.alpha, cond, slugs[cond], cal_samples, groups, out, all_summaries)
+            _run_condition(
+                cfg.alpha, manifest.k_classes, group, slugs[group.condition], out, all_summaries
+            )
         except BrokenPipeError:  # stdout is gone: no later condition can report
             raise
         except Exception as exc:  # reported per condition; sweep continues
-            failures[cond] = exc
+            failures[group.condition] = exc
 
     suffix = ".partial" if failures else ""
     if all_summaries:
@@ -425,10 +417,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A closed pipe shows here, not at exit, when stdout is buffered.
+        sys.stdout.flush()
+        return code
     except DegenerateLabelsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError as exc:
+        # What stdout still buffers goes nowhere, so the interpreter's own
+        # flush at exit does not fail again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no file descriptor behind it
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, ArtifactError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

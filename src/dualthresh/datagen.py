@@ -151,10 +151,19 @@ def generate_dataset(config: GeneratorConfig) -> list[LabeledSample]:
         cfg.k_classes, cfg.base_accuracy
     )
     noise_std = cfg.severity * cfg.noise_sigma_per_level
-    degraded = (logits + noise_std * extra) * cfg.temperature_per_level**cfg.severity
-
-    # Row-wise softmax, matching core.softmax on each row.
-    shifted = degraded - degraded.max(axis=1, keepdims=True)
+    # Settings that pass the config check may still overflow the logits;
+    # that is reported below, and a finite shift that overflows to -inf
+    # is a zero probability.
+    with np.errstate(over="ignore", invalid="ignore"):
+        degraded = (logits + noise_std * extra) * cfg.temperature_per_level**cfg.severity
+        if not np.isfinite(degraded).all():
+            raise ValueError(
+                f"temperature_per_level {cfg.temperature_per_level} and "
+                f"noise_sigma_per_level {cfg.noise_sigma_per_level} give non-finite "
+                f"logits at severity {cfg.severity}"
+            )
+        # Row-wise softmax, matching core.softmax on each row.
+        shifted = degraded - degraded.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
     probs /= probs.sum(axis=1, keepdims=True)
 

@@ -262,7 +262,11 @@ def _number_out(x):
 
 
 def write_thresholds(thresholds: CalibratedThresholds, path) -> None:
-    doc = {key: _number_out(getattr(thresholds, key)) for key in _THRESHOLDS_FIELDS}
+    doc = {
+        key: _number_out(getattr(thresholds, key))
+        for key in _THRESHOLDS_FIELDS if key != "format_version"
+    }
+    doc["format_version"] = THRESHOLDS_FORMAT_VERSION
     with _open_write(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -278,10 +282,10 @@ def read_thresholds(path) -> CalibratedThresholds:
     doc = check_fields(
         f"{path}: thresholds", load_json(path), _THRESHOLDS_FIELDS, _THRESHOLDS_FIELDS
     )
-    if doc["format_version"] != THRESHOLDS_FORMAT_VERSION:
+    version = doc.pop("format_version")
+    if version != THRESHOLDS_FORMAT_VERSION:
         raise ArtifactError(
-            f"{path}: unknown format_version {doc['format_version']!r}, "
-            f"expected {THRESHOLDS_FORMAT_VERSION}"
+            f"{path}: unknown format_version {version!r}, expected {THRESHOLDS_FORMAT_VERSION}"
         )
     try:
         return CalibratedThresholds(**{
@@ -387,12 +391,27 @@ def write_roc_csv(curve: RocCurve, path) -> None:
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
-    path: str
-    condition: str
-    severity: int
-    role: str = "test"  # "calibration" or "test"
+class ManifestCondition:
+    """One condition of a sweep: its calibration file and its test files
+    as ``(severity, path)`` pairs."""
 
+    condition: str
+    calibration: str
+    tests: tuple[tuple[int, str], ...]
+
+
+@dataclass(frozen=True)
+class DatasetManifest:
+    k_classes: int
+    conditions: tuple[ManifestCondition, ...]
+
+
+# Every manifest key in file order, with its JSON type; all are required.
+_MANIFEST_FIELDS = {
+    "format_version": INTEGER,
+    "k_classes": INTEGER,
+    "files": ("a list", lambda v: isinstance(v, list)),
+}
 
 # Every entry key in file order, with its JSON type; ``role`` is optional.
 _ENTRY_FIELDS = {
@@ -408,41 +427,24 @@ _ENTRY_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    k_classes: int
-    files: tuple[ManifestEntry, ...]
-    format_version: int = MANIFEST_FORMAT_VERSION
-
-    def resolve(self, base_dir) -> "DatasetManifest":
-        """Return a copy with file paths resolved against base_dir."""
-        base = Path(base_dir)
-        files = tuple(
-            ManifestEntry(str(base / e.path), e.condition, e.severity, e.role)
-            for e in self.files
-        )
-        return DatasetManifest(self.k_classes, files, self.format_version)
-
-
-# Every manifest key in file order, with its JSON type; all are required.
-_MANIFEST_FIELDS = {
-    "format_version": INTEGER,
-    "k_classes": INTEGER,
-    "files": ("a list", lambda v: isinstance(v, list)),
-}
-
-
 def write_manifest(manifest: DatasetManifest, path) -> None:
-    doc = {key: getattr(manifest, key) for key in _MANIFEST_FIELDS}
-    doc["files"] = [{key: getattr(e, key) for key in _ENTRY_FIELDS} for e in manifest.files]
+    """Write each condition's calibration file, then its test files."""
+    files = [
+        {"path": name, "condition": c.condition, "severity": sev, "role": role}
+        for c in manifest.conditions
+        for sev, name, role in [(0, c.calibration, "calibration")]
+        + [(sev, name, "test") for sev, name in c.tests]
+    ]
     with _open_write(path) as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump({"format_version": MANIFEST_FORMAT_VERSION, "k_classes": manifest.k_classes,
+                   "files": files}, fh, indent=2)
         fh.write("\n")
 
 
 def read_manifest(path) -> DatasetManifest:
-    """Load and check a manifest; file paths are resolved relative to its
-    directory.
+    """Load and check a manifest and group its files by condition: the
+    conditions sorted, each one's tests sorted by severity, and every path
+    resolved relative to the manifest's directory.
 
     Besides the key types, the files must form a sweep: at least one file,
     each condition with exactly one calibration file, at severity 0, and
@@ -457,35 +459,38 @@ def read_manifest(path) -> DatasetManifest:
             f"{path}: unknown format_version {doc['format_version']!r}, "
             f"expected {MANIFEST_FORMAT_VERSION}"
         )
-    files = tuple(
-        ManifestEntry(**check_fields(
-            f"{where} files[{i}]", entry, _ENTRY_FIELDS, ("path", "condition", "severity")
-        ))
+    files = [
+        check_fields(f"{where} files[{i}]", entry, _ENTRY_FIELDS, ("path", "condition", "severity"))
         for i, entry in enumerate(doc["files"])
-    )
+    ]
     if not files:
         raise ArtifactError(f"{where} lists no files")
+    groups: dict[str, tuple[list[str], dict[int, str]]] = {}  # cond -> (cals, {sev: test})
     for e in files:
-        if e.role == "calibration" and e.severity != 0:
-            raise ArtifactError(
-                f"{where}: calibration file {e.path!r} must have severity 0, got {e.severity}"
-            )
-    for cond in sorted({e.condition for e in files}):
-        roles = [e.role for e in files if e.condition == cond]
-        if roles.count("calibration") != 1:
-            raise ArtifactError(
-                f"{where}: condition {cond!r} has {roles.count('calibration')} "
-                "calibration files, expected exactly 1"
-            )
-        if "test" not in roles:
-            raise ArtifactError(f"{where}: condition {cond!r} has no test files")
-    tests: dict[tuple[str, int], str] = {}
-    for e in files:
-        if e.role == "test":
-            if (e.condition, e.severity) in tests:
+        cond, sev, name = e["condition"], e["severity"], e["path"]
+        cals, tests = groups.setdefault(cond, ([], {}))
+        if e.get("role") == "calibration":
+            if sev != 0:
                 raise ArtifactError(
-                    f"{where}: files {tests[e.condition, e.severity]!r} and {e.path!r} are "
-                    f"both test files for condition {e.condition!r} severity {e.severity}"
+                    f"{where}: calibration file {name!r} must have severity 0, got {sev}"
                 )
-            tests[e.condition, e.severity] = e.path
-    return DatasetManifest(doc["k_classes"], files).resolve(path.parent)
+            cals.append(name)
+        elif sev in tests:
+            raise ArtifactError(
+                f"{where}: files {tests[sev]!r} and {name!r} are both test files for "
+                f"condition {cond!r} severity {sev}"
+            )
+        else:
+            tests[sev] = name
+    conditions = []
+    for cond, (cals, tests) in sorted(groups.items()):
+        if len(cals) != 1:
+            raise ArtifactError(
+                f"{where}: condition {cond!r} has {len(cals)} calibration files, expected exactly 1"
+            )
+        if not tests:
+            raise ArtifactError(f"{where}: condition {cond!r} has no test files")
+        conditions.append(ManifestCondition(cond, str(path.parent / cals[0]), tuple(
+            (sev, str(path.parent / name)) for sev, name in sorted(tests.items())
+        )))
+    return DatasetManifest(doc["k_classes"], tuple(conditions))

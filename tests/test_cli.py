@@ -55,6 +55,29 @@ class ClosedAfterFirstLine(io.StringIO):
         return super().write(text)
 
 
+def child_env():
+    """The environment for a child Python that imports this checkout's
+    package, with standard output block-buffered as Python buffers a pipe."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return env
+
+
+def run_with_closed_stdout(argv):
+    """Run the CLI in a child process whose standard output is a pipe
+    with no reader."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "dualthresh.cli", *argv], env=child_env(), stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
 def tree_bytes(root):
     return {
         p.relative_to(root): p.read_bytes()
@@ -64,12 +87,9 @@ def tree_bytes(root):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(src), os.environ.get("PYTHONPATH", "")])}
     probe = "import sys, dualthresh.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
         check=True,
     )
     assert out.stdout.strip() == "False"
@@ -188,6 +208,18 @@ class TestGen:
             f"error: {key} must be {rule} the top severity 5, got {got}\n"
         )
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_logits_exit_2_without_a_warning(self, tmp_path, capsys):
+        # 3.9e61**5 is about 9e307: finite, but the scaled logits are not
+        generator = {**small_config()["generator"], "temperature_per_level": 3.9e61}
+        cfg = write_config(tmp_path, severities=[0, 5], generator=generator)
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == (
+            "error: temperature_per_level 3.9e+61 and noise_sigma_per_level 0.4 "
+            "give non-finite logits at severity 5\n"
+        )
+        assert not (tmp_path / "d" / "manifest.json").exists()
 
     def test_condition_holding_a_carriage_return_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, conditions=["rain", "a\rb"])
@@ -531,6 +563,13 @@ class TestSweep:
         assert stdout.getvalue() == f"generated dataset under {tmp_path / 'sw' / 'data'}\n"
         assert [p.name for p in (tmp_path / "sw").iterdir()] == ["data"]
 
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    def test_closed_block_buffered_stdout_exits_2(self, tmp_path, command):
+        cfg = write_config(tmp_path, conditions=["fog", "rain"])
+        out_flag = "--out" if command == "gen" else "--out-dir"
+        proc = run_with_closed_stdout([command, str(cfg), out_flag, str(tmp_path / "o")])
+        assert (proc.returncode, proc.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
     def test_expected_outputs_exist(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")])
@@ -612,6 +651,49 @@ class TestSweep:
             "are both test files for condition 'rain' severity 1\n"
         )
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("name", ["fog_cal.csv", "fog_s3.csv"])
+    def test_file_with_another_class_count_fails_its_condition(self, tmp_path, capsys, name):
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        bad = tmp_path / "data" / name
+        bad.write_text(WORKED_CAL_CSV, encoding="utf-8")  # 2 classes, not 6
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: condition 'fog' failed: {bad}: 2 classes, manifest declares 6\n"
+        )
+        # fog's severity-0 outputs, if written before its test file failed,
+        # are kept as .partial
+        fog = {"records_fog_s0.csv.partial", "roc_fog_s0.csv.partial"}
+        assert {p.name for p in (tmp_path / "sw").iterdir()} == {
+            "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv",
+            "roc_rain_s3.csv", "summary.csv.partial", "summary.json.partial",
+            "heatmap.csv.partial", *(fog if name == "fog_s3.csv" else ()),
+        }
+
+    def test_malformed_later_condition_keeps_earlier_outputs(self, tmp_path, capsys):
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        bad = tmp_path / "data" / "rain_s3.csv"
+        with open(bad, "a", encoding="utf-8") as fh:
+            fh.write("z,0\n")  # line 202, after the header and 200 rows
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: condition 'rain' failed: {bad}:202: expected 8 cells, got 2\n"
+        )
+        assert {p.name for p in (tmp_path / "sw").iterdir()} == {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+        }
+        summary = (tmp_path / "sw" / "summary.csv.partial").read_text(encoding="utf-8")
+        assert [line.split(",")[:2] for line in summary.splitlines()[1:]] == [
+            ["fog", "0"], ["fog", "3"], ["rain", "0"],
+        ]
 
     def test_heatmap_quotes_condition_cells(self, tmp_path):
         cfg = write_config(tmp_path, conditions=["a,b", 'x"y'])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,22 @@ class TestGenerateDataset:
     def test_config_validation(self, bad):
         with pytest.raises(ValueError):
             config(**bad)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            # each passes the config check but overflows the scaled logits
+            (dict(temperature_per_level=3.9e61), "temperature_per_level 3.9e+61 and "),
+            (dict(noise_sigma_per_level=3e307), "noise_sigma_per_level 3e+307 give"),
+        ],
+    )
+    def test_overflowing_logits_raise_without_a_warning(self, setting, named):
+        cfg = config(severity=5, n_samples=50, **setting)
+        with pytest.raises(ValueError, match="non-finite logits at severity 5") as exc:
+            generate_dataset(cfg)
+        assert named in str(exc.value)
+        assert len(generate_dataset(replace(cfg, severity=1))) == 50
 
 
 class TestExchangeableSplit:

@@ -13,7 +13,7 @@ from dualthresh.datagen import GeneratorConfig, generate_dataset
 from dualthresh.io import (
     ArtifactError,
     DatasetManifest,
-    ManifestEntry,
+    ManifestCondition,
     ParseError,
     read_logits_csv,
     read_manifest,
@@ -364,6 +364,17 @@ class TestThresholdsArtifact:
         write_thresholds(thr, path)
         assert read_thresholds(path) == thr
 
+    def test_format_version_is_written_last_not_settable(self, tmp_path):
+        path = tmp_path / "thr.json"
+        write_thresholds(thresholds(), path)
+        assert path.read_text(encoding="utf-8") == (
+            '{\n  "q_conf": 1.25,\n  "q_abs": 0.8,\n  "alpha": 0.1,\n'
+            '  "n_calibration": 100,\n  "youden_j": 0.7,\n  "k_classes": 3,\n'
+            '  "created_utc": "2026-01-02T03:04:05+00:00",\n  "format_version": 1\n}\n'
+        )
+        with pytest.raises(TypeError, match="format_version"):
+            thresholds(format_version=2)
+
     def test_infinity_sentinel_round_trip(self, tmp_path):
         thr = thresholds(q_conf=math.inf)
         path = tmp_path / "thr.json"
@@ -582,18 +593,40 @@ class TestManifest:
     def test_round_trip_and_relative_resolution(self, tmp_path):
         manifest = DatasetManifest(
             k_classes=4,
-            files=(
-                ManifestEntry("rain_cal.csv", "rain", 0, "calibration"),
-                ManifestEntry("rain_s1.csv", "rain", 1, "test"),
+            conditions=(
+                ManifestCondition("rain", "rain_cal.csv", ((3, "rain_s3.csv"), (1, "rain_s1.csv"))),
+                ManifestCondition("fog", "fog_cal.csv", ((1, "fog_s1.csv"),)),
             ),
         )
         path = tmp_path / "manifest.json"
         write_manifest(manifest, path)
+        # written in the order given: each calibration file, then its tests
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert list(doc) == ["format_version", "k_classes", "files"]
+        assert doc["files"][:2] == [
+            {"path": "rain_cal.csv", "condition": "rain", "severity": 0, "role": "calibration"},
+            {"path": "rain_s3.csv", "condition": "rain", "severity": 3, "role": "test"},
+        ]
+        assert [(f["path"], f["role"]) for f in doc["files"][2:]] == [
+            ("rain_s1.csv", "test"), ("fog_cal.csv", "calibration"), ("fog_s1.csv", "test"),
+        ]
+        # read back grouped: conditions and severities sorted, paths resolved
         back = read_manifest(path)
-        assert back.k_classes == 4
-        assert back.files[0].path == str(tmp_path / "rain_cal.csv")
-        assert back.files[0].role == "calibration"
-        assert back.files[1].severity == 1
+        assert back == DatasetManifest(4, (
+            ManifestCondition("fog", str(tmp_path / "fog_cal.csv"),
+                              ((1, str(tmp_path / "fog_s1.csv")),)),
+            ManifestCondition("rain", str(tmp_path / "rain_cal.csv"),
+                              ((1, str(tmp_path / "rain_s1.csv")),
+                               (3, str(tmp_path / "rain_s3.csv")))),
+        ))
+
+    def test_role_defaults_to_test(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"format_version": 1, "k_classes": 2, "files": [
+            {"path": "c.csv", "condition": "rain", "severity": 0, "role": "calibration"},
+            {"path": "t.csv", "condition": "rain", "severity": 0},
+        ]}), encoding="utf-8")
+        assert read_manifest(path).conditions[0].tests == ((0, str(tmp_path / "t.csv")),)
 
     def test_unknown_role_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
