@@ -18,7 +18,7 @@ from .calibration import (
 )
 from .core import (
     DegenerateLabelsError,
-    LabeledSample,
+    SampleBatch,
     as_logits,
     as_probabilities,
     softmax,
@@ -46,8 +46,8 @@ __all__ = [
     "EvaluationSummary",
     "Evaluations",
     "GeneratorConfig",
-    "LabeledSample",
     "RocCurve",
+    "SampleBatch",
     "__version__",
     "abstention_threshold",
     "as_logits",

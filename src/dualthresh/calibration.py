@@ -19,12 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DegenerateLabelsError,
-    LabeledSample,
-    nonconformity_scores,
-    stack_samples,
-)
+from .core import DegenerateLabelsError, SampleBatch, nonconformity_scores
 
 THRESHOLDS_FORMAT_VERSION = 1
 
@@ -195,14 +190,14 @@ def abstention_threshold(roc: RocCurve) -> tuple[float, float]:
     return q_abs, youden_j
 
 
-def calibrate(samples: Sequence[LabeledSample], alpha: float) -> CalibratedThresholds:
+def calibrate(samples: SampleBatch, alpha: float) -> CalibratedThresholds:
     """Run the full calibration pass over a held-out labeled set.
 
     Scores every sample against its true label, takes the conformal
     quantile at level alpha, flags the top-1 errors, and places the
     abstention threshold at the Youden optimum of the score ROC.
     """
-    labels, probs = stack_samples(samples)
+    labels, probs = samples.label, samples.probs
     scores = nonconformity_scores(probs[np.arange(labels.size), labels])
     q_conf = conformal_threshold(scores, alpha)
     flags = probs.argmax(axis=1) != labels

@@ -261,10 +261,8 @@ def cmd_evaluate(args) -> int:
 def _read_manifest_file(path, cond: str, severity: int, k_classes: int):
     """Read one file of a manifest, which must hold ``k_classes`` classes."""
     samples = read_logits_csv(path, cond, severity)
-    if samples[0].k_classes != k_classes:
-        raise ArtifactError(
-            f"{path}: {samples[0].k_classes} classes, manifest declares {k_classes}"
-        )
+    if samples.k_classes != k_classes:
+        raise ArtifactError(f"{path}: {samples.k_classes} classes, manifest declares {k_classes}")
     return samples
 
 

@@ -7,7 +7,7 @@ from any number of threads and safe to pass between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,12 @@ PROB_SUM_TOL = 1e-6
 
 # Slack on the [0, 1] element bounds for the same reason.
 _BOUND_SLACK = 1e-9
+
+# Per entry, more than twice the most by which two float64 summation
+# orders of a row can differ when every entry is within the bounds and
+# the sum is near 1: each order is within (k - 1) * 2**-53 * sum|p| of
+# the exact sum, and sum|p| is below 2 for any k under 5e8.
+_SUM_ORDER_SLACK = 2.0**-50
 
 SEVERITY_MIN = 0
 SEVERITY_MAX = 5
@@ -63,15 +69,20 @@ def as_probabilities(values) -> np.ndarray:
     # Accept a valid row from its extremes and its sum alone; only a
     # rejected row runs the checks below, in the order that picks its
     # message. A NaN fails a bound (min and max return one that comes
-    # first) or makes the sum NaN; an infinity fails a bound. The sum is
-    # numpy's pairwise one, as below, and runs only once every other
-    # entry is bounded, so it cannot overflow or warn.
+    # first) or makes the sum NaN; an infinity fails a bound. The sums run
+    # only once every entry is bounded, so they cannot overflow or warn.
+    # The tolerance applies to numpy's pairwise sum, as below; Python's
+    # left-to-right sum decides first when it is far enough inside it
+    # that no summation order could land outside.
     entries = p.tolist()
     low, high = min(entries), max(entries)
+    bounded = low >= -_BOUND_SLACK and high <= 1.0 + _BOUND_SLACK
     if not (
-        low >= -_BOUND_SLACK
-        and high <= 1.0 + _BOUND_SLACK
-        and abs(float(np.add.reduce(p)) - 1.0) <= PROB_SUM_TOL
+        bounded
+        and (
+            abs(sum(entries) - 1.0) <= PROB_SUM_TOL - p.size * _SUM_ORDER_SLACK
+            or abs(float(np.add.reduce(p)) - 1.0) <= PROB_SUM_TOL
+        )
     ):
         if not np.all(np.isfinite(p)):
             raise ValueError("probabilities contain NaN or infinite entries")
@@ -125,56 +136,81 @@ def top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top[..., k - 1], top[..., k - 2]
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledSample:
-    """One evaluation unit: a probability vector, its true label, and
-    condition/severity tags describing where it came from.
+@dataclass(frozen=True, eq=False)
+class SampleBatch:
+    """One file's evaluation units as columns, row i describing the i-th
+    sample: its ``sample_id``, its int64 true ``label``, its probability
+    row in the ``(n, k)`` float64 matrix ``probs``, and the ``condition``
+    and ``severity`` tags describing where it came from.
+
+    Building a batch validates it: at least one row, each probability row
+    through ``as_probabilities`` (entries within the rounding slack are
+    clipped), then every label in [0, k) and every severity in
+    [SEVERITY_MIN, SEVERITY_MAX]. One condition or severity tags every
+    row. Every column is a read-only array.
     """
 
-    sample_id: str
-    label: int
+    sample_id: np.ndarray
+    label: np.ndarray
     probs: np.ndarray
-    condition: str = ""
-    severity: int = 0
+    condition: np.ndarray = ""
+    severity: np.ndarray = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", as_probabilities(self.probs))
-        if not 0 <= self.label < self.probs.size:
-            raise ValueError(
-                f"label {self.label} out of range for {self.probs.size} classes"
-            )
-        if not SEVERITY_MIN <= self.severity <= SEVERITY_MAX:
-            raise ValueError(
-                f"severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], got {self.severity}"
-            )
+        probs = np.array(self.probs, dtype=np.float64)
+        if probs.ndim != 2:
+            raise ValueError(f"probabilities must be an (n, k) matrix, got shape {probs.shape}")
+        n, k = probs.shape
+        if n == 0:
+            raise ValueError("samples must be non-empty")
+        for i in range(n):
+            probs[i] = as_probabilities(probs[i])
+        columns = {"probs": probs}
+        for name, dtype in (("sample_id", object), ("label", np.int64),
+                            ("condition", object), ("severity", np.int64)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            if column.ndim == 0 and name in ("condition", "severity"):
+                # Not np.full, which drops a string's trailing NULs.
+                column = np.array([column[()]] * n, dtype=dtype)
+            if column.shape != (n,):
+                raise ValueError(
+                    f"{name} must have one entry per row, got shape {column.shape} for {n} rows"
+                )
+            columns[name] = column
+        label, severity = columns["label"], columns["severity"]
+        bad = (label < 0) | (label >= k)
+        if bad.any():
+            raise ValueError(f"label {label[bad.argmax()]} out of range for {k} classes")
+        bad = (severity < SEVERITY_MIN) | (severity > SEVERITY_MAX)
+        if bad.any():
+            raise ValueError(f"severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], "
+                             f"got {severity[bad.argmax()]}")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def _from_valid(cls, **columns) -> "SampleBatch":
+        """Wrap columns that already form a valid batch, checking nothing
+        but that there is a row; for producers that validated each row."""
+        batch = object.__new__(cls)
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(batch, name, column)
+        if len(batch) == 0:
+            raise ValueError("samples must be non-empty")
+        return batch
+
+    def __len__(self) -> int:
+        return self.label.size
 
     @property
     def k_classes(self) -> int:
-        return self.probs.size
+        return self.probs.shape[1]
 
-    @classmethod
-    def from_logits(cls, sample_id, label, logits, condition="", severity=0):
-        """Build a sample from raw logits, normalizing through softmax."""
-        return cls(sample_id, label, softmax(logits), condition, severity)
-
-
-def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Stack validated samples into int64 labels and an (n, k) probability
-    matrix, in input order.
-
-    Every sample must have the class count of the first; a mixed batch is
-    rejected naming the first sample that differs. The probabilities were
-    validated when each sample was built, so none is revalidated here.
-    """
-    if len(samples) == 0:
-        raise ValueError("samples must be non-empty")
-    try:
-        probs = np.array([smp.probs for smp in samples])
-    except ValueError:
-        k = samples[0].k_classes
-        bad = next(smp for smp in samples if smp.k_classes != k)
-        raise ValueError(
-            f"sample {bad.sample_id!r} has {bad.k_classes} classes, expected {k}"
-        ) from None
-    labels = np.fromiter((smp.label for smp in samples), dtype=np.int64, count=len(samples))
-    return labels, probs
+    def take(self, index) -> "SampleBatch":
+        """The rows selected by an index array or a bool mask, in that
+        order; they are not validated again."""
+        return SampleBatch._from_valid(
+            **{f.name: getattr(self, f.name)[index] for f in fields(self)}
+        )

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .core import SEVERITY_MAX, SEVERITY_MIN, LabeledSample
+from .core import SEVERITY_MAX, SEVERITY_MIN, SampleBatch
 
 DEFAULT_TEMPERATURE_PER_LEVEL = 0.75
 DEFAULT_NOISE_SIGMA_PER_LEVEL = 0.4
@@ -125,7 +125,7 @@ class GeneratorConfig:
             raise ValueError(f"seed must be an unsigned {_SEED_BITS}-bit integer")
 
 
-def generate_dataset(config: GeneratorConfig) -> list[LabeledSample]:
+def generate_dataset(config: GeneratorConfig) -> SampleBatch:
     """Draw a fully deterministic synthetic dataset.
 
     Clean logits are ``mu * onehot(label) + eps`` with eps iid standard
@@ -169,21 +169,18 @@ def generate_dataset(config: GeneratorConfig) -> list[LabeledSample]:
 
     tag = cfg.condition if cfg.condition else "synthetic"
     width = max(5, len(str(cfg.n_samples - 1)))
-    return [
-        LabeledSample(
-            sample_id=f"{tag}-s{cfg.severity}-{i:0{width}d}",
-            label=int(labels[i]),
-            probs=probs[i],
-            condition=cfg.condition,
-            severity=cfg.severity,
-        )
-        for i in range(cfg.n_samples)
-    ]
+    return SampleBatch(
+        sample_id=[f"{tag}-s{cfg.severity}-{i:0{width}d}" for i in range(cfg.n_samples)],
+        label=labels,
+        probs=probs,
+        condition=cfg.condition,
+        severity=cfg.severity,
+    )
 
 
 def exchangeable_split(
-    samples, n_cal: int, seed: int
-) -> tuple[list[LabeledSample], list[LabeledSample]]:
+    samples: SampleBatch, n_cal: int, seed: int
+) -> tuple[SampleBatch, SampleBatch]:
     """Seeded uniform shuffle, then split into (calibration, test).
 
     A uniform permutation keeps the two parts exchangeable, which is the
@@ -194,6 +191,4 @@ def exchangeable_split(
             f"n_cal must be in [1, {len(samples) - 1}], got {n_cal}"
         )
     perm = _rng(seed).permutation(len(samples))
-    cal = [samples[i] for i in perm[:n_cal]]
-    test = [samples[i] for i in perm[n_cal:]]
-    return cal, test
+    return samples.take(perm[:n_cal]), samples.take(perm[n_cal:])

@@ -13,15 +13,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from io import StringIO
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
+from . import core
 from .calibration import THRESHOLDS_FORMAT_VERSION, CalibratedThresholds, RocCurve
-from .core import SEVERITY_MAX, SEVERITY_MIN, LabeledSample, stack_samples
+from .core import SEVERITY_MAX, SEVERITY_MIN, SampleBatch
 from .metrics import EvaluationSummary
-from .prediction import Evaluations
+from .prediction import BLOCK_CELLS, Evaluations
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -116,21 +120,24 @@ def _text_cells(values: list[str]) -> list[str]:
 # logits / probability CSV
 
 
-def write_samples_csv(samples: Sequence[LabeledSample], path) -> None:
-    """Write samples as probability rows at 9 significant digits.
-
-    A batch with mixed class counts is rejected before the file is opened.
-    """
-    labels, probs = stack_samples(samples)
-    k = probs.shape[1]
+def write_samples_csv(samples: SampleBatch, path) -> None:
+    """Write samples as probability rows at 9 significant digits."""
+    k = samples.k_classes
     row = "%s,%d," + ",".join(["%.9g"] * k) + "\n"
-    ids = _text_cells([smp.sample_id for smp in samples])
+    ids = _text_cells(samples.sample_id.tolist())
     with _open_write(path) as fh:
         fh.write(",".join(["sample_id", "label"] + [f"prob_{j}" for j in range(k)]) + "\n")
         fh.writelines(
             row % (sid, label, *values)
-            for sid, label, values in zip(ids, labels.tolist(), probs.tolist())
+            for sid, label, values in zip(ids, samples.label.tolist(), samples.probs.tolist())
         )
+
+
+# A label cell: an optional minus sign and ASCII digits, nothing else.
+_LABEL = re.compile(r"-?[0-9]+")
+
+# Prefixes a mixed-header error names at most.
+_SHOWN_PREFIXES = 5
 
 
 def _parse_header(path, header: list[str]) -> tuple[str, int]:
@@ -146,9 +153,10 @@ def _parse_header(path, header: list[str]) -> tuple[str, int]:
     elif kinds == {"prob"}:
         kind = "prob"
     else:
-        raise ParseError(
-            path, 1, f"value columns must be all logit_* or all prob_*, got {sorted(kinds)}"
-        )
+        got = sorted(kinds)
+        if len(got) > _SHOWN_PREFIXES:
+            got = f"{len(got)} prefixes, the first {_SHOWN_PREFIXES} {got[:_SHOWN_PREFIXES]}"
+        raise ParseError(path, 1, f"value columns must be all logit_* or all prob_*, got {got}")
     expected = [f"{kind}_{j}" for j in range(len(header) - 2)]
     if header[2:] != expected:
         raise ParseError(
@@ -157,18 +165,20 @@ def _parse_header(path, header: list[str]) -> tuple[str, int]:
     return kind, len(header) - 2
 
 
-def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[LabeledSample]:
-    """Read a logits or probability CSV into validated samples.
+def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch:
+    """Read a logits or probability CSV into a validated batch.
 
     The header decides whether rows hold raw logits (normalized through
-    softmax) or probabilities (validated as-is); mixing is rejected. The
-    samples are tagged with the given condition and severity, which the
-    file format itself does not carry. Sample ids must be unique within
-    the file and may not hold a carriage return, which the LF-terminated
-    exports would leave unquoted. A leading UTF-8 byte-order mark (as
-    spreadsheet exports write) is ignored.
+    softmax) or probabilities (validated as-is); mixing is rejected. Each
+    row is validated as it is read, so an error names the first faulty
+    line. The rows are tagged with the given condition and severity,
+    which the file format itself does not carry. Sample ids must be unique
+    within the file and may not hold a carriage return, which the
+    LF-terminated exports would leave unquoted. A leading UTF-8 byte-order
+    mark (as spreadsheet exports write) is ignored.
     """
     path = Path(path)
+    bad_severity = not SEVERITY_MIN <= severity <= SEVERITY_MAX
     # Records end at LF or CRLF only, so an unquoted carriage return
     # anywhere else makes the csv reader fail on its line rather than
     # split the row in two.
@@ -181,8 +191,14 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
                 raise ParseError(path, 1, "file is empty") from None
             kind, k = _parse_header(path, header)
 
-            samples = []
+            # Ids in file order, each with its line; labels; and the
+            # validated rows, stacked into a matrix block of about
+            # BLOCK_CELLS cells at a time.
+            block_rows = max(1, BLOCK_CELLS // k)
             first_line: dict[str, int] = {}
+            labels: list[int] = []
+            rows: list[np.ndarray] = []
+            blocks: list[np.ndarray] = []
             next_line = reader.line_num + 1
             for row in reader:
                 # A quoted cell may span lines; name the record's first one.
@@ -203,7 +219,9 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
                     )
                 first_line[sample_id] = line_no
                 try:
-                    label = int(row[1])
+                    if not _LABEL.fullmatch(row[1]):
+                        raise ValueError(row[1])
+                    label = int(row[1])  # may still have too many digits
                 except ValueError:
                     raise ParseError(path, line_no, f"label {row[1]!r} is not an integer") from None
                 if not 0 <= label < k:
@@ -211,19 +229,26 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
                         path, line_no, f"label {label} out of range for {k} classes"
                     )
                 try:
-                    values = [float(cell) for cell in row[2:]]
+                    values = list(map(float, row[2:]))
                 except ValueError:
                     raise ParseError(path, line_no, "non-numeric value cell") from None
+                # Looked up on core at each call, so a wrapper set there
+                # sees every row.
                 try:
                     if kind == "logit":
-                        smp = LabeledSample.from_logits(
-                            sample_id, label, values, condition, severity
-                        )
-                    else:
-                        smp = LabeledSample(sample_id, label, values, condition, severity)
+                        values = core.softmax(values)
+                    rows.append(core.as_probabilities(values))
                 except ValueError as exc:
                     raise ParseError(path, line_no, str(exc)) from None
-                samples.append(smp)
+                if bad_severity:
+                    raise ParseError(
+                        path, line_no,
+                        f"severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], got {severity}",
+                    )
+                labels.append(label)
+                if len(rows) == block_rows:
+                    blocks.append(np.array(rows))
+                    rows.clear()
         except csv.Error as exc:
             reason = (
                 "carriage return outside a quoted cell"
@@ -231,9 +256,28 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> list[Labele
             )
             raise ParseError(path, reader.line_num, reason) from None
 
-    if not samples:
+    if not labels:
         raise ParseError(path, 2, "file contains a header but no data rows")
-    return samples
+    if rows:
+        blocks.append(np.array(rows))
+        rows.clear()
+    n = len(labels)
+    # Fill the matrix from the last block back, freeing each block once
+    # copied: the rows are held about once, not twice as a concatenation
+    # would hold them (np.empty's pages take memory only when written).
+    probs = np.empty((n, k))
+    end = n
+    while blocks:
+        block = blocks.pop()
+        probs[end - len(block):end] = block
+        end -= len(block)
+    return SampleBatch._from_valid(
+        sample_id=np.array(list(first_line), dtype=object),
+        label=np.array(labels, dtype=np.int64),
+        probs=probs,
+        condition=np.array([condition] * n, dtype=object),
+        severity=np.full(n, severity, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +344,35 @@ def read_thresholds(path) -> CalibratedThresholds:
 # evaluation exports
 
 
+# The records columns in file order, each with its format.
+_RECORD_COLUMNS = (
+    ("sample_id", "%s"), ("condition", "%s"), ("severity", "%d"), ("top1", "%d"),
+    ("covered", "%d"), ("abstained", "%d"), ("should_abstain", "%d"), ("set_size", "%d"),
+    ("entropy", "%.6f"), ("confidence", "%.6f"), ("margin", "%.6f"), ("score_top1", "%.6f"),
+)
+
+# Rows write_records_csv formats at once: the Python objects holding
+# their cells stay bounded whatever the batch size.
+RECORD_BLOCK_ROWS = 4096
+
+
 def write_records_csv(ev: Evaluations, path) -> None:
     """Write one row per evaluated sample, booleans as 0/1, reals at 6
     decimals."""
     if len(ev) == 0:
         raise ValueError("evaluations must be non-empty")
-    columns = (
-        ("sample_id", "%s", _text_cells(ev.sample_id.tolist())),
-        ("condition", "%s", _text_cells(ev.condition.tolist())),
-        ("severity", "%d", ev.severity.tolist()),
-        ("top1", "%d", ev.top1.tolist()),
-        ("covered", "%d", ev.covered.tolist()),
-        ("abstained", "%d", ev.abstained.tolist()),
-        ("should_abstain", "%d", ev.should_abstain.tolist()),
-        ("set_size", "%d", ev.set_size.tolist()),
-        ("entropy", "%.6f", ev.entropy.tolist()),
-        ("confidence", "%.6f", ev.confidence.tolist()),
-        ("margin", "%.6f", ev.margin.tolist()),
-        ("score_top1", "%.6f", ev.score_top1.tolist()),
-    )
-    row = ",".join(spec for _, spec, _ in columns) + "\n"
+    row = ",".join(spec for _, spec in _RECORD_COLUMNS) + "\n"
     with _open_write(path) as fh:
-        fh.write(",".join(name for name, _, _ in columns) + "\n")
-        fh.writelines(row % cells for cells in zip(*(column for _, _, column in columns)))
+        fh.write(",".join(name for name, _ in _RECORD_COLUMNS) + "\n")
+        for start in range(0, len(ev), RECORD_BLOCK_ROWS):
+            block = ev.take(slice(start, start + RECORD_BLOCK_ROWS))
+            sample_id, condition, *numbers = (
+                getattr(block, name).tolist() for name, _ in _RECORD_COLUMNS
+            )
+            fh.writelines(
+                row % cells
+                for cells in zip(_text_cells(sample_id), _text_cells(condition), *numbers)
+            )
 
 
 def _cell(value) -> str:

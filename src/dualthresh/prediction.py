@@ -10,18 +10,11 @@ choose their own system-level semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
 from .calibration import CalibratedThresholds
-from .core import (
-    LabeledSample,
-    nonconformity_scores,
-    normalized_entropies,
-    stack_samples,
-    top_two,
-)
+from .core import SampleBatch, nonconformity_scores, normalized_entropies, top_two
 
 
 # Cells per block of evaluate_samples' kernels: their (rows, k)
@@ -65,22 +58,20 @@ class Evaluations:
         return Evaluations(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
 
 
-def evaluate_samples(
-    samples: Sequence[LabeledSample], thresholds: CalibratedThresholds
-) -> Evaluations:
-    """Evaluate a non-empty batch with vectorized kernels, preserving input
-    order.
+def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> Evaluations:
+    """Evaluate a batch with vectorized kernels, preserving its row order;
+    the tag columns are the batch's own.
 
     ``should_abstain`` flags the top-1 errors, the rule ``calibrate``
     placed ``q_abs`` by; argmax ties break toward the lowest class index.
     The kernels run over blocks of about BLOCK_CELLS cells; each works row
     by row, so the blocking changes no output bit.
     """
-    labels, p_mat = stack_samples(samples)
+    labels, p_mat = samples.label, samples.probs
     n, k = p_mat.shape
     if k != thresholds.k_classes:
         raise ValueError(
-            f"sample {samples[0].sample_id!r} has {k} classes, "
+            f"sample {samples.sample_id[0]!r} has {k} classes, "
             f"thresholds were calibrated for {thresholds.k_classes}"
         )
 
@@ -99,10 +90,10 @@ def evaluate_samples(
         conf[block], second[block] = top_two(p)
 
     return Evaluations(
-        sample_id=np.array([smp.sample_id for smp in samples], dtype=object),
+        sample_id=samples.sample_id,
         label=labels,
-        condition=np.array([smp.condition for smp in samples], dtype=object),
-        severity=np.fromiter((smp.severity for smp in samples), dtype=np.int64, count=n),
+        condition=samples.condition,
+        severity=samples.severity,
         in_set=in_set,
         covered=in_set[np.arange(n), labels],
         abstained=score_top1 > thresholds.q_abs,

@@ -13,15 +13,17 @@ from dualthresh.calibration import (
     conformal_threshold,
     roc_points,
 )
-from dualthresh.core import DegenerateLabelsError, LabeledSample
+from dualthresh.core import DegenerateLabelsError
 from dualthresh.prediction import evaluate_samples
+
+from .test_prediction import sample_batch
 
 
 def label_scores(samples):
     """-log(max(p[label], 1e-12)) of each sample. numpy's log, as in the
     package: math.log differs from it in the last bit on some inputs, and
     q_abs is compared bit for bit."""
-    return -np.log(np.maximum([smp.probs[smp.label] for smp in samples], 1e-12))
+    return -np.log(np.maximum(samples.probs[np.arange(len(samples)), samples.label], 1e-12))
 
 
 def oracle_quantile(scores, alpha):
@@ -203,26 +205,23 @@ class TestAbstentionThreshold:
 
 class TestCalibrate:
     def _sample(self, sid, p0, label):
-        return LabeledSample(sid, label, [p0, 1.0 - p0])
+        return (sid, label, [p0, 1.0 - p0])
 
     def test_hand_scores_and_quantile(self):
         # -ln 0.9 and -ln 0.8 then the rank-2 order statistic of n=2
-        samples = [
-            LabeledSample("a", 0, [0.9, 0.1]),
-            LabeledSample("b", 1, [0.2, 0.8]),
-        ]
+        samples = sample_batch([("a", 0, [0.9, 0.1]), ("b", 1, [0.2, 0.8])])
         scores = label_scores(samples)
         assert scores == pytest.approx([0.10536051565782628, 0.2231435513142097], abs=1e-12)
         assert conformal_threshold(scores, 0.5) == pytest.approx(0.2231435513142097)
 
     def test_four_sample_composition(self):
         # correct predictions scoring {0.1, 0.2}, misclassified {0.8, 0.9}
-        samples = [
+        samples = sample_batch([
             self._sample("c1", math.exp(-0.1), 0),
             self._sample("c2", math.exp(-0.2), 0),
             self._sample("m1", math.exp(-0.8), 0),
             self._sample("m2", math.exp(-0.9), 0),
-        ]
+        ])
         thr = calibrate(samples, alpha=0.5)
         assert thr.q_abs == pytest.approx(0.2, abs=1e-12)
         assert thr.youden_j == pytest.approx(1.0)
@@ -230,30 +229,27 @@ class TestCalibrate:
         assert thr.k_classes == 2
 
     def test_sentinel_when_alpha_below_reach(self):
-        samples = [
+        samples = sample_batch([
             self._sample("c", math.exp(-0.1), 0),
             self._sample("m", math.exp(-0.8), 0),
-        ]
+        ])
         thr = calibrate(samples, alpha=0.1)  # rank 3 > n=2
         assert thr.q_conf == math.inf
 
     def test_all_correct_raises_degenerate_with_guidance(self):
-        samples = [self._sample(f"s{i}", 0.95, 0) for i in range(5)]
+        samples = sample_batch(self._sample(f"s{i}", 0.95, 0) for i in range(5))
         with pytest.raises(DegenerateLabelsError, match="unflagged"):
             calibrate(samples, alpha=0.1)
 
     def test_all_wrong_raises_degenerate(self):
-        samples = [self._sample(f"s{i}", 0.1, 0) for i in range(5)]
+        samples = sample_batch(self._sample(f"s{i}", 0.1, 0) for i in range(5))
         with pytest.raises(DegenerateLabelsError, match="flagged"):
             calibrate(samples, alpha=0.1)
 
     def test_mixed_class_counts_rejected(self):
-        samples = [
-            LabeledSample("a", 0, [0.9, 0.1]),
-            LabeledSample("b", 0, [0.5, 0.3, 0.2]),
-        ]
-        with pytest.raises(ValueError, match="classes"):
-            calibrate(samples, alpha=0.1)
+        # Rows of two class counts form no batch, so none reaches calibrate.
+        with pytest.raises(ValueError):
+            sample_batch([("a", 0, [0.9, 0.1]), ("b", 0, [0.5, 0.3, 0.2])])
 
 
 class TestCalibratedThresholds:
@@ -350,10 +346,10 @@ class TestStatisticsOracles:
         )
     )
     def test_should_abstain_is_the_top1_error(self, rows):
-        samples = [
-            LabeledSample(f"s{i}", label, [w / sum(weights) for w in weights])
+        samples = sample_batch(
+            (f"s{i}", label, [w / sum(weights) for w in weights])
             for i, (weights, label) in enumerate(rows)
-        ]
+        )
         # top-1 error, argmax ties to the lowest class index
         flags = [weights.index(max(weights)) != label for weights, label in rows]
 

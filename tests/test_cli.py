@@ -275,6 +275,38 @@ class TestCalibrate:
         assert err.startswith("error:") and "'c1'" in err and "line 2" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("cell, message", [
+        # int() reads each of the first four as 1
+        (" 1 ", "label ' 1 ' is not an integer"),
+        ("+1", "label '+1' is not an integer"),
+        ("0_1", "label '0_1' is not an integer"),
+        ("\u0661", "label '\u0661' is not an integer"),
+        ("-1", "label -1 out of range for 2 classes"),
+    ])
+    def test_label_cell_must_be_ascii_digits(self, tmp_path, capsys, cell, message):
+        rows = WORKED_CAL_CSV.splitlines()
+        rows[3] = rows[3].replace("m1,0,", f"m1,{cell},")
+        cal = tmp_path / "cal.csv"
+        cal.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["calibrate", "--cal", str(cal), "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cal}:4: {message}\n"
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize("columns, got", [
+        ([f"p{j}" for j in range(1000)],
+         "1000 prefixes, the first 5 ['p0', 'p1', 'p10', 'p100', 'p101']"),
+        (["e_0", "d_1", "c_2", "b_3", "a_4"], "['a', 'b', 'c', 'd', 'e']"),
+    ])
+    def test_mixed_header_error_is_one_short_line(self, tmp_path, capsys, columns, got):
+        cal = tmp_path / "cal.csv"
+        cal.write_text("sample_id,label," + ",".join(columns) + "\n", encoding="utf-8")
+        code = main(["calibrate", "--cal", str(cal), "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cal}:1: value columns must be all logit_* or all prob_*, got {got}\n"
+        )
+
     def test_all_correct_calibration_exits_3(self, tmp_path, capsys):
         cal = tmp_path / "cal.csv"
         cal.write_text(

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualthresh import core
 from dualthresh.core import (
     PROB_SUM_TOL,
-    LabeledSample,
+    SampleBatch,
     as_logits,
     as_probabilities,
     softmax,
 )
 
-from .test_prediction import evaluations_from
+from .test_prediction import evaluations_from, sample_batch
 
 
 class TestSoftmax:
@@ -73,7 +74,7 @@ class TestNonconformity:
     def test_label_out_of_range(self):
         for label in (2, -1):
             with pytest.raises(ValueError, match="out of range"):
-                LabeledSample("a", label, [0.5, 0.5])
+                sample_batch([("a", label, [0.5, 0.5])])
 
     def test_monotone_decreasing_in_probability(self):
         # the other 99 classes share 1 - p, so p > 0.01 is the top-1 entry
@@ -200,6 +201,21 @@ def _rows_summing_near_the_edge(draw):
     return row
 
 
+@st.composite
+def _wide_rows_near_the_edges(draw):
+    """Rows of up to 1000 entries whose exact sum is a few ulps from a
+    sum-test edge, or from where the fast accept's margin of k * 2**-50
+    inside it ends, or a few margins further in. Python's left-to-right
+    sum and numpy's pairwise one round differently on such rows."""
+    k = draw(st.integers(2, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = (rng.dirichlet(np.ones(k)) * 0.99)[: k - 1].tolist()
+    edge = draw(st.sampled_from([_SUM_EDGE_HIGH, _SUM_EDGE_LOW]))
+    inward = draw(st.sampled_from([0, 1, 2, 3])) * k * 2.0**-50
+    target = _ulps_from(edge - inward if edge > 1.0 else edge + inward, draw(st.integers(-3, 3)))
+    return rest + [target - math.fsum(rest)]
+
+
 _ROWS = st.one_of(
     st.lists(_ENTRY, min_size=0, max_size=12),
     _rows_summing_near_the_edge(),
@@ -217,6 +233,11 @@ class TestValidatorOracle:
     def test_probabilities_match_the_sequential_checks(self, values):
         assert _outcome(as_probabilities, values) == _outcome(sequential_probabilities, values)
 
+    @settings(max_examples=1000, deadline=None)
+    @given(values=_wide_rows_near_the_edges())
+    def test_fast_accept_matches_the_sequential_checks(self, values):
+        assert _outcome(as_probabilities, values) == _outcome(sequential_probabilities, values)
+
     @settings(max_examples=500, deadline=None)
     @given(values=_ROWS)
     def test_logits_match_the_sequential_checks(self, values):
@@ -232,21 +253,67 @@ class TestValidatorOracle:
         assert p.tobytes() == sequential_probabilities([-0.0, 1.0]).tobytes()
 
 
-class TestLabeledSample:
-    def test_valid_sample(self):
-        smp = LabeledSample("a", 1, [0.2, 0.8], condition="rain", severity=3)
-        assert smp.k_classes == 2
-        assert smp.probs[1] == 0.8
+class TestSampleBatch:
+    def test_valid_batch(self):
+        batch = SampleBatch(["a", "b"], [1, 0], [[0.2, 0.8], [0.6, 0.4]], "rain\x00", [3, 2])
+        assert len(batch) == 2 and batch.k_classes == 2
+        assert batch.probs[0, 1] == 0.8
+        assert batch.label.dtype == np.int64 and batch.probs.dtype == np.float64
+        assert batch.condition.tolist() == ["rain\x00", "rain\x00"]
+        assert batch.severity.tolist() == [3, 2]
+
+    def test_columns_are_read_only_copies(self):
+        probs = np.array([[0.2, 0.8]])
+        batch = SampleBatch(["a"], [1], probs)
+        probs[0, 0] = 0.5
+        assert batch.probs[0, 0] == 0.2
+        for column in (batch.sample_id, batch.label, batch.probs, batch.condition, batch.severity):
+            assert not column.flags.writeable
+
+    def test_rows_are_validated_and_clipped(self):
+        with pytest.raises(ValueError, match="sum"):
+            SampleBatch(["a", "b"], [0, 0], [[0.5, 0.5], [0.5, 0.6]])
+        batch = SampleBatch(["a"], [0], [[1.0 + 1e-10, -1e-10]])
+        assert batch.probs.tolist() == [[1.0, 0.0]]
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="label"):
-            LabeledSample("a", 2, [0.2, 0.8])
+        with pytest.raises(ValueError) as err:
+            SampleBatch(["a", "b"], [0, 2], [[0.2, 0.8], [0.2, 0.8]])
+        assert str(err.value) == "label 2 out of range for 2 classes"
 
     def test_severity_out_of_range(self):
-        with pytest.raises(ValueError, match="severity"):
-            LabeledSample("a", 0, [0.2, 0.8], severity=6)
+        with pytest.raises(ValueError) as err:
+            SampleBatch(["a"], [0], [[0.2, 0.8]], severity=6)
+        assert str(err.value) == "severity must be in [0, 5], got 6"
 
-    def test_from_logits_normalizes(self):
-        smp = LabeledSample.from_logits("a", 0, [2.0, 0.0, -1.0])
-        assert smp.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert smp.probs.argmax() == 0
+    @pytest.mark.parametrize("columns", [
+        (["a"], [0, 1], [[0.2, 0.8]]),
+        (["a", "b"], [0], [[0.2, 0.8], [0.5, 0.5]]),
+        (["a"], [0], [[0.2, 0.8]], ["rain", "fog"]),
+        (["a"], [0], [0.2, 0.8]),
+        (["a", "b"], [0, 0], [[0.2, 0.8], [0.2, 0.3, 0.5]]),
+        ([], [], np.empty((0, 3))),
+    ])
+    def test_malformed_columns(self, columns):
+        with pytest.raises(ValueError):
+            SampleBatch(*columns)
+
+    def test_take_selects_rows_without_validating(self, monkeypatch):
+        batch = SampleBatch(["a", "b", "c"], [0, 1, 1], [[0.9, 0.1], [0.5, 0.5], [0.3, 0.7]],
+                            ["rain", "fog", "rain"], [1, 2, 3])
+        calls = []
+        monkeypatch.setattr(core, "as_probabilities", lambda p: calls.append(p))
+        part = batch.take(np.array([2, 0]))
+        assert part.sample_id.tolist() == ["c", "a"]
+        assert part.probs.tolist() == [[0.3, 0.7], [0.9, 0.1]]
+        assert part.condition.tolist() == ["rain", "rain"]
+        assert batch.take(batch.severity > 1).label.tolist() == [1, 1]
+        assert not part.probs.flags.writeable
+        assert calls == []
+        with pytest.raises(ValueError, match="non-empty"):
+            batch.take(batch.label > 5)
+
+    def test_logit_rows_go_through_softmax(self):
+        batch = SampleBatch(["a"], [0], [softmax([2.0, 0.0, -1.0])])
+        assert batch.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert batch.probs.argmax() == 0

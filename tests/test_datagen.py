@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dualthresh import core
 from dualthresh.datagen import (
     GeneratorConfig,
     derive_seed,
@@ -24,7 +25,7 @@ def config(**overrides):
 
 
 def top1_accuracy(samples):
-    return float(np.mean([int(np.argmax(s.probs)) == s.label for s in samples]))
+    return float(np.mean(samples.probs.argmax(axis=1) == samples.label))
 
 
 class TestSignalStrength:
@@ -65,14 +66,14 @@ class TestGenerateDataset:
     def test_deterministic_for_same_seed(self):
         a = generate_dataset(config())
         b = generate_dataset(config())
-        assert [s.sample_id for s in a] == [s.sample_id for s in b]
-        assert [s.label for s in a] == [s.label for s in b]
-        assert all(np.array_equal(x.probs, y.probs) for x, y in zip(a, b))
+        assert a.sample_id.tolist() == b.sample_id.tolist()
+        assert a.label.tolist() == b.label.tolist()
+        assert np.array_equal(a.probs, b.probs)
 
     def test_different_seeds_differ(self):
         a = generate_dataset(config(seed=1))
         b = generate_dataset(config(seed=2))
-        assert not np.array_equal(a[0].probs, b[0].probs)
+        assert not np.array_equal(a.probs[0], b.probs[0])
 
     def test_severity_zero_accuracy_matches_target(self):
         samples = generate_dataset(config(n_samples=10_000, seed=77))
@@ -106,8 +107,9 @@ class TestGenerateDataset:
 
     def test_tags_carried_through(self):
         samples = generate_dataset(config(condition="fog", severity=2, n_samples=3))
-        assert all(s.condition == "fog" and s.severity == 2 for s in samples)
-        assert samples[0].sample_id.startswith("fog-s2-")
+        assert samples.condition.tolist() == ["fog"] * 3
+        assert samples.severity.tolist() == [2] * 3
+        assert samples.sample_id[0].startswith("fog-s2-")
 
     @pytest.mark.parametrize(
         "bad",
@@ -155,15 +157,21 @@ class TestExchangeableSplit:
         samples = generate_dataset(config(n_samples=10))
         cal, test = exchangeable_split(samples, 4, seed=3)
         assert len(cal) == 4 and len(test) == 6
-        ids = {s.sample_id for s in cal} | {s.sample_id for s in test}
-        assert ids == {s.sample_id for s in samples}
-        assert not ({s.sample_id for s in cal} & {s.sample_id for s in test})
+        ids = set(cal.sample_id) | set(test.sample_id)
+        assert ids == set(samples.sample_id)
+        assert not (set(cal.sample_id) & set(test.sample_id))
+
+    def test_split_does_not_validate_again(self, monkeypatch):
+        samples = generate_dataset(config(n_samples=10))
+        monkeypatch.setattr(core, "as_probabilities", None)  # a call would fail
+        cal, test = exchangeable_split(samples, 4, seed=3)
+        assert (len(cal), len(test)) == (4, 6)
 
     def test_same_seed_same_split(self):
         samples = generate_dataset(config(n_samples=50))
         a = exchangeable_split(samples, 20, seed=9)
         b = exchangeable_split(samples, 20, seed=9)
-        assert [s.sample_id for s in a[0]] == [s.sample_id for s in b[0]]
+        assert a[0].sample_id.tolist() == b[0].sample_id.tolist()
 
     def test_invalid_sizes(self):
         samples = generate_dataset(config(n_samples=10))
@@ -176,11 +184,11 @@ class TestExchangeableSplit:
         # class-1 count is Hypergeometric(n=200, K=80, draws=100):
         # mean 40, sd = sqrt(100 * 0.4 * 0.6 * (100/199)) ~= 3.47
         samples = generate_dataset(config(n_samples=200, k_classes=2, seed=55))
-        n_one = sum(s.label for s in samples)
+        n_one = int(samples.label.sum())
         counts = []
         for trial in range(1000):
             cal, _ = exchangeable_split(samples, 100, seed=derive_seed(100, trial))
-            counts.append(sum(s.label for s in cal))
+            counts.append(int(cal.label.sum()))
         counts = np.asarray(counts, dtype=float)
         expected = n_one * 100 / 200
         sd = np.sqrt(100 * (n_one / 200) * (1 - n_one / 200) * (100 / 199))

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualthresh.calibration import CalibratedThresholds, calibrate, roc_points
-from dualthresh.core import LabeledSample
+from dualthresh import core, io
 from dualthresh.datagen import GeneratorConfig, generate_dataset
 from dualthresh.io import (
     ArtifactError,
@@ -28,6 +28,8 @@ from dualthresh.io import (
 from dualthresh.metrics import EvaluationSummary, summarize
 from dualthresh.prediction import Evaluations, evaluate_samples
 
+from .test_prediction import sample_batch, traced_peak
+
 
 # Text with the characters CSV quoting must handle. Left out: lone
 # surrogates, which UTF-8 cannot encode.
@@ -45,12 +47,12 @@ _CONDITION = _TEXT.filter(lambda text: "\r" not in text)
 # Reference writers: the csv.writer-based bodies that the one-format-per-row
 # writers replaced. The new writers must write exactly their bytes.
 def csv_writer_samples(samples, path):
-    k = samples[0].k_classes
+    k = samples.k_classes
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "label"] + [f"prob_{j}" for j in range(k)])
-        for smp in samples:
-            writer.writerow([smp.sample_id, smp.label] + [f"{v:.9g}" for v in smp.probs])
+        for sample_id, label, probs in zip(samples.sample_id, samples.label, samples.probs):
+            writer.writerow([sample_id, label] + [f"{v:.9g}" for v in probs])
 
 
 def csv_writer_records(ev, path):
@@ -88,12 +90,12 @@ def _sample_batches(draw):
     minus the others, so rows of tiny entries hold 1.0."""
     k = draw(st.integers(2, 5))
     entry = _EDGE_FLOATS | st.floats(0.0, 1.0 / k)
-    samples = []
+    rows = []
     for _ in range(draw(st.integers(1, 10))):
         probs = draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
         probs.insert(draw(st.integers(0, k - 1)), 1.0 - math.fsum(probs))
-        samples.append(LabeledSample(draw(_TEXT), draw(st.integers(0, k - 1)), probs))
-    return samples
+        rows.append((draw(_TEXT), draw(st.integers(0, k - 1)), probs))
+    return sample_batch(rows)
 
 
 @st.composite
@@ -131,12 +133,29 @@ class TestWritersMatchCsvWriter:
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
     @settings(max_examples=300, deadline=None)
-    @given(ev=_evaluations())
-    def test_records_csv_bytes(self, tmp_path_factory, ev):
+    @given(ev=_evaluations(), block_rows=st.integers(1, 9))
+    def test_records_csv_bytes(self, tmp_path_factory, ev, block_rows):
         tmp = tmp_path_factory.mktemp("records")
-        write_records_csv(ev, tmp / "new.csv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "RECORD_BLOCK_ROWS", block_rows)
+            write_records_csv(ev, tmp / "new.csv")
         csv_writer_records(ev, tmp / "old.csv")
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    def test_records_csv_peak(self, tmp_path):
+        # Formatting every column at once peaked at 194 bytes a row (9.7 MB
+        # here); a block of RECORD_BLOCK_ROWS rows holds about 390 bytes a
+        # row, whatever the batch size.
+        n, k = 50_000, 10
+        probs = np.random.default_rng(5).dirichlet(np.ones(k), size=n)
+        ev = evaluate_samples(
+            sample_batch((f"s{i}", i % k, p, "rain", 2) for i, p in enumerate(probs)),
+            thresholds(k_classes=k),
+        )
+        path = tmp_path / "records.csv"
+        assert traced_peak(write_records_csv, ev, path) <= 640 * io.RECORD_BLOCK_ROWS
+        csv_writer_records(ev, tmp_path / "old.csv")
+        assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def thresholds(**overrides):
@@ -158,11 +177,9 @@ class TestSamplesCsv:
         write_samples_csv(samples, path)
         back = read_logits_csv(path, condition="fog", severity=2)
         assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            assert a.sample_id == b.sample_id
-            assert a.label == b.label
-            assert a.condition == b.condition and a.severity == b.severity
-            assert np.max(np.abs(a.probs - b.probs)) < 1e-9
+        for name in ("sample_id", "label", "condition", "severity"):
+            assert getattr(back, name).tolist() == getattr(samples, name).tolist()
+        assert np.max(np.abs(samples.probs - back.probs)) < 1e-9
 
     def test_logit_rows_pass_through_softmax(self, tmp_path):
         path = tmp_path / "logits.csv"
@@ -173,8 +190,32 @@ class TestSamplesCsv:
             encoding="utf-8",
         )
         samples = read_logits_csv(path)
-        assert samples[0].probs == pytest.approx([0.8, 0.2], abs=1e-12)
-        assert samples[1].probs == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert samples.probs[0] == pytest.approx([0.8, 0.2], abs=1e-12)
+        assert samples.probs[1] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["prob", "logit"])
+    def test_each_row_is_validated_once_through_core(self, tmp_path, monkeypatch, kind):
+        # The reader looks the validators up on core at each call.
+        calls = []
+        for name in ("as_probabilities", "softmax"):
+            real = getattr(core, name)
+            monkeypatch.setattr(
+                core, name, lambda p, name=name, real=real: calls.append(name) or real(p)
+            )
+        path = tmp_path / "rows.csv"
+        path.write_text(
+            f"sample_id,label,{kind}_0,{kind}_1\n"
+            + "".join(f"s{i},{i % 2},0.25,0.75\n" for i in range(2500)),
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(io, "BLOCK_CELLS", 2048)  # blocks of 1024 rows
+        batch = read_logits_csv(path)
+        assert len(batch) == 2500 and batch.probs.shape == (2500, 2)
+        assert calls.count("as_probabilities") == 2500
+        assert calls.count("softmax") == (2500 if kind == "logit" else 0)
+        calls.clear()
+        evaluate_samples(batch.take(np.arange(0, 2500, 2)), thresholds(k_classes=2))
+        assert calls == []
 
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -279,7 +320,7 @@ class TestSamplesCsv:
     def test_crlf_line_endings_are_read(self, tmp_path):
         path = tmp_path / "crlf.csv"
         path.write_bytes(b"sample_id,label,prob_0,prob_1\r\na,0,0.9,0.1\r\nb,1,0.3,0.7\r\n")
-        assert [smp.sample_id for smp in read_logits_csv(path)] == ["a", "b"]
+        assert read_logits_csv(path).sample_id.tolist() == ["a", "b"]
 
     def test_oversized_cell_names_line(self, tmp_path):
         path = tmp_path / "big.csv"
@@ -315,13 +356,10 @@ class TestSamplesCsv:
             read_logits_csv(path)
         assert str(err.value) == f"{path}:{message}"
 
-    def test_mixed_class_counts_rejected_before_writing(self, tmp_path):
-        samples = [LabeledSample("a", 0, [0.9, 0.1]), LabeledSample("b", 1, [0.2, 0.3, 0.5])]
-        path = tmp_path / "mixed.csv"
-        with pytest.raises(ValueError) as err:
-            write_samples_csv(samples, path)
-        assert str(err.value) == "sample 'b' has 3 classes, expected 2"
-        assert not path.exists()
+    def test_mixed_class_counts_are_no_batch(self):
+        # A batch holds one (n, k) matrix, so no writer sees mixed rows.
+        with pytest.raises(ValueError):
+            sample_batch([("a", 0, [0.9, 0.1]), ("b", 1, [0.2, 0.3, 0.5])])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -336,25 +374,25 @@ class TestSamplesCsv:
         condition=_TEXT,
         severity=st.integers(0, 5),
     )
+    @example(rows=[("", [0.0, 0.0, 1.0], 0)], condition="\x00", severity=0)
     def test_round_trip_keeps_ids_labels_tags_and_probabilities(
         self, tmp_path_factory, rows, condition, severity
     ):
-        samples = [
-            LabeledSample(sid, label, np.array(w) / sum(w), condition, severity)
-            for sid, w, label in rows
-        ]
+        samples = sample_batch(
+            (sid, label, np.array(w) / sum(w), condition, severity) for sid, w, label in rows
+        )
         path = tmp_path_factory.mktemp("csv") / "samples.csv"
         write_samples_csv(samples, path)
-        if any("\r" in smp.sample_id for smp in samples):
+        if any("\r" in sid for sid, _, _ in rows):
             with pytest.raises(ParseError, match="carriage return"):
                 read_logits_csv(path, condition=condition, severity=severity)
             return
         back = read_logits_csv(path, condition=condition, severity=severity)
-        assert [(b.sample_id, b.label, b.condition, b.severity) for b in back] == [
-            (a.sample_id, a.label, condition, severity) for a in samples
-        ]
-        for a, b in zip(samples, back):
-            assert np.max(np.abs(a.probs - b.probs)) <= 1e-9
+        assert back.sample_id.tolist() == [sid for sid, _, _ in rows]
+        assert back.label.tolist() == [label for _, _, label in rows]
+        assert back.condition.tolist() == [condition] * len(rows)
+        assert back.severity.tolist() == [severity] * len(rows)
+        assert np.max(np.abs(samples.probs - back.probs)) <= 1e-9
 
 
 class TestThresholdsArtifact:
@@ -442,11 +480,9 @@ def test_non_object_json_rejected(tmp_path, reader, text):
 
 
 def _records(n=6):
-    samples = [
-        LabeledSample(f"s{i}", i % 2, [0.85, 0.15] if i % 3 else [0.45, 0.55],
-                      condition="rain", severity=1)
-        for i in range(n)
-    ]
+    samples = sample_batch(
+        (f"s{i}", i % 2, [0.85, 0.15] if i % 3 else [0.45, 0.55], "rain", 1) for i in range(n)
+    )
     thr = thresholds(k_classes=2)
     return evaluate_samples(samples, thr)
 
@@ -483,7 +519,7 @@ class TestExports:
         assert docs[0]["n"] == 6
 
     def test_absent_auc_is_empty_cell_and_null(self, tmp_path):
-        samples = [LabeledSample(f"s{i}", 0, [0.9, 0.1]) for i in range(3)]
+        samples = sample_batch((f"s{i}", 0, [0.9, 0.1]) for i in range(3))
         recs = evaluate_samples(samples, thresholds(k_classes=2))
         summaries = summarize(recs)
         assert summaries[0].auc is None
@@ -527,8 +563,7 @@ class TestExports:
         assert b"\r" not in path.read_bytes()
 
     def test_one_hot_row_exports_positive_zero(self, tmp_path):
-        samples = [LabeledSample("a", 0, [1.0, 0.0, 0.0]),
-                   LabeledSample("b", 1, [0.2, 0.5, 0.3])]
+        samples = sample_batch([("a", 0, [1.0, 0.0, 0.0]), ("b", 1, [0.2, 0.5, 0.3])])
         path = tmp_path / "records.csv"
         write_records_csv(evaluate_samples(samples, thresholds()), path)
         rows = list(csv.DictReader(path.open(encoding="utf-8", newline="")))
@@ -536,8 +571,9 @@ class TestExports:
         assert "-0.000000" not in path.read_text(encoding="utf-8")
 
     def test_all_one_hot_summary_has_positive_zero_entropy(self, tmp_path):
-        samples = [LabeledSample(f"s{i}", i % 2, [1.0, 0.0] if i % 2 == 0 else [0.0, 1.0])
-                   for i in range(4)]
+        samples = sample_batch(
+            (f"s{i}", i % 2, [1.0, 0.0] if i % 2 == 0 else [0.0, 1.0]) for i in range(4)
+        )
         summaries = summarize(evaluate_samples(samples, thresholds(k_classes=2)))
         csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
         write_summary(summaries, csv_path, format="csv")

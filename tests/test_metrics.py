@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualthresh.calibration import CalibratedThresholds
-from dualthresh.core import DegenerateLabelsError, LabeledSample
+from dualthresh.core import DegenerateLabelsError
 from dualthresh.metrics import EvaluationSummary, detection_auc, summarize
 from dualthresh.prediction import evaluate_samples
 
 from .test_calibration import mann_whitney
-from .test_prediction import dirichlet_samples, evaluations_from, traced_peak
+from .test_prediction import dirichlet_samples, evaluations_from, sample_batch, traced_peak
 
 
 def batches_by_class_count(rows):
@@ -143,12 +143,12 @@ class TestAggregates:
 
 
 def _grid_evaluations():
-    samples = [
-        LabeledSample(f"{condition}-{severity}-{i}", label, probs, condition, severity)
+    samples = sample_batch(
+        (f"{condition}-{severity}-{i}", label, probs, condition, severity)
         for condition in ("fog", "rain")
         for severity in (0, 1)
         for i, (probs, label) in enumerate([([0.9, 0.1], 0), ([0.55, 0.45], 1)])
-    ]
+    )
     thr = CalibratedThresholds(
         q_conf=1.0, q_abs=0.7, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=2,
     )
@@ -201,10 +201,10 @@ class TestSummarize:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_permutation_invariance(self, rows, seed):
-        samples = [
-            LabeledSample(f"s{i}", label, [p / 20, 1 - p / 20], condition, severity)
+        samples = sample_batch(
+            (f"s{i}", label, [p / 20, 1 - p / 20], condition, severity)
             for i, (p, label, condition, severity) in enumerate(rows)
-        ]
+        )
         thr = CalibratedThresholds(
             q_conf=0.8, q_abs=0.4, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=2,
         )
@@ -253,22 +253,20 @@ def _tagged_evaluations(draw):
     weights make probability ties common, and groups holding one flag
     class only (every top-1 right, or every one wrong) have no AUC."""
     k = draw(st.integers(2, 4))
-    samples = []
+    rows = []
     for i in range(draw(st.integers(1, 40))):
         weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
-        samples.append(
-            LabeledSample(
-                f"s{i}", draw(st.integers(0, k - 1)),
-                np.asarray(weights, dtype=np.float64) / sum(weights),
-                draw(st.sampled_from(["", "fog", "rain"])), draw(st.integers(0, 1)),
-            )
-        )
+        rows.append((
+            f"s{i}", draw(st.integers(0, k - 1)),
+            np.asarray(weights, dtype=np.float64) / sum(weights),
+            draw(st.sampled_from(["", "fog", "rain"])), draw(st.integers(0, 1)),
+        ))
     thr = CalibratedThresholds(
         q_conf=draw(st.one_of(st.floats(0.0, 3.0), st.just(math.inf))),
         q_abs=draw(st.floats(0.0, 2.0)),
         alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=k,
     )
-    return evaluate_samples(samples, thr)
+    return evaluate_samples(sample_batch(rows), thr)
 
 
 class TestSummarizeAgainstTake:

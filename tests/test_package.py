@@ -13,8 +13,8 @@ PUBLIC_NAMES = [
     "EvaluationSummary",
     "Evaluations",
     "GeneratorConfig",
-    "LabeledSample",
     "RocCurve",
+    "SampleBatch",
     "__version__",
     "abstention_threshold",
     "as_logits",

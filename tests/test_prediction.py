@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from dualthresh import prediction
 from dualthresh.calibration import CalibratedThresholds
-from dualthresh.core import (
-    LabeledSample,
-    nonconformity_scores,
-    normalized_entropies,
-    top_two,
-)
+from dualthresh.core import SampleBatch, nonconformity_scores, normalized_entropies, top_two
 from dualthresh.prediction import Evaluations, evaluate_samples
 
 
@@ -29,18 +24,23 @@ def random_prob_vector(rng, k):
     return p / p.sum()
 
 
-def evaluate_one(sample, thr, **kwargs):
-    ev = evaluate_samples([sample], thr, **kwargs)
+def sample_batch(rows):
+    """A SampleBatch of (sample_id, label, probs[, condition, severity]) rows."""
+    return SampleBatch(*zip(*rows))
+
+
+def evaluate_one(row, thr, **kwargs):
+    ev = evaluate_samples(sample_batch([row]), thr, **kwargs)
     assert len(ev) == 1
     return ev
 
 
 def evaluations_from(probs_labels, q_conf=1.0, q_abs=0.7, condition="", severity=0):
     """Evaluate (probabilities, label) pairs of one class count as one batch."""
-    samples = [
-        LabeledSample(f"s{i}", label, probs, condition, severity)
+    samples = sample_batch(
+        (f"s{i}", label, probs, condition, severity)
         for i, (probs, label) in enumerate(probs_labels)
-    ]
+    )
     return evaluate_samples(samples, thresholds(q_conf, q_abs, k=len(probs_labels[0][0])))
 
 
@@ -105,13 +105,13 @@ class TestAbstainDecision:
 
 class TestEvaluateSample:
     def test_confident_correct_sample(self):
-        ev = evaluate_one(LabeledSample("a", 0, [0.9, 0.1]), thresholds(0.3, 0.2))
+        ev = evaluate_one(("a", 0, [0.9, 0.1]), thresholds(0.3, 0.2))
         assert ev.covered[0] and not ev.abstained[0] and not ev.should_abstain[0]
         assert ev.top1[0] == 0
         assert ev.score_top1[0] == pytest.approx(0.10536051565782628, abs=1e-12)
 
     def test_uncertain_wrong_sample(self):
-        ev = evaluate_one(LabeledSample("b", 1, [0.5, 0.5]), thresholds(0.3, 0.2))
+        ev = evaluate_one(("b", 1, [0.5, 0.5]), thresholds(0.3, 0.2))
         assert ev.set_size[0] == 0
         assert not ev.covered[0]
         assert ev.abstained[0]
@@ -122,68 +122,64 @@ class TestEvaluateSample:
     def test_sentinel_threshold_always_covers(self):
         rng = np.random.default_rng(12)
         thr = thresholds(math.inf, 0.5, k=4)
-        samples = [
-            LabeledSample("x", int(rng.integers(0, 4)), random_prob_vector(rng, 4))
-            for _ in range(100)
-        ]
+        samples = sample_batch(
+            ("x", int(rng.integers(0, 4)), random_prob_vector(rng, 4)) for _ in range(100)
+        )
         ev = evaluate_samples(samples, thr)
         assert ev.covered.all()
         assert (ev.set_size == 4).all()
 
     def test_class_count_mismatch(self):
-        with pytest.raises(ValueError, match="classes"):
-            evaluate_samples(
-                [LabeledSample("a", 0, [0.2, 0.3, 0.5])], thresholds(0.3, 0.2, k=2)
-            )
-        with pytest.raises(ValueError, match="'b' has 3 classes"):
-            evaluate_samples(
-                [LabeledSample("a", 0, [0.5, 0.5]), LabeledSample("b", 0, [0.2, 0.3, 0.5])],
-                thresholds(0.3, 0.2, k=2),
-            )
+        with pytest.raises(ValueError) as err:
+            evaluate_one(("a", 0, [0.2, 0.3, 0.5]), thresholds(0.3, 0.2, k=2))
+        assert str(err.value) == (
+            "sample 'a' has 3 classes, thresholds were calibrated for 2"
+        )
+        # A batch has one class count: rows of two counts are no batch.
+        with pytest.raises(ValueError):
+            sample_batch([("a", 0, [0.5, 0.5]), ("b", 0, [0.2, 0.3, 0.5])])
 
     def test_covered_recomputable_and_margin_bounded(self):
         rng = np.random.default_rng(21)
         thr = thresholds(1.0, 0.7, k=6)
-        samples = [
-            LabeledSample(f"s{i}", int(rng.integers(0, 6)), random_prob_vector(rng, 6))
-            for i in range(300)
-        ]
+        samples = sample_batch(
+            (f"s{i}", int(rng.integers(0, 6)), random_prob_vector(rng, 6)) for i in range(300)
+        )
         ev = evaluate_samples(samples, thr)
         assert np.array_equal(ev.covered, ev.in_set[np.arange(len(ev)), ev.label])
-        for i, smp in enumerate(samples):
-            score_label = -math.log(max(float(smp.probs[smp.label]), 1e-12))
+        for i, (label, p) in enumerate(zip(samples.label, samples.probs)):
+            score_label = -math.log(max(float(p[label]), 1e-12))
             assert ev.covered[i] == (score_label <= thr.q_conf)
         assert (ev.margin <= ev.confidence).all()
 
     def test_deterministic_and_order_preserving(self):
         rng = np.random.default_rng(33)
         thr = thresholds(1.0, 0.7, k=4)
-        samples = [
-            LabeledSample(f"s{i}", int(rng.integers(0, 4)), random_prob_vector(rng, 4),
-                          condition=f"c{i % 3}", severity=i % 6)
+        rows = [
+            (f"s{i}", int(rng.integers(0, 4)), random_prob_vector(rng, 4), f"c{i % 3}", i % 6)
             for i in range(50)
         ]
+        samples = sample_batch(rows)
         first = evaluate_samples(samples, thr)
         assert_same(first, evaluate_samples(samples, thr))
-        assert first.sample_id.tolist() == [s.sample_id for s in samples]
-        assert first.label.tolist() == [s.label for s in samples]
-        assert first.condition.tolist() == [s.condition for s in samples]
-        assert first.severity.tolist() == [s.severity for s in samples]
+        assert first.sample_id.tolist() == [row[0] for row in rows]
+        assert first.label.tolist() == [row[1] for row in rows]
+        assert first.condition.tolist() == [row[3] for row in rows]
+        assert first.severity.tolist() == [row[4] for row in rows]
 
     def test_single_sample_matches_batch(self):
         rng = np.random.default_rng(44)
         thr = thresholds(1.2, 0.6, k=5)
-        samples = [
-            LabeledSample(f"s{i}", int(rng.integers(0, 5)), random_prob_vector(rng, 5))
-            for i in range(40)
+        rows = [
+            (f"s{i}", int(rng.integers(0, 5)), random_prob_vector(rng, 5)) for i in range(40)
         ]
-        batch = evaluate_samples(samples, thr)
-        for i, smp in enumerate(samples):
-            assert_same(batch.take([i]), evaluate_one(smp, thr))
+        batch = evaluate_samples(sample_batch(rows), thr)
+        for i, row in enumerate(rows):
+            assert_same(batch.take([i]), evaluate_one(row, thr))
 
     def test_empty_batch(self):
         with pytest.raises(ValueError, match="non-empty"):
-            evaluate_samples([], thresholds(1.0, 0.5))
+            SampleBatch([], [], np.empty((0, 2)))
 
     def test_record_fields_match_public_metrics(self):
         # every per-sample column against its definition, worked out per
@@ -192,7 +188,7 @@ class TestEvaluateSample:
         thr = thresholds(1.0, 0.6, k=5)
         vectors = [random_prob_vector(rng, 5) for _ in range(60)]
         vectors += [np.array([0.5, 0.5, 0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0, 0.0])]
-        samples = [LabeledSample(f"s{i}", 0, p) for i, p in enumerate(vectors)]
+        samples = sample_batch((f"s{i}", 0, p) for i, p in enumerate(vectors))
         ev = evaluate_samples(samples, thr)
         for i, p in enumerate(p.tolist() for p in vectors):
             second, first = sorted(p)[-2:]
@@ -212,11 +208,11 @@ class TestEvaluateSample:
 class TestEvaluationsBatch:
     def test_len_set_size_and_take(self):
         thr = thresholds(math.log(2), 0.2, k=2)
-        samples = [
-            LabeledSample("a", 0, [0.9, 0.1], "rain", 1),
-            LabeledSample("b", 1, [0.5, 0.5], "fog", 2),
-            LabeledSample("c", 1, [0.3, 0.7], "rain", 3),
-        ]
+        samples = sample_batch([
+            ("a", 0, [0.9, 0.1], "rain", 1),
+            ("b", 1, [0.5, 0.5], "fog", 2),
+            ("c", 1, [0.3, 0.7], "rain", 3),
+        ])
         ev = evaluate_samples(samples, thr)
         assert len(ev) == 3
         assert ev.set_size.tolist() == [1, 2, 1]
@@ -249,37 +245,24 @@ class TestBatchAgainstScalar:
     )
     def test_every_row_equals_its_one_sample_batch(self, rows, q_conf, q_abs, data):
         k = len(rows[0])
-        samples = [
-            LabeledSample(
-                f"s{i}", data.draw(st.integers(0, k - 1)),
-                np.asarray(w, dtype=np.float64) / sum(w),
-            )
+        rows = [
+            (f"s{i}", data.draw(st.integers(0, k - 1)), np.asarray(w, dtype=np.float64) / sum(w))
             for i, w in enumerate(rows)
         ]
         thr = thresholds(q_conf, q_abs, k=k)
-        batch = evaluate_samples(samples, thr)
-        for i, smp in enumerate(samples):
-            assert_same(batch.take([i]), evaluate_one(smp, thr))
+        batch = evaluate_samples(sample_batch(rows), thr)
+        for i, row in enumerate(rows):
+            assert_same(batch.take([i]), evaluate_one(row, thr))
 
 
 # Reference: the unblocked body that the row-blocked evaluate_samples
-# replaced, with the np.stack-based stacking it called. The blocked
-# kernels must give exactly its arrays and its error messages.
+# replaced. The blocked kernels must give exactly its arrays and its
+# error message.
 def unblocked_evaluate(samples, thresholds):
-    if len(samples) == 0:
-        raise ValueError("samples must be non-empty")
-    try:
-        p_mat = np.stack([smp.probs for smp in samples])
-    except ValueError:
-        k = samples[0].k_classes
-        bad = next(smp for smp in samples if smp.k_classes != k)
-        raise ValueError(
-            f"sample {bad.sample_id!r} has {bad.k_classes} classes, expected {k}"
-        ) from None
-    labels = np.fromiter((smp.label for smp in samples), dtype=np.int64, count=len(samples))
+    labels, p_mat = samples.label, samples.probs
     if p_mat.shape[1] != thresholds.k_classes:
         raise ValueError(
-            f"sample {samples[0].sample_id!r} has {p_mat.shape[1]} classes, "
+            f"sample {samples.sample_id[0]!r} has {p_mat.shape[1]} classes, "
             f"thresholds were calibrated for {thresholds.k_classes}"
         )
     rows = np.arange(labels.size)
@@ -292,10 +275,10 @@ def unblocked_evaluate(samples, thresholds):
     conf, second = top_two(p_mat)
 
     return Evaluations(
-        sample_id=np.array([smp.sample_id for smp in samples], dtype=object),
+        sample_id=samples.sample_id,
         label=labels,
-        condition=np.array([smp.condition for smp in samples], dtype=object),
-        severity=np.fromiter((smp.severity for smp in samples), dtype=np.int64, count=rows.size),
+        condition=samples.condition,
+        severity=samples.severity,
         in_set=in_set,
         covered=covered,
         abstained=score_top1 > thresholds.q_abs,
@@ -315,17 +298,15 @@ def _blocked_batches(draw):
     k = draw(st.integers(2, 6))
     block = draw(st.integers(1, 4))
     n = max(1, block * draw(st.integers(1, 4)) + draw(st.integers(-1, 1)))
-    samples = []
+    rows = []
     for i in range(n):
         weights = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any))
-        samples.append(
-            LabeledSample(
-                f"s{i}", draw(st.integers(0, k - 1)),
-                np.asarray(weights, dtype=np.float64) / sum(weights),
-                draw(st.sampled_from(["", "fog", "rain"])), draw(st.integers(0, 5)),
-            )
-        )
-    return samples, block
+        rows.append((
+            f"s{i}", draw(st.integers(0, k - 1)),
+            np.asarray(weights, dtype=np.float64) / sum(weights),
+            draw(st.sampled_from(["", "fog", "rain"])), draw(st.integers(0, 5)),
+        ))
+    return sample_batch(rows), block
 
 
 class TestBlockedAgainstUnblocked:
@@ -338,7 +319,7 @@ class TestBlockedAgainstUnblocked:
     )
     def test_every_field_equal(self, batch, spare_cells, q_conf, q_abs):
         samples, block = batch
-        k = samples[0].k_classes
+        k = samples.k_classes
         thr = thresholds(q_conf, q_abs, k=k)
         # Any cell budget from block * k to block * k + k - 1 gives
         # blocks of `block` rows.
@@ -353,22 +334,18 @@ class TestBlockedAgainstUnblocked:
         probs = rng.dirichlet(np.full(k, 0.5), size=n)
         probs[::7, 3] = 0.0  # exact zeros, renormalized below
         probs /= probs.sum(axis=1, keepdims=True)
-        samples = [
-            LabeledSample(f"s{i}", int(label), p)
-            for i, (label, p) in enumerate(zip(rng.integers(0, k, size=n), probs))
-        ]
+        samples = SampleBatch([f"s{i}" for i in range(n)], rng.integers(0, k, size=n), probs)
         thr = thresholds(1.5, 0.9, k=k)
         assert_same(evaluate_samples(samples, thr), unblocked_evaluate(samples, thr))
 
     @settings(max_examples=200, deadline=None)
     @given(
-        class_counts=st.lists(st.integers(2, 4), min_size=1, max_size=6),
+        n=st.integers(1, 6),
+        k=st.integers(2, 4),
         k_thresholds=st.integers(2, 4),
     )
-    def test_error_messages_unchanged(self, class_counts, k_thresholds):
-        samples = [
-            LabeledSample(f"s{i}", 0, np.full(k, 1.0 / k)) for i, k in enumerate(class_counts)
-        ]
+    def test_error_messages_unchanged(self, n, k, k_thresholds):
+        samples = sample_batch((f"s{i}", 0, np.full(k, 1.0 / k)) for i in range(n))
         thr = thresholds(1.0, 0.5, k=k_thresholds)
         try:
             want = unblocked_evaluate(samples, thr)
@@ -394,7 +371,7 @@ def dirichlet_samples(n, k, seed):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(k), size=n)
     labels = rng.integers(0, k, size=n)
-    return [LabeledSample(f"s{i}", int(y), p) for i, (y, p) in enumerate(zip(labels, probs))]
+    return SampleBatch([f"s{i}" for i in range(n)], labels, probs)
 
 
 class TestWorkingMemory:
