@@ -481,6 +481,33 @@ def test_non_object_json_artifact_exits_2(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["calibrate", "sweep data", "sweep config"])
+def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command):
+    if command == "calibrate":
+        bad = tmp_path / "cal.csv"
+        bad.write_bytes(WORKED_CAL_CSV.encode("utf-8").replace(b"m2,", b"m\xe9,"))
+        argv = ["calibrate", "--cal", str(bad), "--out", str(tmp_path / "t.json")]
+        where = f"{bad}:5: byte 0xe9"
+    elif command == "sweep data":
+        main(["gen", str(write_config(tmp_path)), "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        bad = tmp_path / "data" / "rain_s3.csv"
+        with open(bad, "ab") as fh:
+            fh.write(b"caf\xe9,0\n")  # line 202, after the header and 200 rows
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        argv = ["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]
+        where = f"condition 'rain' failed: {bad}:202: byte 0xe9"
+    else:
+        bad = tmp_path / "cfg.json"
+        bad.write_bytes(b'{"conditions": ["caf\xe9"]}')
+        argv = ["sweep", str(bad), "--out-dir", str(tmp_path / "sw")]
+        where = f"{bad}: byte 0xe9 at offset 20"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {where} is not valid UTF-8 (invalid continuation byte)\n"
+    )
+
+
 def _cal(condition="rain", **fields):
     return {"path": "rain_cal.csv", "condition": condition, "severity": 0,
             "role": "calibration", **fields}

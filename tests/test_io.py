@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,132 @@ def csv_writer_records(ev, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(name for name, _ in columns)
         writer.writerows(zip(*(column for _, column in columns)))
+
+
+def rowwise_read_logits_csv(path, condition="", severity=0):
+    """Reference reader: the csv loop that checks, parses and validates one
+    row at a time, which the bulk block parse must match."""
+    bad_severity = not core.SEVERITY_MIN <= severity <= core.SEVERITY_MAX
+    with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
+        reader = csv.reader(fh)
+        try:
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(path, 1, "file is empty") from None
+            kind, k = io._parse_header(path, header)
+            first_line, labels, rows = {}, [], []
+            next_line = reader.line_num + 1
+            for row in reader:
+                line_no, next_line = next_line, reader.line_num + 1
+                if len(row) != k + 2:
+                    raise ParseError(path, line_no, f"expected {k + 2} cells, got {len(row)}")
+                sample_id = row[0]
+                if "\r" in sample_id:
+                    raise ParseError(
+                        path, line_no, f"sample_id {sample_id!r} holds a carriage return"
+                    )
+                if sample_id in first_line:
+                    raise ParseError(
+                        path, line_no, f"duplicate sample_id {sample_id!r} "
+                        f"(first on line {first_line[sample_id]})"
+                    )
+                first_line[sample_id] = line_no
+                try:
+                    if not io._LABEL.fullmatch(row[1]):
+                        raise ValueError(row[1])
+                    label = int(row[1])
+                except ValueError:
+                    raise ParseError(path, line_no, f"label {row[1]!r} is not an integer") from None
+                if not 0 <= label < k:
+                    raise ParseError(path, line_no, f"label {label} out of range for {k} classes")
+                try:
+                    values = list(map(float, row[2:]))
+                except ValueError:
+                    raise ParseError(path, line_no, "non-numeric value cell") from None
+                try:
+                    if kind == "logit":
+                        values = core.softmax(values)
+                    rows.append(core.as_probabilities(values))
+                except ValueError as exc:
+                    raise ParseError(path, line_no, str(exc)) from None
+                if bad_severity:
+                    raise ParseError(
+                        path, line_no, f"severity must be in [{core.SEVERITY_MIN}, "
+                        f"{core.SEVERITY_MAX}], got {severity}",
+                    )
+                labels.append(label)
+        except csv.Error as exc:
+            reason = (
+                "carriage return outside a quoted cell"
+                if "new-line" in str(exc) else str(exc)
+            )
+            raise ParseError(path, reader.line_num, reason) from None
+    if not labels:
+        raise ParseError(path, 2, "file contains a header but no data rows")
+    n = len(labels)
+    return core.SampleBatch._from_valid(
+        sample_id=np.array(list(first_line), dtype=object),
+        label=np.array(labels, dtype=np.int64),
+        probs=np.array(rows),
+        condition=np.array([condition] * n, dtype=object),
+        severity=np.full(n, severity, dtype=np.int64),
+    )
+
+
+# Cells that a C parser and float() may read differently, or not at all.
+_ODD_CELLS = [
+    "\x1c0.5", "0.5\x1f", "1_0", "\u0661", "\uff11.\uff15", "nan", "-nan", "inf", "-inf",
+    "", " 0.5", "0.5 ", "1e400", "1e-400", "0x1p-1", "+.5", ".", "1e", "1d0", "0.5\x00",
+    "\t0.5", "0.5\x7f", "1,5", '"0.5"', "0.5\r", "#0.5",
+]
+_ODD_LABELS = [
+    "99999999999999999999", "-1", " 1", "+1", "01", "-0", "1_0", "\u0661", "", "0.0",
+    "999999999999999999", "000000000000000000001",
+]
+_ODD_IDS = ["", "a,b", '"a,b"', '"a\nb"', '"a""b"', 'a"b', "a\rb", "\x1c", "\ufeff", "\u0661"]
+
+
+@st.composite
+def _data_files(draw):
+    """The text of a logits or probability CSV: mostly valid rows, some
+    with an odd id, label, cell or line ending, some blank or duplicated."""
+    kind = draw(st.sampled_from(["prob", "logit"]))
+    k = draw(st.integers(2, 3))
+    lines, ids = [], []
+    for i in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 19)) == 0:
+            lines.append(draw(st.sampled_from(
+                ["\n", "\r\n", "\n\n", "x,0\n", "x,0,\n", "x,0,0.5,0.5,0.5\n", "x,0, \n"]
+            )))
+            continue
+        sample_id = f"s{i}"
+        if ids and draw(st.integers(0, 19)) == 0:
+            sample_id = draw(st.sampled_from(ids))
+        elif draw(st.integers(0, 9)) == 0:
+            sample_id = draw(st.sampled_from(_ODD_IDS))
+        ids.append(sample_id)
+        label = str(draw(st.integers(0, k - 1)))
+        if draw(st.integers(0, 9)) == 0:
+            label = draw(st.sampled_from(_ODD_LABELS))
+        if kind == "logit":
+            values = draw(st.lists(st.floats(-50.0, 50.0), min_size=k, max_size=k))
+        else:
+            values = draw(st.lists(_EDGE_FLOATS | st.floats(0.0, 1.0 / k),
+                                   min_size=k - 1, max_size=k - 1))
+            values.append(1.0 - math.fsum(values))
+        cells = [f"{v:.9g}" if draw(st.booleans()) else repr(v) for v in values]
+        if draw(st.integers(0, 9)) == 0:
+            cells[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        end = "\r\n" if draw(st.integers(0, 19)) == 0 else "\n"
+        lines.append(",".join([sample_id, label, *cells]) + end)
+    text = ",".join(["sample_id", "label"] + [f"{kind}_{j}" for j in range(k)]) + "\n"
+    text += "".join(lines)
+    if draw(st.integers(0, 9)) == 0:
+        text = text.rstrip("\n")
+    if draw(st.integers(0, 19)) == 0:
+        text = "\ufeff" + text
+    return text
 
 
 # Floats whose text is easy to get wrong: signed zero, the smallest
@@ -216,6 +343,13 @@ class TestSamplesCsv:
         calls.clear()
         evaluate_samples(batch.take(np.arange(0, 2500, 2)), thresholds(k_classes=2))
         assert calls == []
+        # Parse blocks of 1, 2 and 3 rows: still one validation per row.
+        for parse_rows in (1, 2, 3):
+            monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 2 * parse_rows)
+            assert np.array_equal(read_logits_csv(path).probs, batch.probs)
+            assert calls.count("as_probabilities") == 2500
+            assert calls.count("softmax") == (2500 if kind == "logit" else 0)
+            calls.clear()
 
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "two.csv"
@@ -356,6 +490,79 @@ class TestSamplesCsv:
             read_logits_csv(path)
         assert str(err.value) == f"{path}:{message}"
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=_data_files(), parse_rows=st.integers(1, 4),
+           severity=st.sampled_from([0, 0, 0, 5, 6, -1]))
+    @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,\x1c0.5\n", parse_rows=1, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,1_0\n", parse_rows=1, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,\u0661,0.5\n", parse_rows=1, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n\nb,1,0.5,0.5\n",
+             parse_rows=3, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,0.5\nb,1,0.25,0.75",
+             parse_rows=2, severity=0)
+    @example(text="\ufeffsample_id,label,prob_0,prob_1\na,0,0.5,0.5\n", parse_rows=1, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\r\na,0,0.5,0.5\r\nb,1,0.5,0.5\r\n",
+             parse_rows=1, severity=0)
+    @example(text='sample_id,label,prob_0,prob_1\n"a,b",0,0.5,0.5\nc,1,0.5,0.5\n',
+             parse_rows=1, severity=0)
+    @example(text='sample_id,label,prob_0,prob_1\na,0,0.5,0.5\nb,1,0.5,0.5\nc,0,0.5,0.5\n'
+                  '"d\ne",1,0.5,0.5\nf,7,0.5,0.5\n', parse_rows=2, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,\nb,1,0.5,0.5,0.5\n",
+             parse_rows=2, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,\n", parse_rows=1, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,0.5\nb,1,0.5,0.5\na,1,0.5,0.5\n",
+             parse_rows=2, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,99999999999999999999,0.5,0.5\n",
+             parse_rows=1, severity=0)
+    @example(text=f"sample_id,label,prob_0,prob_1\na,{'9' * 5000},0.5,0.5\n",
+             parse_rows=1, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,0.5\nb,-1,0.5,0.5\n",
+             parse_rows=2, severity=0)
+    @example(text=f"sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n{'x' * 200_000},1,0.5,0.5\n",
+             parse_rows=2, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,0.5\nb,1,nan,0.5\n",
+             parse_rows=2, severity=0)
+    @example(text="sample_id,label,logit_0,logit_1\na,0,1.5,-2\nb,1,1000,1000\n",
+             parse_rows=1, severity=0)
+    @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n", parse_rows=1, severity=6)
+    def test_bulk_parse_matches_the_rowwise_reader(
+        self, tmp_path_factory, text, parse_rows, severity
+    ):
+        path = tmp_path_factory.mktemp("bulk") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        k = text.split("\n", 1)[0].count(",") - 1
+
+        def outcome(reader):
+            try:
+                return reader(path, condition="c", severity=severity)
+            except ParseError as exc:
+                return str(exc)
+
+        want = outcome(rowwise_read_logits_csv)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")  # as loadtxt warns on a block of no data
+            mp.setattr(io, "PARSE_BLOCK_CELLS", parse_rows * k)
+            got = outcome(read_logits_csv)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        for name in ("sample_id", "label", "condition", "severity"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        assert np.array_equal(got.probs.view(np.int64), want.probs.view(np.int64))
+
+    def test_not_utf8_names_the_line_of_the_first_bad_byte(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            b"sample_id,label,prob_0,prob_1\n"
+            + b"".join(b"s%d,0,0.5,0.5\n" % i for i in range(3000))
+            + b"caf\xe9,1,0.5,0.5\nx\xff,0,0.5,0.5\n"
+        )
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value) == (
+            f"{path}:3002: byte 0xe9 is not valid UTF-8 (invalid continuation byte)"
+        )
+
     def test_mixed_class_counts_are_no_batch(self):
         # A batch holds one (n, k) matrix, so no writer sees mixed rows.
         with pytest.raises(ValueError):
@@ -477,6 +684,17 @@ def test_non_object_json_rejected(tmp_path, reader, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ArtifactError, match="must be a JSON object"):
         reader(path)
+
+
+@pytest.mark.parametrize("reader", [read_thresholds, read_manifest])
+def test_non_utf8_json_rejected_naming_the_file(tmp_path, reader):
+    path = tmp_path / "artifact.json"
+    path.write_bytes(b'{"condition": "caf\xe9"}')
+    with pytest.raises(ArtifactError) as err:
+        reader(path)
+    assert str(err.value) == (
+        f"{path}: byte 0xe9 at offset 18 is not valid UTF-8 (invalid continuation byte)"
+    )
 
 
 def _records(n=6):
