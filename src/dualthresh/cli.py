@@ -245,9 +245,8 @@ def cmd_evaluate(args) -> int:
         thresholds,
     )
     write_records_csv(ev, args.records_out)
-    summaries = summarize(ev)
     fmt = "json" if str(args.summary_out).endswith(".json") else "csv"
-    write_summary(summaries, args.summary_out, format=fmt)
+    write_summary([summarize(ev)], args.summary_out, format=fmt)
     print(f"evaluated {len(ev)} samples")
     print(f"wrote {args.records_out}")
     print(f"wrote {args.summary_out}")
@@ -292,7 +291,7 @@ def _run_condition(
             write_records_csv(ev, rec_path)
             written.append(rec_path)
 
-            summary = summarize(ev)[0]
+            summary = summarize(ev)
             if summary.auc is not None:
                 roc_path = out / f"roc_{slug}_s{sev}.csv"
                 write_roc_csv(detection_auc(ev), roc_path)
@@ -435,7 +434,7 @@ def main(argv=None) -> int:
             os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ArtifactError, ValueError, OSError) as exc:
+    except (ParseError, ArtifactError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

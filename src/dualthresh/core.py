@@ -7,7 +7,7 @@ from any number of threads and safe to pass between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,27 +136,42 @@ def top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top[..., k - 1], top[..., k - 2]
 
 
+def check_tags(condition, severity) -> tuple[str, int]:
+    """Return a batch's tags as a ``str`` condition and an ``int``
+    severity in [SEVERITY_MIN, SEVERITY_MAX], or raise ValueError naming
+    the field."""
+    if not isinstance(condition, str):
+        raise ValueError(f"condition must be a str, got {type(condition).__name__}")
+    if isinstance(severity, bool) or not isinstance(severity, (int, np.integer)):
+        raise ValueError(f"severity must be an integer, got {type(severity).__name__}")
+    if not SEVERITY_MIN <= severity <= SEVERITY_MAX:
+        raise ValueError(f"severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], got {severity}")
+    # A plain int, since json rejects numpy integers.
+    return str(condition), int(severity)
+
+
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """One file's evaluation units as columns, row i describing the i-th
-    sample: its ``sample_id``, its int64 true ``label``, its probability
-    row in the ``(n, k)`` float64 matrix ``probs``, and the ``condition``
-    and ``severity`` tags describing where it came from.
+    sample: its ``sample_id``, its int64 true ``label`` and its
+    probability row in the ``(n, k)`` float64 matrix ``probs``. The
+    ``condition`` and ``severity`` tags say where the whole batch came
+    from.
 
-    Building a batch validates it: at least one row, each probability row
-    through ``as_probabilities`` (entries within the rounding slack are
-    clipped), then every label in [0, k) and every severity in
-    [SEVERITY_MIN, SEVERITY_MAX]. One condition or severity tags every
-    row. Every column is a read-only array.
+    Building a batch validates it: the tags through ``check_tags``, at
+    least one row, each probability row through ``as_probabilities``
+    (entries within the rounding slack are clipped), then every label in
+    [0, k). Every column is a read-only array.
     """
 
     sample_id: np.ndarray
     label: np.ndarray
     probs: np.ndarray
-    condition: np.ndarray = ""
-    severity: np.ndarray = 0
+    condition: str = ""
+    severity: int = 0
 
     def __post_init__(self):
+        condition, severity = check_tags(self.condition, self.severity)
         probs = np.array(self.probs, dtype=np.float64)
         if probs.ndim != 2:
             raise ValueError(f"probabilities must be an (n, k) matrix, got shape {probs.shape}")
@@ -166,34 +181,31 @@ class SampleBatch:
         for i in range(n):
             probs[i] = as_probabilities(probs[i])
         columns = {"probs": probs}
-        for name, dtype in (("sample_id", object), ("label", np.int64),
-                            ("condition", object), ("severity", np.int64)):
+        for name, dtype in (("sample_id", object), ("label", np.int64)):
             column = np.array(getattr(self, name), dtype=dtype)
-            if column.ndim == 0 and name in ("condition", "severity"):
-                # Not np.full, which drops a string's trailing NULs.
-                column = np.array([column[()]] * n, dtype=dtype)
             if column.shape != (n,):
                 raise ValueError(
                     f"{name} must have one entry per row, got shape {column.shape} for {n} rows"
                 )
             columns[name] = column
-        label, severity = columns["label"], columns["severity"]
+        label = columns["label"]
         bad = (label < 0) | (label >= k)
         if bad.any():
             raise ValueError(f"label {label[bad.argmax()]} out of range for {k} classes")
-        bad = (severity < SEVERITY_MIN) | (severity > SEVERITY_MAX)
-        if bad.any():
-            raise ValueError(f"severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], "
-                             f"got {severity[bad.argmax()]}")
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "severity", severity)
         for name, column in columns.items():
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     @classmethod
-    def _from_valid(cls, **columns) -> "SampleBatch":
-        """Wrap columns that already form a valid batch, checking nothing
-        but that there is a row; for producers that validated each row."""
+    def _from_valid(cls, condition: str, severity: int, **columns) -> "SampleBatch":
+        """Wrap columns that already form a valid batch, and the tags that
+        ``check_tags`` returned, checking nothing but that there is a row;
+        for producers that validated each row."""
         batch = object.__new__(cls)
+        object.__setattr__(batch, "condition", condition)
+        object.__setattr__(batch, "severity", severity)
         for name, column in columns.items():
             column.flags.writeable = False
             object.__setattr__(batch, name, column)
@@ -210,7 +222,8 @@ class SampleBatch:
 
     def take(self, index) -> "SampleBatch":
         """The rows selected by an index array or a bool mask, in that
-        order; they are not validated again."""
+        order, with the batch's tags; they are not validated again."""
         return SampleBatch._from_valid(
-            **{f.name: getattr(self, f.name)[index] for f in fields(self)}
+            self.condition, self.severity,
+            **{name: getattr(self, name)[index] for name in ("sample_id", "label", "probs")},
         )

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .core import SEVERITY_MAX, SEVERITY_MIN, SampleBatch
+from .core import SEVERITY_MAX, SampleBatch, check_tags
 
 DEFAULT_TEMPERATURE_PER_LEVEL = 0.75
 DEFAULT_NOISE_SIGMA_PER_LEVEL = 0.4
@@ -60,7 +60,8 @@ def signal_strength(k_classes: int, base_accuracy: float) -> float:
 
     With unit-normal base noise on every logit and a boost mu on the true
     one, top-1 accuracy is P(mu + Z > max of k-1 iid Z), an increasing
-    function of mu; invert it by bracketed root finding.
+    function of mu; invert it by bracketed root finding. That needs an
+    accuracy above chance, the accuracy at mu = 0.
     """
 
     def top1_accuracy(mu: float) -> float:
@@ -72,6 +73,11 @@ def signal_strength(k_classes: int, base_accuracy: float) -> float:
         )
         return val
 
+    if top1_accuracy(0.0) >= base_accuracy:
+        raise ValueError(
+            f"base_accuracy must exceed chance, 1/k_classes = {1 / k_classes:.6g} "
+            f"for k_classes {k_classes}, got {base_accuracy}"
+        )
     lo, hi = 0.0, 8.0
     while top1_accuracy(hi) < base_accuracy:
         hi *= 2.0
@@ -100,11 +106,7 @@ class GeneratorConfig:
             raise ValueError(
                 f"base_accuracy must be in (0, 1), got {self.base_accuracy}"
             )
-        if not SEVERITY_MIN <= self.severity <= SEVERITY_MAX:
-            raise ValueError(
-                f"severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], "
-                f"got {self.severity}"
-            )
+        check_tags(self.condition, self.severity)
         # JSON configs may carry NaN and Infinity (NaN fails every
         # comparison), and a finite setting may overflow at the top severity.
         temperature, sigma = self.temperature_per_level, self.noise_sigma_per_level

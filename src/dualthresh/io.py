@@ -24,7 +24,7 @@ import numpy as np
 
 from . import core
 from .calibration import THRESHOLDS_FORMAT_VERSION, CalibratedThresholds, RocCurve
-from .core import SEVERITY_MAX, SEVERITY_MIN, SampleBatch
+from .core import SEVERITY_MAX, SEVERITY_MIN, SampleBatch, check_tags
 from .metrics import EvaluationSummary
 from .prediction import BLOCK_CELLS, Evaluations
 
@@ -197,8 +197,9 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     The header decides whether rows hold raw logits (normalized through
     softmax) or probabilities (validated as-is); mixing is rejected. Each
     row is validated as it is read, so an error names the first faulty
-    line. The rows are tagged with the given condition and severity,
-    which the file format itself does not carry. Sample ids must be unique
+    line. The batch is tagged with the given condition and severity,
+    which the file format itself does not carry; they are checked through
+    ``core.check_tags`` before the file is opened. Sample ids must be unique
     within the file and may not hold a carriage return, which the
     LF-terminated exports would leave unquoted. A leading UTF-8 byte-order
     mark is ignored (as spreadsheet exports write one); a file that is not
@@ -215,28 +216,26 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     (logit files) and ``core.as_probabilities`` on its own, so the
     messages and line numbers are those of a file read row by row.
     """
+    condition, severity = check_tags(condition, severity)
     path = Path(path)
     # Records end at LF or CRLF only, so an unquoted carriage return
     # anywhere else makes the csv reader fail on its line rather than
     # split the row in two.
     try:
         with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
-            sample_ids, labels, probs = _read_rows(path, fh, severity)
+            sample_ids, labels, probs = _read_rows(path, fh)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    n = len(labels)
     return SampleBatch._from_valid(
+        condition, severity,
         sample_id=np.array(sample_ids, dtype=object),
         label=np.array(labels, dtype=np.int64),
         probs=probs,
-        condition=np.array([condition] * n, dtype=object),
-        severity=np.full(n, severity, dtype=np.int64),
     )
 
 
-def _read_rows(path, fh, severity: int) -> tuple[list[str], list[int], np.ndarray]:
+def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
     """The ids, labels and validated (n, k) matrix of the open file ``fh``."""
-    bad_severity = not SEVERITY_MIN <= severity <= SEVERITY_MAX
     # ``base`` counts the lines before the csv reader's first.
     reader, base = csv.reader(fh), 0
     try:
@@ -264,11 +263,6 @@ def _read_rows(path, fh, severity: int) -> tuple[list[str], list[int], np.ndarra
                 rows.append(core.as_probabilities(values))
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
-            if bad_severity:
-                raise ParseError(
-                    path, line_no,
-                    f"severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], got {severity}",
-                )
             if len(rows) == block_rows:
                 blocks.append(np.array(rows))
                 rows.clear()
@@ -468,9 +462,10 @@ def read_thresholds(path) -> CalibratedThresholds:
 # evaluation exports
 
 
-# The records columns in file order, each with its format.
+# The records columns in file order, each with its format; the batch's
+# tags, condition and severity, are the same cells on every row.
 _RECORD_COLUMNS = (
-    ("sample_id", "%s"), ("condition", "%s"), ("severity", "%d"), ("top1", "%d"),
+    ("sample_id", "%s"), ("condition", None), ("severity", None), ("top1", "%d"),
     ("covered", "%d"), ("abstained", "%d"), ("should_abstain", "%d"), ("set_size", "%d"),
     ("entropy", "%.6f"), ("confidence", "%.6f"), ("margin", "%.6f"), ("score_top1", "%.6f"),
 )
@@ -485,18 +480,19 @@ def write_records_csv(ev: Evaluations, path) -> None:
     decimals."""
     if len(ev) == 0:
         raise ValueError("evaluations must be non-empty")
-    row = ",".join(spec for _, spec in _RECORD_COLUMNS) + "\n"
+    # The tag cells are baked into the row format, their % signs escaped.
+    tags = {"condition": _text_cells([ev.condition])[0], "severity": str(ev.severity)}
+    row = ",".join(
+        spec or tags[name].replace("%", "%%") for name, spec in _RECORD_COLUMNS
+    ) + "\n"
     with _open_write(path) as fh:
         fh.write(",".join(name for name, _ in _RECORD_COLUMNS) + "\n")
         for start in range(0, len(ev), RECORD_BLOCK_ROWS):
             block = ev.take(slice(start, start + RECORD_BLOCK_ROWS))
-            sample_id, condition, *numbers = (
-                getattr(block, name).tolist() for name, _ in _RECORD_COLUMNS
+            sample_id, *numbers = (
+                getattr(block, name).tolist() for name, spec in _RECORD_COLUMNS if spec
             )
-            fh.writelines(
-                row % cells
-                for cells in zip(_text_cells(sample_id), _text_cells(condition), *numbers)
-            )
+            fh.writelines(row % cells for cells in zip(_text_cells(sample_id), *numbers))
 
 
 def _cell(value) -> str:

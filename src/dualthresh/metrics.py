@@ -1,9 +1,8 @@
-"""Uncertainty metrics aggregated over (condition, severity) groups.
+"""Uncertainty metrics of one (condition, severity) group.
 
 The per-sample measures are columns of an
-:class:`~dualthresh.prediction.Evaluations` batch; the functions here take
-that batch and reduce its columns with numpy means, whose pairwise
-summation keeps results independent of how a batch was partitioned.
+:class:`~dualthresh.prediction.Evaluations` batch, which is one group; the
+functions here take that batch and reduce its columns.
 """
 
 from __future__ import annotations
@@ -49,37 +48,22 @@ class EvaluationSummary:
     auc: Optional[float]
 
 
-def summarize(ev: "Evaluations") -> list[EvaluationSummary]:
-    """One summary per (condition, severity) group, sorted by that key.
-
-    Group membership depends only on the tag columns, so permuting the
-    rows yields identical output. Each group copies only the columns it
-    reduces, one at a time.
-    """
-    if len(ev) == 0:
+def summarize(ev: "Evaluations") -> EvaluationSummary:
+    """The batch's one summary: the mean of each per-sample measure over
+    every row, and the detection AUC when both flag classes occur."""
+    n = len(ev)
+    if n == 0:
         raise ValueError("evaluations must be non-empty")
-    out = []
-    for condition, severity in sorted(set(zip(ev.condition.tolist(), ev.severity.tolist()))):
-        mask = (ev.condition == condition) & (ev.severity == severity)
-        should_abstain = ev.should_abstain[mask]
-        n = should_abstain.size
-        n_flagged = int(should_abstain.sum())
-        out.append(
-            EvaluationSummary(
-                condition=condition,
-                severity=severity,
-                n=n,
-                coverage=float(np.mean(ev.covered[mask])),
-                avg_set_size=float(np.mean(ev.in_set[mask].sum(axis=1))),
-                avg_entropy=float(np.mean(ev.entropy[mask])),
-                avg_confidence=float(np.mean(ev.confidence[mask])),
-                avg_margin=float(np.mean(ev.margin[mask])),
-                abstention_rate=float(np.mean(ev.abstained[mask])),
-                auc=(
-                    roc_points(ev.score_top1[mask], should_abstain).auc
-                    if 0 < n_flagged < n
-                    else None
-                ),
-            )
-        )
-    return out
+    n_flagged = int(ev.should_abstain.sum())
+    return EvaluationSummary(
+        condition=ev.condition,
+        severity=ev.severity,
+        n=n,
+        coverage=float(np.mean(ev.covered)),
+        avg_set_size=float(np.mean(ev.set_size)),
+        avg_entropy=float(np.mean(ev.entropy)),
+        avg_confidence=float(np.mean(ev.confidence)),
+        avg_margin=float(np.mean(ev.margin)),
+        abstention_rate=float(np.mean(ev.abstained)),
+        auc=roc_points(ev.score_top1, ev.should_abstain).auc if 0 < n_flagged < n else None,
+    )

@@ -26,16 +26,16 @@ BLOCK_CELLS = 65536
 class Evaluations:
     """Everything observed about a batch of samples under fixed thresholds.
 
-    One array per field, row i describing the i-th input sample: the tags
-    ``sample_id``, ``label``, ``condition`` and ``severity``; the (n, k)
-    bool ``in_set`` membership matrix of the prediction sets; and the
-    per-sample verdicts and measures.
+    The batch's ``condition`` and ``severity`` tags, then one array per
+    field, row i describing the i-th input sample: its ``sample_id`` and
+    ``label``; the (n, k) bool ``in_set`` membership matrix of the
+    prediction sets; and the per-sample verdicts and measures.
     """
 
+    condition: str
+    severity: int
     sample_id: np.ndarray
     label: np.ndarray
-    condition: np.ndarray
-    severity: np.ndarray
     in_set: np.ndarray
     covered: np.ndarray
     abstained: np.ndarray
@@ -54,13 +54,16 @@ class Evaluations:
         return self.in_set.sum(axis=1)
 
     def take(self, index) -> "Evaluations":
-        """The rows selected by an index array or a bool mask, in that order."""
-        return Evaluations(**{f.name: getattr(self, f.name)[index] for f in fields(self)})
+        """The rows selected by an index array or a bool mask, in that
+        order, with the batch's tags."""
+        return Evaluations(self.condition, self.severity, **{
+            f.name: getattr(self, f.name)[index] for f in fields(self)[2:]
+        })
 
 
 def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> Evaluations:
     """Evaluate a batch with vectorized kernels, preserving its row order;
-    the tag columns are the batch's own.
+    the tags are the batch's own.
 
     ``should_abstain`` flags the top-1 errors, the rule ``calibrate``
     placed ``q_abs`` by; argmax ties break toward the lowest class index.
@@ -90,10 +93,10 @@ def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> 
         conf[block], second[block] = top_two(p)
 
     return Evaluations(
-        sample_id=samples.sample_id,
-        label=labels,
         condition=samples.condition,
         severity=samples.severity,
+        sample_id=samples.sample_id,
+        label=labels,
         in_set=in_set,
         covered=in_set[np.arange(n), labels],
         abstained=score_top1 > thresholds.q_abs,

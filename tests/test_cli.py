@@ -229,6 +229,29 @@ class TestGen:
         )
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    @pytest.mark.parametrize(
+        "overrides", [{"generator": {"n_samples": 10**18}}, {"n_calibration": 10**18}]
+    )
+    def test_oversized_generator_setting_exits_2(self, tmp_path, capsys, command, overrides):
+        # 8 EB is beyond any address space, so nothing is allocated.
+        cfg = write_config(tmp_path, **overrides)
+        out_flag = "--out" if command == "gen" else "--out-dir"
+        assert main([command, str(cfg), out_flag, str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("accuracy", [0.05, 0.1])
+    def test_accuracy_at_or_below_chance_exits_2(self, tmp_path, capsys, accuracy):
+        generator = {**small_config()["generator"], "k_classes": 10, "base_accuracy": accuracy}
+        cfg = write_config(tmp_path, generator=generator)
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == (
+            "error: base_accuracy must exceed chance, 1/k_classes = 0.1 "
+            f"for k_classes 10, got {accuracy}\n"
+        )
+        assert not (tmp_path / "d" / "manifest.json").exists()
+
 
 class TestCalibrate:
     def test_worked_four_sample_file(self, tmp_path, capsys):
@@ -752,6 +775,18 @@ class TestSweep:
         summary = (tmp_path / "sw" / "summary.csv.partial").read_text(encoding="utf-8")
         assert [line.split(",")[:2] for line in summary.splitlines()[1:]] == [
             ["fog", "0"], ["fog", "3"], ["rain", "0"],
+        ]
+
+    def test_summary_rows_sorted_by_condition_then_severity(self, tmp_path):
+        cfg = write_config(tmp_path, conditions=["rain", "fog"], severities=[3, 0])
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 0
+        summary = (tmp_path / "sw" / "summary.csv").read_text(encoding="utf-8")
+        assert [line.split(",")[:2] for line in summary.splitlines()[1:]] == [
+            ["fog", "0"], ["fog", "3"], ["rain", "0"], ["rain", "3"],
+        ]
+        docs = json.loads((tmp_path / "sw" / "summary.json").read_text(encoding="utf-8"))
+        assert [(d["condition"], d["severity"]) for d in docs] == [
+            ("fog", 0), ("fog", 3), ("rain", 0), ("rain", 3),
         ]
 
     def test_heatmap_quotes_condition_cells(self, tmp_path):

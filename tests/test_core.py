@@ -255,19 +255,18 @@ class TestValidatorOracle:
 
 class TestSampleBatch:
     def test_valid_batch(self):
-        batch = SampleBatch(["a", "b"], [1, 0], [[0.2, 0.8], [0.6, 0.4]], "rain\x00", [3, 2])
+        batch = SampleBatch(["a", "b"], [1, 0], [[0.2, 0.8], [0.6, 0.4]], "rain\x00", 3)
         assert len(batch) == 2 and batch.k_classes == 2
         assert batch.probs[0, 1] == 0.8
         assert batch.label.dtype == np.int64 and batch.probs.dtype == np.float64
-        assert batch.condition.tolist() == ["rain\x00", "rain\x00"]
-        assert batch.severity.tolist() == [3, 2]
+        assert (batch.condition, batch.severity) == ("rain\x00", 3)
 
     def test_columns_are_read_only_copies(self):
         probs = np.array([[0.2, 0.8]])
         batch = SampleBatch(["a"], [1], probs)
         probs[0, 0] = 0.5
         assert batch.probs[0, 0] == 0.2
-        for column in (batch.sample_id, batch.label, batch.probs, batch.condition, batch.severity):
+        for column in (batch.sample_id, batch.label, batch.probs):
             assert not column.flags.writeable
 
     def test_rows_are_validated_and_clipped(self):
@@ -286,6 +285,23 @@ class TestSampleBatch:
             SampleBatch(["a"], [0], [[0.2, 0.8]], severity=6)
         assert str(err.value) == "severity must be in [0, 5], got 6"
 
+    @pytest.mark.parametrize("tags, message", [
+        ((["rain", "fog"], 0), "condition must be a str, got list"),
+        ((np.array(["rain", "fog"]), 0), "condition must be a str, got ndarray"),
+        (("rain", [1, 2]), "severity must be an integer, got list"),
+        (("rain", np.array([1, 2])), "severity must be an integer, got ndarray"),
+        (("rain", 2.0), "severity must be an integer, got float"),
+        (("rain", True), "severity must be an integer, got bool"),
+    ])
+    def test_unsupported_tags(self, tags, message):
+        with pytest.raises(ValueError) as err:
+            SampleBatch(["a", "b"], [0, 1], [[0.2, 0.8], [0.5, 0.5]], *tags)
+        assert str(err.value) == message
+
+    def test_numpy_integer_severity_is_stored_as_int(self):
+        batch = SampleBatch(["a"], [0], [[0.2, 0.8]], "rain", np.int64(3))
+        assert type(batch.severity) is int and batch.severity == 3
+
     @pytest.mark.parametrize("columns", [
         (["a"], [0, 1], [[0.2, 0.8]]),
         (["a", "b"], [0], [[0.2, 0.8], [0.5, 0.5]]),
@@ -300,14 +316,14 @@ class TestSampleBatch:
 
     def test_take_selects_rows_without_validating(self, monkeypatch):
         batch = SampleBatch(["a", "b", "c"], [0, 1, 1], [[0.9, 0.1], [0.5, 0.5], [0.3, 0.7]],
-                            ["rain", "fog", "rain"], [1, 2, 3])
+                            "rain", 2)
         calls = []
         monkeypatch.setattr(core, "as_probabilities", lambda p: calls.append(p))
         part = batch.take(np.array([2, 0]))
         assert part.sample_id.tolist() == ["c", "a"]
         assert part.probs.tolist() == [[0.3, 0.7], [0.9, 0.1]]
-        assert part.condition.tolist() == ["rain", "rain"]
-        assert batch.take(batch.severity > 1).label.tolist() == [1, 1]
+        assert (part.condition, part.severity) == ("rain", 2)
+        assert batch.take(batch.sample_id != "a").label.tolist() == [1, 1]
         assert not part.probs.flags.writeable
         assert calls == []
         with pytest.raises(ValueError, match="non-empty"):

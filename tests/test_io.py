@@ -62,8 +62,8 @@ def csv_writer_records(ev, path):
 
     columns = (
         ("sample_id", ev.sample_id.tolist()),
-        ("condition", ev.condition.tolist()),
-        ("severity", ev.severity.tolist()),
+        ("condition", [ev.condition] * len(ev)),
+        ("severity", [ev.severity] * len(ev)),
         ("top1", ev.top1.tolist()),
         ("covered", ev.covered.astype(np.int64).tolist()),
         ("abstained", ev.abstained.astype(np.int64).tolist()),
@@ -83,7 +83,10 @@ def csv_writer_records(ev, path):
 def rowwise_read_logits_csv(path, condition="", severity=0):
     """Reference reader: the csv loop that checks, parses and validates one
     row at a time, which the bulk block parse must match."""
-    bad_severity = not core.SEVERITY_MIN <= severity <= core.SEVERITY_MAX
+    if not core.SEVERITY_MIN <= severity <= core.SEVERITY_MAX:
+        raise ValueError(
+            f"severity must be in [{core.SEVERITY_MIN}, {core.SEVERITY_MAX}], got {severity}"
+        )
     with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
         reader = csv.reader(fh)
         try:
@@ -127,11 +130,6 @@ def rowwise_read_logits_csv(path, condition="", severity=0):
                     rows.append(core.as_probabilities(values))
                 except ValueError as exc:
                     raise ParseError(path, line_no, str(exc)) from None
-                if bad_severity:
-                    raise ParseError(
-                        path, line_no, f"severity must be in [{core.SEVERITY_MIN}, "
-                        f"{core.SEVERITY_MAX}], got {severity}",
-                    )
                 labels.append(label)
         except csv.Error as exc:
             reason = (
@@ -141,13 +139,11 @@ def rowwise_read_logits_csv(path, condition="", severity=0):
             raise ParseError(path, reader.line_num, reason) from None
     if not labels:
         raise ParseError(path, 2, "file contains a header but no data rows")
-    n = len(labels)
     return core.SampleBatch._from_valid(
+        condition, severity,
         sample_id=np.array(list(first_line), dtype=object),
         label=np.array(labels, dtype=np.int64),
         probs=np.array(rows),
-        condition=np.array([condition] * n, dtype=object),
-        severity=np.full(n, severity, dtype=np.int64),
     )
 
 
@@ -234,10 +230,11 @@ def _evaluations(draw):
 
     real = _EDGE_FLOATS | st.sampled_from([1.0, 0.5e-6, -2.5e-7, 1e300]) | st.floats()
     return Evaluations(
+        # Conditions the records writer bakes into its row format.
+        condition=draw(st.sampled_from(["", "50%", "a,b", 'q"x', "%d"]) | _TEXT),
+        severity=draw(st.integers(0, 5)),
         sample_id=column(_TEXT, object),
         label=column(st.integers(0, k - 1), np.int64),
-        condition=column(_TEXT, object),
-        severity=column(st.integers(0, 5), np.int64),
         in_set=column(st.lists(st.booleans(), min_size=k, max_size=k), bool),
         covered=column(st.booleans(), bool),
         abstained=column(st.booleans(), bool),
@@ -276,7 +273,7 @@ class TestWritersMatchCsvWriter:
         n, k = 50_000, 10
         probs = np.random.default_rng(5).dirichlet(np.ones(k), size=n)
         ev = evaluate_samples(
-            sample_batch((f"s{i}", i % k, p, "rain", 2) for i, p in enumerate(probs)),
+            sample_batch(((f"s{i}", i % k, p) for i, p in enumerate(probs)), "rain", 2),
             thresholds(k_classes=k),
         )
         path = tmp_path / "records.csv"
@@ -304,8 +301,9 @@ class TestSamplesCsv:
         write_samples_csv(samples, path)
         back = read_logits_csv(path, condition="fog", severity=2)
         assert len(back) == len(samples)
-        for name in ("sample_id", "label", "condition", "severity"):
+        for name in ("sample_id", "label"):
             assert getattr(back, name).tolist() == getattr(samples, name).tolist()
+        assert (back.condition, back.severity) == (samples.condition, samples.severity)
         assert np.max(np.abs(samples.probs - back.probs)) < 1e-9
 
     def test_logit_rows_pass_through_softmax(self, tmp_path):
@@ -535,8 +533,8 @@ class TestSamplesCsv:
         def outcome(reader):
             try:
                 return reader(path, condition="c", severity=severity)
-            except ParseError as exc:
-                return str(exc)
+            except ValueError as exc:
+                return f"{type(exc).__name__}: {exc}"
 
         want = outcome(rowwise_read_logits_csv)
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
@@ -546,9 +544,19 @@ class TestSamplesCsv:
         if isinstance(want, str) or isinstance(got, str):
             assert got == want
             return
-        for name in ("sample_id", "label", "condition", "severity"):
+        for name in ("sample_id", "label"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist()
+        assert (got.condition, got.severity) == (want.condition, want.severity)
         assert np.array_equal(got.probs.view(np.int64), want.probs.view(np.int64))
+
+    def test_severity_is_checked_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n", encoding="utf-8")
+        for target in (path, tmp_path / "missing.csv"):
+            with pytest.raises(ValueError) as err:
+                read_logits_csv(target, severity=9)
+            assert type(err.value) is ValueError
+            assert str(err.value) == "severity must be in [0, 5], got 9"
 
     def test_not_utf8_names_the_line_of_the_first_bad_byte(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -586,7 +594,7 @@ class TestSamplesCsv:
         self, tmp_path_factory, rows, condition, severity
     ):
         samples = sample_batch(
-            (sid, label, np.array(w) / sum(w), condition, severity) for sid, w, label in rows
+            ((sid, label, np.array(w) / sum(w)) for sid, w, label in rows), condition, severity
         )
         path = tmp_path_factory.mktemp("csv") / "samples.csv"
         write_samples_csv(samples, path)
@@ -597,8 +605,7 @@ class TestSamplesCsv:
         back = read_logits_csv(path, condition=condition, severity=severity)
         assert back.sample_id.tolist() == [sid for sid, _, _ in rows]
         assert back.label.tolist() == [label for _, _, label in rows]
-        assert back.condition.tolist() == [condition] * len(rows)
-        assert back.severity.tolist() == [severity] * len(rows)
+        assert (back.condition, back.severity) == (condition, severity)
         assert np.max(np.abs(samples.probs - back.probs)) <= 1e-9
 
 
@@ -699,7 +706,7 @@ def test_non_utf8_json_rejected_naming_the_file(tmp_path, reader):
 
 def _records(n=6):
     samples = sample_batch(
-        (f"s{i}", i % 2, [0.85, 0.15] if i % 3 else [0.45, 0.55], "rain", 1) for i in range(n)
+        ((f"s{i}", i % 2, [0.85, 0.15] if i % 3 else [0.45, 0.55]) for i in range(n)), "rain", 1
     )
     thr = thresholds(k_classes=2)
     return evaluate_samples(samples, thr)
@@ -722,7 +729,7 @@ class TestExports:
         assert len(cells[8].split(".")[1]) == 6
 
     def test_summary_csv_and_json(self, tmp_path):
-        summaries = summarize(_records())
+        summaries = [summarize(_records())]
         csv_path = tmp_path / "summary.csv"
         json_path = tmp_path / "summary.json"
         write_summary(summaries, csv_path, format="csv")
@@ -739,7 +746,7 @@ class TestExports:
     def test_absent_auc_is_empty_cell_and_null(self, tmp_path):
         samples = sample_batch((f"s{i}", 0, [0.9, 0.1]) for i in range(3))
         recs = evaluate_samples(samples, thresholds(k_classes=2))
-        summaries = summarize(recs)
+        summaries = [summarize(recs)]
         assert summaries[0].auc is None
         csv_path = tmp_path / "s.csv"
         json_path = tmp_path / "s.json"
@@ -748,9 +755,16 @@ class TestExports:
         assert csv_path.read_text(encoding="utf-8").splitlines()[1].endswith(",")
         assert json.loads(json_path.read_text(encoding="utf-8"))[0]["auc"] is None
 
+    def test_numpy_integer_severity_exports_to_json(self, tmp_path):
+        samples = sample_batch([("a", 0, [0.9, 0.1])], "rain", np.int64(3))
+        path = tmp_path / "s.json"
+        write_summary([summarize(evaluate_samples(samples, thresholds(k_classes=2)))], path,
+                      format="json")
+        assert json.loads(path.read_text(encoding="utf-8"))[0]["severity"] == 3
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
-            write_summary(summarize(_records()), tmp_path / "x", format="xml")
+            write_summary([summarize(_records())], tmp_path / "x", format="xml")
 
     def test_roc_csv_row_count(self, tmp_path):
         scores = [0.1, 0.2, 0.2, 0.5, 0.9]
@@ -771,8 +785,8 @@ class TestExports:
         write_records_csv(recs, b)
         assert a.read_bytes() == b.read_bytes()
         sa, sb = tmp_path / "sa.json", tmp_path / "sb.json"
-        write_summary(summarize(recs), sa, format="json")
-        write_summary(summarize(recs), sb, format="json")
+        write_summary([summarize(recs)], sa, format="json")
+        write_summary([summarize(recs)], sb, format="json")
         assert sa.read_bytes() == sb.read_bytes()
 
     def test_lf_line_endings(self, tmp_path):
@@ -792,7 +806,7 @@ class TestExports:
         samples = sample_batch(
             (f"s{i}", i % 2, [1.0, 0.0] if i % 2 == 0 else [0.0, 1.0]) for i in range(4)
         )
-        summaries = summarize(evaluate_samples(samples, thresholds(k_classes=2)))
+        summaries = [summarize(evaluate_samples(samples, thresholds(k_classes=2)))]
         csv_path, json_path = tmp_path / "s.csv", tmp_path / "s.json"
         write_summary(summaries, csv_path, format="csv")
         write_summary(summaries, json_path, format="json")

@@ -24,9 +24,9 @@ def random_prob_vector(rng, k):
     return p / p.sum()
 
 
-def sample_batch(rows):
-    """A SampleBatch of (sample_id, label, probs[, condition, severity]) rows."""
-    return SampleBatch(*zip(*rows))
+def sample_batch(rows, condition="", severity=0):
+    """A SampleBatch of (sample_id, label, probs) rows with the given tags."""
+    return SampleBatch(*zip(*rows), condition=condition, severity=severity)
 
 
 def evaluate_one(row, thr, **kwargs):
@@ -38,8 +38,8 @@ def evaluate_one(row, thr, **kwargs):
 def evaluations_from(probs_labels, q_conf=1.0, q_abs=0.7, condition="", severity=0):
     """Evaluate (probabilities, label) pairs of one class count as one batch."""
     samples = sample_batch(
-        (f"s{i}", label, probs, condition, severity)
-        for i, (probs, label) in enumerate(probs_labels)
+        ((f"s{i}", label, probs) for i, (probs, label) in enumerate(probs_labels)),
+        condition, severity,
     )
     return evaluate_samples(samples, thresholds(q_conf, q_abs, k=len(probs_labels[0][0])))
 
@@ -50,7 +50,8 @@ def members(ev, i=0):
 
 
 def assert_same(a: Evaluations, b: Evaluations):
-    for name in Evaluations.__dataclass_fields__:
+    assert (a.condition, a.severity) == (b.condition, b.severity)
+    for name in list(Evaluations.__dataclass_fields__)[2:]:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
@@ -156,16 +157,14 @@ class TestEvaluateSample:
         rng = np.random.default_rng(33)
         thr = thresholds(1.0, 0.7, k=4)
         rows = [
-            (f"s{i}", int(rng.integers(0, 4)), random_prob_vector(rng, 4), f"c{i % 3}", i % 6)
-            for i in range(50)
+            (f"s{i}", int(rng.integers(0, 4)), random_prob_vector(rng, 4)) for i in range(50)
         ]
-        samples = sample_batch(rows)
+        samples = sample_batch(rows, "c1", 4)
         first = evaluate_samples(samples, thr)
         assert_same(first, evaluate_samples(samples, thr))
         assert first.sample_id.tolist() == [row[0] for row in rows]
         assert first.label.tolist() == [row[1] for row in rows]
-        assert first.condition.tolist() == [row[3] for row in rows]
-        assert first.severity.tolist() == [row[4] for row in rows]
+        assert (first.condition, first.severity) == ("c1", 4)
 
     def test_single_sample_matches_batch(self):
         rng = np.random.default_rng(44)
@@ -209,19 +208,19 @@ class TestEvaluationsBatch:
     def test_len_set_size_and_take(self):
         thr = thresholds(math.log(2), 0.2, k=2)
         samples = sample_batch([
-            ("a", 0, [0.9, 0.1], "rain", 1),
-            ("b", 1, [0.5, 0.5], "fog", 2),
-            ("c", 1, [0.3, 0.7], "rain", 3),
-        ])
+            ("a", 0, [0.9, 0.1]),
+            ("b", 1, [0.5, 0.5]),
+            ("c", 1, [0.3, 0.7]),
+        ], "rain", 3)
         ev = evaluate_samples(samples, thr)
         assert len(ev) == 3
         assert ev.set_size.tolist() == [1, 2, 1]
         by_index = ev.take(np.array([2, 0]))
         assert by_index.sample_id.tolist() == ["c", "a"]
         assert by_index.set_size.tolist() == [1, 1]
-        by_mask = ev.take(ev.condition == "rain")
+        by_mask = ev.take(ev.sample_id != "b")
         assert by_mask.sample_id.tolist() == ["a", "c"]
-        assert by_mask.severity.tolist() == [1, 3]
+        assert (by_mask.condition, by_mask.severity) == ("rain", 3)
         assert by_mask.in_set.shape == (2, 2)
 
 
@@ -304,9 +303,9 @@ def _blocked_batches(draw):
         rows.append((
             f"s{i}", draw(st.integers(0, k - 1)),
             np.asarray(weights, dtype=np.float64) / sum(weights),
-            draw(st.sampled_from(["", "fog", "rain"])), draw(st.integers(0, 5)),
         ))
-    return sample_batch(rows), block
+    tags = draw(st.sampled_from(["", "fog", "rain"])), draw(st.integers(0, 5))
+    return sample_batch(rows, *tags), block
 
 
 class TestBlockedAgainstUnblocked:
