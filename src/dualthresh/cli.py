@@ -237,6 +237,11 @@ def cmd_evaluate(args) -> int:
         )
     if "\r" in args.condition:
         raise ValueError(f"--condition must not hold a carriage return, got {args.condition!r}")
+    if Path(args.records_out).resolve() == Path(args.summary_out).resolve():
+        raise ValueError(
+            f"--records-out and --summary-out name the same file {args.records_out!r}; "
+            "the summary would overwrite the records"
+        )
     thresholds = read_thresholds(args.thresholds)
     # The rows go straight into evaluation, so they are freed before the
     # export; only the per-row outputs stay.

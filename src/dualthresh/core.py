@@ -103,11 +103,18 @@ def softmax(logits) -> np.ndarray:
     under an additive shift of all logits and cannot overflow for finite
     input of any magnitude.
     """
-    z = as_logits(logits)
-    e = np.exp(z - z.max())
-    p = e / e.sum()
+    p = softmax_rows(as_logits(logits))
     p.flags.writeable = False
     return p
+
+
+def softmax_rows(z: np.ndarray) -> np.ndarray:
+    """The softmax kernel, over the last axis of unvalidated logits, as a
+    new array: exp(z - max) / sum. A shift that overflows to -inf gives a
+    zero probability."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def nonconformity_scores(p: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate, optimize, special
 
-from .core import SEVERITY_MAX, SampleBatch, check_tags
+from .core import SEVERITY_MAX, SampleBatch, check_tags, softmax_rows
 
 DEFAULT_TEMPERATURE_PER_LEVEL = 0.75
 DEFAULT_NOISE_SIGMA_PER_LEVEL = 0.4
@@ -164,10 +164,7 @@ def generate_dataset(config: GeneratorConfig) -> SampleBatch:
                 f"noise_sigma_per_level {cfg.noise_sigma_per_level} give non-finite "
                 f"logits at severity {cfg.severity}"
             )
-        # Row-wise softmax, matching core.softmax on each row.
-        shifted = degraded - degraded.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+        probs = softmax_rows(degraded)
 
     tag = cfg.condition if cfg.condition else "synthetic"
     width = max(5, len(str(cfg.n_samples - 1)))

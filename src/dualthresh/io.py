@@ -579,7 +579,7 @@ class DatasetManifest:
 # Every manifest key in file order, with its JSON type; all are required.
 _MANIFEST_FIELDS = {
     "format_version": INTEGER,
-    "k_classes": INTEGER,
+    "k_classes": ("an integer >= 2", lambda v: is_int(v) and v >= 2),
     "files": ("a list", lambda v: isinstance(v, list)),
 }
 

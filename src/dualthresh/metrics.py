@@ -65,5 +65,5 @@ def summarize(ev: "Evaluations") -> EvaluationSummary:
         avg_confidence=float(np.mean(ev.confidence)),
         avg_margin=float(np.mean(ev.margin)),
         abstention_rate=float(np.mean(ev.abstained)),
-        auc=roc_points(ev.score_top1, ev.should_abstain).auc if 0 < n_flagged < n else None,
+        auc=detection_auc(ev).auc if 0 < n_flagged < n else None,
     )

@@ -1,10 +1,10 @@
 """Apply calibrated thresholds to a batch of new samples.
 
-``evaluate_samples`` gives each row its prediction set, its abstention
-verdict and its per-sample measures. The set carries the coverage
-guarantee, the abstention flag vetoes the top-1 decision; the two are
-independent, and an evaluation reports both so downstream consumers can
-choose their own system-level semantics.
+``evaluate_samples`` gives each row the size and coverage of its
+prediction set, its abstention verdict and its per-sample measures. The
+set carries the coverage guarantee, the abstention flag vetoes the top-1
+decision; the two are independent, and an evaluation reports both so
+downstream consumers can choose their own system-level semantics.
 """
 
 from __future__ import annotations
@@ -26,17 +26,17 @@ BLOCK_CELLS = 65536
 class Evaluations:
     """Everything observed about a batch of samples under fixed thresholds.
 
-    The batch's ``condition`` and ``severity`` tags, then one array per
+    The batch's ``condition`` and ``severity`` tags, then one column per
     field, row i describing the i-th input sample: its ``sample_id`` and
-    ``label``; the (n, k) bool ``in_set`` membership matrix of the
-    prediction sets; and the per-sample verdicts and measures.
+    ``label``, the size of its prediction set, and the per-sample verdicts
+    and measures.
     """
 
     condition: str
     severity: int
     sample_id: np.ndarray
     label: np.ndarray
-    in_set: np.ndarray
+    set_size: np.ndarray
     covered: np.ndarray
     abstained: np.ndarray
     should_abstain: np.ndarray
@@ -48,10 +48,6 @@ class Evaluations:
 
     def __len__(self) -> int:
         return self.label.size
-
-    @property
-    def set_size(self) -> np.ndarray:
-        return self.in_set.sum(axis=1)
 
     def take(self, index) -> "Evaluations":
         """The rows selected by an index array or a bool mask, in that
@@ -78,17 +74,20 @@ def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> 
             f"thresholds were calibrated for {thresholds.k_classes}"
         )
 
-    in_set = np.empty((n, k), dtype=bool)
-    top1 = np.empty(n, dtype=np.intp)
+    set_size, top1 = (np.empty(n, dtype=np.intp) for _ in range(2))
+    covered = np.empty(n, dtype=bool)
     score_top1, entropy, conf, second = (np.empty(n) for _ in range(4))
     step = max(1, BLOCK_CELLS // k)
     for start in range(0, n, step):
         block = slice(start, start + step)
         p = p_mat[block]
         scores = nonconformity_scores(p)
-        in_set[block] = scores <= thresholds.q_conf
+        in_set = scores <= thresholds.q_conf
+        set_size[block] = in_set.sum(axis=1)
+        rows = np.arange(len(p))
+        covered[block] = in_set[rows, labels[block]]
         top1[block] = top = p.argmax(axis=1)
-        score_top1[block] = scores[np.arange(top.size), top]
+        score_top1[block] = scores[rows, top]
         entropy[block] = normalized_entropies(p)
         conf[block], second[block] = top_two(p)
 
@@ -97,8 +96,8 @@ def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> 
         severity=samples.severity,
         sample_id=samples.sample_id,
         label=labels,
-        in_set=in_set,
-        covered=in_set[np.arange(n), labels],
+        set_size=set_size,
+        covered=covered,
         abstained=score_top1 > thresholds.q_abs,
         should_abstain=top1 != labels,
         top1=top1,

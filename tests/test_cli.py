@@ -484,6 +484,23 @@ class TestEvaluate:
         assert err == "error: --severity must be in [0, 5], got 9\n"
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("summary", ["out.csv", "./out.csv", "sub/../out.csv"])
+    def test_records_and_summary_naming_one_file_exit_2(self, tmp_path, capsys, summary):
+        # Rejected before the inputs are read: neither of them exists.
+        (tmp_path / "sub").mkdir()
+        records = str(tmp_path / "out.csv")
+        code = main(
+            ["evaluate", "--test", str(tmp_path / "missing.csv"),
+             "--thresholds", str(tmp_path / "missing.json"),
+             "--records-out", records, "--summary-out", str(tmp_path / summary)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --records-out and --summary-out name the same file {records!r}; "
+            "the summary would overwrite the records\n"
+        )
+        assert not (tmp_path / "out.csv").exists()
+
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_non_object_json_artifact_exits_2(tmp_path, capsys, command):
@@ -564,6 +581,9 @@ def _test(condition="rain", **fields):
         ({"files": [_cal(), _test(), _test(path="x.csv")]},
          "files 'rain_s3.csv' and 'x.csv' are both test files for condition 'rain' severity 3"),
         ({"files": [_cal(), _test(condition="a\rb")]}, "'condition'"),
+        ({"k_classes": 1}, "key 'k_classes' must be an integer >= 2, got 1"),
+        ({"k_classes": 0}, "key 'k_classes' must be an integer >= 2, got 0"),
+        ({"k_classes": -3}, "key 'k_classes' must be an integer >= 2, got -3"),
     ],
 )
 def test_malformed_manifest_exits_2_naming_the_fault(tmp_path, capsys, manifest, named):
@@ -574,6 +594,7 @@ def test_malformed_manifest_exits_2_naming_the_fault(tmp_path, capsys, manifest,
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert len(err.splitlines()) == 1
+    assert not (tmp_path / "sw").exists()
 
 
 class TestSweep:

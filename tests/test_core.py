@@ -11,7 +11,9 @@ from dualthresh.core import (
     SampleBatch,
     as_logits,
     as_probabilities,
+    nonconformity_scores,
     softmax,
+    softmax_rows,
 )
 
 from .test_prediction import evaluations_from, sample_batch
@@ -51,6 +53,24 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(bad)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from([2, 7, 10, 100, 1000]),
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        spread=st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e100, 1e307]),
+        edges=st.lists(st.floats(-1e308, 1e308), max_size=4),
+    )
+    def test_rows_kernel_equals_softmax_of_each_row(self, k, n, seed, spread, edges):
+        # A matrix's rows through the kernel are bit for bit each row
+        # through softmax, with spreads whose shift overflows to -inf.
+        z = np.random.default_rng(seed).standard_normal((n, k)) * spread
+        z.flat[:len(edges)] = edges
+        with np.errstate(over="ignore"):
+            rows = softmax_rows(z)
+            for i in range(n):
+                assert rows[i].tobytes() == softmax(z[i]).tobytes()
+
 
 class TestNonconformity:
     """The -log p score, read from an evaluation's top-1 score and set
@@ -69,7 +89,11 @@ class TestNonconformity:
         floor_score = 27.631021115928547
         below = np.nextafter(floor_score, 0.0)
         for q_conf, in_set in ((floor_score, [True, True]), (below, [True, False])):
-            assert evaluations_from([([1.0, 0.0], 0)], q_conf=q_conf).in_set[0].tolist() == in_set
+            assert (nonconformity_scores(np.array([1.0, 0.0])) <= q_conf).tolist() == in_set
+            # the row under each label: covered is membership of that label
+            ev = evaluations_from([([1.0, 0.0], 0), ([1.0, 0.0], 1)], q_conf=q_conf)
+            assert ev.covered.tolist() == in_set
+            assert ev.set_size.tolist() == [sum(in_set)] * 2
 
     def test_label_out_of_range(self):
         for label in (2, -1):

@@ -235,7 +235,7 @@ def _evaluations(draw):
         severity=draw(st.integers(0, 5)),
         sample_id=column(_TEXT, object),
         label=column(st.integers(0, k - 1), np.int64),
-        in_set=column(st.lists(st.booleans(), min_size=k, max_size=k), bool),
+        set_size=column(st.integers(0, k), np.intp),
         covered=column(st.booleans(), bool),
         abstained=column(st.booleans(), bool),
         should_abstain=column(st.booleans(), bool),

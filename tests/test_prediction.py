@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -44,9 +45,17 @@ def evaluations_from(probs_labels, q_conf=1.0, q_abs=0.7, condition="", severity
     return evaluate_samples(samples, thresholds(q_conf, q_abs, k=len(probs_labels[0][0])))
 
 
-def members(ev, i=0):
-    """The sorted labels in row i's prediction set."""
-    return tuple(np.flatnonzero(ev.in_set[i]).tolist())
+def members(probs, q_conf):
+    """The sorted labels in the prediction set of one probability row,
+    worked out from its scores. Evaluated once under each label, the row
+    must cover exactly those labels and count them as its set size."""
+    k = len(probs)
+    samples = sample_batch((f"s{y}", y, probs) for y in range(k))
+    in_set = nonconformity_scores(samples.probs[0]) <= q_conf
+    ev = evaluate_samples(samples, thresholds(q_conf, 0.7, k=k))
+    assert ev.covered.tolist() == in_set.tolist()
+    assert (ev.set_size == in_set.sum()).all()
+    return tuple(np.flatnonzero(in_set).tolist())
 
 
 def assert_same(a: Evaluations, b: Evaluations):
@@ -59,27 +68,24 @@ def assert_same(a: Evaluations, b: Evaluations):
 class TestPredictionSet:
     def test_hand_computed_members(self):
         # -ln 0.6 = 0.511 is the only score under ln 2
-        assert members(evaluations_from([([0.6, 0.3, 0.1], 0)], q_conf=math.log(2))) == (0,)
+        assert members([0.6, 0.3, 0.1], math.log(2)) == (0,)
 
     def test_sentinel_includes_everything(self):
-        ev = evaluations_from([([0.7, 0.1, 0.1, 0.1], 0)], q_conf=math.inf)
-        assert members(ev) == (0, 1, 2, 3)
+        assert members([0.7, 0.1, 0.1, 0.1], math.inf) == (0, 1, 2, 3)
 
     def test_boundary_is_inclusive(self):
-        ev = evaluations_from([([0.25, 0.25, 0.25, 0.25], 0)], q_conf=math.log(4))
-        assert members(ev) == (0, 1, 2, 3)
+        assert members([0.25, 0.25, 0.25, 0.25], math.log(4)) == (0, 1, 2, 3)
 
     def test_empty_set_is_legal(self):
-        ev = evaluations_from([([0.5, 0.5], 0)], q_conf=0.1)
-        assert members(ev) == () and ev.set_size[0] == 0
+        assert members([0.5, 0.5], 0.1) == ()
 
     def test_monotone_in_q_conf(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             p = random_prob_vector(rng, int(rng.integers(2, 15)))
             q1, q2 = sorted(rng.uniform(0.0, 4.0, size=2))
-            small = set(members(evaluations_from([(p, 0)], q_conf=q1)))
-            large = set(members(evaluations_from([(p, 0)], q_conf=q2)))
+            small = set(members(p, q1))
+            large = set(members(p, q2))
             assert small <= large
 
 
@@ -147,7 +153,9 @@ class TestEvaluateSample:
             (f"s{i}", int(rng.integers(0, 6)), random_prob_vector(rng, 6)) for i in range(300)
         )
         ev = evaluate_samples(samples, thr)
-        assert np.array_equal(ev.covered, ev.in_set[np.arange(len(ev)), ev.label])
+        in_set = nonconformity_scores(samples.probs) <= thr.q_conf
+        assert np.array_equal(ev.covered, in_set[np.arange(len(ev)), ev.label])
+        assert np.array_equal(ev.set_size, in_set.sum(axis=1))
         for i, (label, p) in enumerate(zip(samples.label, samples.probs)):
             score_label = -math.log(max(float(p[label]), 1e-12))
             assert ev.covered[i] == (score_label <= thr.q_conf)
@@ -198,7 +206,7 @@ class TestEvaluateSample:
             assert ev.margin[i] == first - second
             assert ev.top1[i] == p.index(first)
             assert ev.score_top1[i] == pytest.approx(scores[p.index(first)], abs=1e-12)
-            assert ev.in_set[i].tolist() == [s <= thr.q_conf for s in scores]
+            assert ev.set_size[i] == sum(s <= thr.q_conf for s in scores)
             assert ev.covered[i] == (scores[0] <= thr.q_conf)
             assert ev.abstained[i] == (scores[p.index(first)] > thr.q_abs)
             assert ev.should_abstain[i] == (p.index(first) != 0)
@@ -221,7 +229,17 @@ class TestEvaluationsBatch:
         by_mask = ev.take(ev.sample_id != "b")
         assert by_mask.sample_id.tolist() == ["a", "c"]
         assert (by_mask.condition, by_mask.severity) == ("rain", 3)
-        assert by_mask.in_set.shape == (2, 2)
+        assert by_mask.set_size.tolist() == [1, 1]
+
+    @pytest.mark.parametrize("k", [2, 1000])
+    def test_every_array_field_is_one_value_per_row(self, k):
+        ev = evaluate_samples(dirichlet_samples(7, k, seed=k), thresholds(2.0, 1.0, k=k))
+        names = [f.name for f in fields(Evaluations)]
+        assert names[:2] == ["condition", "severity"] and "in_set" not in names
+        for name in names[2:]:
+            assert getattr(ev, name).shape == (len(ev),), name
+        assert ev.set_size.dtype == np.intp
+        assert not [name for name, v in vars(Evaluations).items() if isinstance(v, property)]
 
 
 # A probability row with some exact zeros and ties, which a one-sample
@@ -268,7 +286,6 @@ def unblocked_evaluate(samples, thresholds):
 
     scores = nonconformity_scores(p_mat)
     in_set = scores <= thresholds.q_conf
-    covered = in_set[rows, labels]
     top1 = p_mat.argmax(axis=1)
     score_top1 = scores[rows, top1]
     conf, second = top_two(p_mat)
@@ -278,8 +295,8 @@ def unblocked_evaluate(samples, thresholds):
         label=labels,
         condition=samples.condition,
         severity=samples.severity,
-        in_set=in_set,
-        covered=covered,
+        set_size=in_set.sum(axis=1),
+        covered=in_set[rows, labels],
         abstained=score_top1 > thresholds.q_abs,
         should_abstain=top1 != labels,
         top1=top1,
