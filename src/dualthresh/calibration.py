@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DegenerateLabelsError, SampleBatch, nonconformity_scores
+from .core import BLOCK_CELLS, DegenerateLabelsError, SampleBatch, nonconformity_scores
 
 THRESHOLDS_FORMAT_VERSION = 1
 
@@ -195,12 +195,19 @@ def calibrate(samples: SampleBatch, alpha: float) -> CalibratedThresholds:
 
     Scores every sample against its true label, takes the conformal
     quantile at level alpha, flags the top-1 errors, and places the
-    abstention threshold at the Youden optimum of the score ROC.
+    abstention threshold at the Youden optimum of the score ROC. The
+    argmax runs over blocks of about BLOCK_CELLS cells, since numpy's
+    argmax over a read-only matrix copies it whole.
     """
     labels, probs = samples.label, samples.probs
-    scores = nonconformity_scores(probs[np.arange(labels.size), labels])
+    n, k = probs.shape
+    scores = nonconformity_scores(probs[np.arange(n), labels])
     q_conf = conformal_threshold(scores, alpha)
-    flags = probs.argmax(axis=1) != labels
+    top1 = np.empty(n, dtype=np.intp)
+    step = max(1, BLOCK_CELLS // k)
+    for start in range(0, n, step):
+        top1[start:start + step] = probs[start:start + step].argmax(axis=1)
+    flags = top1 != labels
     try:
         roc = roc_points(scores, flags)
     except DegenerateLabelsError as exc:
@@ -220,7 +227,7 @@ def calibrate(samples: SampleBatch, alpha: float) -> CalibratedThresholds:
         q_conf=q_conf,
         q_abs=q_abs,
         alpha=alpha,
-        n_calibration=labels.size,
+        n_calibration=n,
         youden_j=youden_j,
-        k_classes=probs.shape[1],
+        k_classes=k,
     )

@@ -24,12 +24,14 @@ from .calibration import (
     CalibratedThresholds,
     calibrate,
 )
-from .core import DegenerateLabelsError, SEVERITY_MAX, SEVERITY_MIN
+from .core import DegenerateLabelsError, check_tags
 from .datagen import GeneratorConfig, derive_seed, generate_dataset
 from .io import (
+    CONDITION,
     INTEGER,
     MANIFEST_FORMAT_VERSION,
     NUMBER,
+    SEVERITY,
     ArtifactError,
     DatasetManifest,
     ManifestCondition,
@@ -54,16 +56,25 @@ from .prediction import evaluate_samples
 DEFAULT_CONDITIONS = ("rain", "fog", "snow", "motion_blur")
 DEFAULT_SEVERITIES = (0, 1, 2, 3, 4, 5)
 
-# The JSON type of each config key; the generator keys live under the
-# "generator" object.
+
+def _distinct_list(item):
+    """The JSON type of a non-empty list of distinct ``item`` values."""
+    phrase, ok = item
+    return (
+        f"a non-empty list of distinct values, each {phrase}",
+        # Each item is checked before the set hashes it.
+        lambda v: isinstance(v, list) and all(map(ok, v)) and 0 < len(set(v)) == len(v),
+    )
+
+
+# The JSON type and rule of each config key; the generator keys live under
+# the "generator" object, and GeneratorConfig checks their values.
 _TOP_KEY_TYPES = {
-    "alpha": NUMBER,
-    "conditions": ("a list of strings", lambda v: isinstance(v, list)
-                   and all(isinstance(c, str) for c in v)),
-    "severities": ("a list of integers", lambda v: isinstance(v, list)
-                   and all(map(is_int, v))),
+    "alpha": ("a number in (0, 1)", lambda v: NUMBER[1](v) and 0 < v < 1),
+    "conditions": _distinct_list(CONDITION),
+    "severities": _distinct_list(SEVERITY),
     "seed": INTEGER,
-    "n_calibration": INTEGER,
+    "n_calibration": ("an integer >= 1", lambda v: is_int(v) and v >= 1),
     "manifest": ("a string", lambda v: v is None or isinstance(v, str)),
     "generator": ("an object", lambda v: isinstance(v, dict)),
 }
@@ -80,7 +91,8 @@ DEFAULT_GENERATOR = GeneratorConfig(
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Parsed sweep/generation configuration file.
+    """Parsed sweep/generation configuration file, whose values
+    ``from_file`` checks against the key tables above.
 
     ``generator`` is the template every generated file is drawn from: its
     ``n_samples`` sizes each test file, and the calibration and test
@@ -94,28 +106,6 @@ class SweepConfig:
     n_calibration: int = 500
     generator: GeneratorConfig = DEFAULT_GENERATOR
     manifest: Optional[str] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if len(self.conditions) == 0:
-            raise ValueError("conditions must be non-empty")
-        if len(self.severities) == 0:
-            raise ValueError("severities must be non-empty")
-        for sev in self.severities:
-            if not SEVERITY_MIN <= sev <= SEVERITY_MAX:
-                raise ValueError(
-                    f"severities must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], got {sev}"
-                )
-        if len(set(self.conditions)) != len(self.conditions):
-            raise ValueError("conditions contain duplicates")
-        for cond in self.conditions:
-            if "\r" in cond:
-                raise ValueError(f"conditions must not hold a carriage return, got {cond!r}")
-        if len(set(self.severities)) != len(self.severities):
-            raise ValueError("severities contain duplicates")
-        if self.n_calibration < 1:
-            raise ValueError("n_calibration must be >= 1")
 
     @classmethod
     def from_file(cls, path) -> "SweepConfig":
@@ -231,12 +221,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if not SEVERITY_MIN <= args.severity <= SEVERITY_MAX:
-        raise ValueError(
-            f"--severity must be in [{SEVERITY_MIN}, {SEVERITY_MAX}], got {args.severity}"
-        )
-    if "\r" in args.condition:
-        raise ValueError(f"--condition must not hold a carriage return, got {args.condition!r}")
+    try:
+        check_tags(args.condition, args.severity)
+    except ValueError as exc:  # the message starts with the field, named as its flag
+        raise ValueError(f"--{exc}") from None
     if Path(args.records_out).resolve() == Path(args.summary_out).resolve():
         raise ValueError(
             f"--records-out and --summary-out name the same file {args.records_out!r}; "

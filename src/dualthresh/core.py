@@ -31,6 +31,10 @@ _SUM_ORDER_SLACK = 2.0**-50
 SEVERITY_MIN = 0
 SEVERITY_MAX = 5
 
+# Cells per block of the (rows, k) kernels that run over a whole batch:
+# their temporaries stay near 0.5 MiB each whatever the batch size.
+BLOCK_CELLS = 65536
+
 
 class DegenerateLabelsError(ValueError):
     """A binary criterion collapsed to a single class (TPR or FPR undefined)."""
@@ -144,11 +148,14 @@ def top_two(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_tags(condition, severity) -> tuple[str, int]:
-    """Return a batch's tags as a ``str`` condition and an ``int``
-    severity in [SEVERITY_MIN, SEVERITY_MAX], or raise ValueError naming
-    the field."""
+    """Return a batch's tags as a ``str`` condition without a carriage
+    return, which the LF-terminated exports would leave unquoted, and an
+    ``int`` severity in [SEVERITY_MIN, SEVERITY_MAX], or raise ValueError
+    naming the field."""
     if not isinstance(condition, str):
         raise ValueError(f"condition must be a str, got {type(condition).__name__}")
+    if "\r" in condition:
+        raise ValueError(f"condition must not hold a carriage return, got {condition!r}")
     if isinstance(severity, bool) or not isinstance(severity, (int, np.integer)):
         raise ValueError(f"severity must be an integer, got {type(severity).__name__}")
     if not SEVERITY_MIN <= severity <= SEVERITY_MAX:
@@ -167,8 +174,9 @@ class SampleBatch:
 
     Building a batch validates it: the tags through ``check_tags``, at
     least one row, each probability row through ``as_probabilities``
-    (entries within the rounding slack are clipped), then every label in
-    [0, k). Every column is a read-only array.
+    (entries within the rounding slack are clipped), every label in
+    [0, k), then every sample id a ``str`` without a carriage return, as
+    the CSV writers need. Every column is a read-only array.
     """
 
     sample_id: np.ndarray
@@ -199,6 +207,11 @@ class SampleBatch:
         bad = (label < 0) | (label >= k)
         if bad.any():
             raise ValueError(f"label {label[bad.argmax()]} out of range for {k} classes")
+        for sample_id in columns["sample_id"]:
+            if not isinstance(sample_id, str):
+                raise ValueError(f"sample_id must be a str, got {type(sample_id).__name__}")
+            if "\r" in sample_id:
+                raise ValueError(f"sample_id {sample_id!r} holds a carriage return")
         object.__setattr__(self, "condition", condition)
         object.__setattr__(self, "severity", severity)
         for name, column in columns.items():

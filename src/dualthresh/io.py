@@ -24,9 +24,9 @@ import numpy as np
 
 from . import core
 from .calibration import THRESHOLDS_FORMAT_VERSION, CalibratedThresholds, RocCurve
-from .core import SEVERITY_MAX, SEVERITY_MIN, SampleBatch, check_tags
+from .core import BLOCK_CELLS, SEVERITY_MAX, SEVERITY_MIN, SampleBatch, check_tags
 from .metrics import EvaluationSummary
-from .prediction import BLOCK_CELLS, Evaluations
+from .prediction import Evaluations
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -63,6 +63,13 @@ def is_int(value) -> bool:
 INTEGER = ("an integer", is_int)
 NUMBER = ("a number", lambda v: is_int(v) or isinstance(v, float))
 STRING = ("a string", lambda v: isinstance(v, str))
+# The JSON spellings of core.check_tags' rules, which the config's lists
+# and the manifest's entries share.
+CONDITION = ("a string without a carriage return", lambda v: isinstance(v, str) and "\r" not in v)
+SEVERITY = (
+    f"an integer in [{SEVERITY_MIN}, {SEVERITY_MAX}]",
+    lambda v: is_int(v) and SEVERITY_MIN <= v <= SEVERITY_MAX,
+)
 
 
 def load_json(path):
@@ -220,9 +227,10 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     path = Path(path)
     # Records end at LF or CRLF only, so an unquoted carriage return
     # anywhere else makes the csv reader fail on its line rather than
-    # split the row in two.
+    # split the row in two. A logit row whose range passes the largest
+    # double shifts some entry to -inf, a zero probability, not a fault.
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="\n") as fh, np.errstate(over="ignore"):
             sample_ids, labels, probs = _read_rows(path, fh)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
@@ -586,13 +594,8 @@ _MANIFEST_FIELDS = {
 # Every entry key in file order, with its JSON type; ``role`` is optional.
 _ENTRY_FIELDS = {
     "path": STRING,
-    "condition": (
-        "a string without a carriage return", lambda v: isinstance(v, str) and "\r" not in v
-    ),
-    "severity": (
-        f"an integer in [{SEVERITY_MIN}, {SEVERITY_MAX}]",
-        lambda v: is_int(v) and SEVERITY_MIN <= v <= SEVERITY_MAX,
-    ),
+    "condition": CONDITION,
+    "severity": SEVERITY,
     "role": ("'calibration' or 'test'", lambda v: v in ("calibration", "test")),
 }
 

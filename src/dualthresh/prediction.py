@@ -14,12 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calibration import CalibratedThresholds
-from .core import SampleBatch, nonconformity_scores, normalized_entropies, top_two
-
-
-# Cells per block of evaluate_samples' kernels: their (rows, k)
-# temporaries stay near 0.5 MiB each whatever the batch size.
-BLOCK_CELLS = 65536
+from .core import BLOCK_CELLS, SampleBatch, nonconformity_scores, normalized_entropies, top_two
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,12 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+# The rules of the config's two lists, as an error message spells them.
+CONDITIONS_RULE = (
+    "a non-empty list of distinct values, each a string without a carriage return"
+)
+SEVERITIES_RULE = "a non-empty list of distinct values, each an integer in [0, 5]"
+
 # Three conditions whose file names would all be a_b.
 COLLIDING = ["a_b", "a,b", "a b"]
 COLLISION_ERROR = "error: conditions 'a b' and 'a,b' share the file name 'a_b'\n"
@@ -225,7 +231,31 @@ class TestGen:
         cfg = write_config(tmp_path, conditions=["rain", "a\rb"])
         assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
         assert capsys.readouterr().err == (
-            "error: conditions must not hold a carriage return, got 'a\\rb'\n"
+            f"error: {cfg}: config key 'conditions' must be {CONDITIONS_RULE}, "
+            "got ['rain', 'a\\rb']\n"
+        )
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["gen", "sweep"])
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("alpha", 0, "a number in (0, 1)"),
+            ("alpha", 1.0, "a number in (0, 1)"),
+            ("conditions", [], CONDITIONS_RULE),
+            ("conditions", ["rain", "fog", "rain"], CONDITIONS_RULE),
+            ("severities", [], SEVERITIES_RULE),
+            ("severities", [0, 6], SEVERITIES_RULE),
+            ("severities", [3, 0, 3], SEVERITIES_RULE),
+            ("n_calibration", 0, "an integer >= 1"),
+        ],
+    )
+    def test_config_rule_violation_exits_2(self, tmp_path, capsys, command, key, value, rule):
+        cfg = write_config(tmp_path, **{key: value})
+        out_flag = "--out" if command == "gen" else "--out-dir"
+        assert main([command, str(cfg), out_flag, str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config key {key!r} must be {rule}, got {value!r}\n"
         )
         assert not (tmp_path / "d").exists()
 

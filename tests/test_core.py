@@ -316,10 +316,21 @@ class TestSampleBatch:
         (("rain", np.array([1, 2])), "severity must be an integer, got ndarray"),
         (("rain", 2.0), "severity must be an integer, got float"),
         (("rain", True), "severity must be an integer, got bool"),
+        (("fog\rrain", 0), "condition must not hold a carriage return, got 'fog\\rrain'"),
     ])
     def test_unsupported_tags(self, tags, message):
         with pytest.raises(ValueError) as err:
             SampleBatch(["a", "b"], [0, 1], [[0.2, 0.8], [0.5, 0.5]], *tags)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("ids, message", [
+        ([1, 2], "sample_id must be a str, got int"),
+        (["a", None], "sample_id must be a str, got NoneType"),
+        (["a", "b\rc"], "sample_id 'b\\rc' holds a carriage return"),
+    ])
+    def test_ids_the_csv_writers_cannot_write(self, ids, message):
+        with pytest.raises(ValueError) as err:
+            SampleBatch(ids, [0, 1], [[0.2, 0.8], [0.5, 0.5]])
         assert str(err.value) == message
 
     def test_numpy_integer_severity_is_stored_as_int(self):

@@ -41,8 +41,8 @@ _TEXT = st.text(
     ),
     max_size=8,
 )
-# Conditions holding a carriage return are rejected where they enter.
-_CONDITION = _TEXT.filter(lambda text: "\r" not in text)
+# A batch rejects a condition or a sample id holding a carriage return.
+_BATCH_TEXT = _TEXT.filter(lambda text: "\r" not in text)
 
 
 # Reference writers: the csv.writer-based bodies that the one-format-per-row
@@ -217,7 +217,7 @@ def _sample_batches(draw):
     for _ in range(draw(st.integers(1, 10))):
         probs = draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
         probs.insert(draw(st.integers(0, k - 1)), 1.0 - math.fsum(probs))
-        rows.append((draw(_TEXT), draw(st.integers(0, k - 1)), probs))
+        rows.append((draw(_BATCH_TEXT), draw(st.integers(0, k - 1)), probs))
     return sample_batch(rows)
 
 
@@ -306,17 +306,21 @@ class TestSamplesCsv:
         assert (back.condition, back.severity) == (samples.condition, samples.severity)
         assert np.max(np.abs(samples.probs - back.probs)) < 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_logit_rows_pass_through_softmax(self, tmp_path):
         path = tmp_path / "logits.csv"
-        path.write_text(
-            "sample_id,label,logit_0,logit_1\n"
-            f"a,0,{math.log(4)},0.0\n"
-            "b,1,1000.0,1000.0\n",
-            encoding="utf-8",
-        )
-        samples = read_logits_csv(path)
-        assert samples.probs[0] == pytest.approx([0.8, 0.2], abs=1e-12)
-        assert samples.probs[1] == pytest.approx([0.5, 0.5], abs=1e-12)
+        for last_id in ("c", '"c"'):  # the bulk parse, then the row-by-row loop
+            path.write_text(
+                "sample_id,label,logit_0,logit_1\n"
+                f"a,0,{math.log(4)},0.0\n"
+                "b,1,1000.0,1000.0\n"
+                f"{last_id},0,1e308,-1e308\n",  # the shift overflows to -inf
+                encoding="utf-8",
+            )
+            samples = read_logits_csv(path)
+            assert samples.probs[0] == pytest.approx([0.8, 0.2], abs=1e-12)
+            assert samples.probs[1] == pytest.approx([0.5, 0.5], abs=1e-12)
+            assert samples.probs[2].tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("kind", ["prob", "logit"])
     def test_each_row_is_validated_once_through_core(self, tmp_path, monkeypatch, kind):
@@ -593,15 +597,15 @@ class TestSamplesCsv:
     def test_round_trip_keeps_ids_labels_tags_and_probabilities(
         self, tmp_path_factory, rows, condition, severity
     ):
-        samples = sample_batch(
-            ((sid, label, np.array(w) / sum(w)) for sid, w, label in rows), condition, severity
-        )
+        batch_rows = [(sid, label, np.array(w) / sum(w)) for sid, w, label in rows]
+        # A carriage return would reach the LF-terminated file unquoted.
+        if "\r" in condition or any("\r" in sid for sid, _, _ in rows):
+            with pytest.raises(ValueError, match="carriage return"):
+                sample_batch(batch_rows, condition, severity)
+            return
+        samples = sample_batch(batch_rows, condition, severity)
         path = tmp_path_factory.mktemp("csv") / "samples.csv"
         write_samples_csv(samples, path)
-        if any("\r" in sid for sid, _, _ in rows):
-            with pytest.raises(ParseError, match="carriage return"):
-                read_logits_csv(path, condition=condition, severity=severity)
-            return
         back = read_logits_csv(path, condition=condition, severity=severity)
         assert back.sample_id.tolist() == [sid for sid, _, _ in rows]
         assert back.label.tolist() == [label for _, _, label in rows]
@@ -819,7 +823,7 @@ class TestExports:
         summaries=st.lists(
             st.builds(
                 EvaluationSummary,
-                condition=_CONDITION,
+                condition=_BATCH_TEXT,
                 severity=st.integers(0, 5),
                 n=st.integers(1, 10**9),
                 coverage=st.floats(0.0, 1.0),
