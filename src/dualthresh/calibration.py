@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BLOCK_CELLS, DegenerateLabelsError, SampleBatch, nonconformity_scores
+from .core import DegenerateLabelsError, SampleBatch, block_rows, nonconformity_scores
 
 THRESHOLDS_FORMAT_VERSION = 1
 
@@ -196,7 +196,7 @@ def calibrate(samples: SampleBatch, alpha: float) -> CalibratedThresholds:
     Scores every sample against its true label, takes the conformal
     quantile at level alpha, flags the top-1 errors, and places the
     abstention threshold at the Youden optimum of the score ROC. The
-    argmax runs over blocks of about BLOCK_CELLS cells, since numpy's
+    argmax runs over blocks of ``core.block_rows`` rows, since numpy's
     argmax over a read-only matrix copies it whole.
     """
     labels, probs = samples.label, samples.probs
@@ -204,7 +204,7 @@ def calibrate(samples: SampleBatch, alpha: float) -> CalibratedThresholds:
     scores = nonconformity_scores(probs[np.arange(n), labels])
     q_conf = conformal_threshold(scores, alpha)
     top1 = np.empty(n, dtype=np.intp)
-    step = max(1, BLOCK_CELLS // k)
+    step = block_rows(k)
     for start in range(0, n, step):
         top1[start:start + step] = probs[start:start + step].argmax(axis=1)
     flags = top1 != labels

@@ -25,7 +25,7 @@ from .calibration import (
     calibrate,
 )
 from .core import DegenerateLabelsError, check_tags
-from .datagen import GeneratorConfig, derive_seed, generate_dataset
+from .datagen import GeneratorConfig, derive_seed, generate_dataset, signal_strength
 from .io import (
     CONDITION,
     INTEGER,
@@ -111,10 +111,15 @@ class SweepConfig:
     def from_file(cls, path) -> "SweepConfig":
         doc = check_fields(f"{path}: config", load_json(path), _TOP_KEY_TYPES)
         gen = check_fields(f"{path}: config generator", doc.pop("generator", {}), _GEN_KEY_TYPES)
+        try:  # before anything is written; generation reuses the cached solution
+            generator = replace(DEFAULT_GENERATOR, **gen)
+            signal_strength(generator.k_classes, generator.base_accuracy)
+        except (OverflowError, ValueError) as exc:
+            raise ArtifactError(f"{path}: config generator: {exc}") from None
         for key in ("conditions", "severities"):
             if key in doc:
                 doc[key] = tuple(doc[key])
-        return cls(**doc, generator=replace(DEFAULT_GENERATOR, **gen))
+        return cls(**doc, generator=generator)
 
     def calibration_config(self, condition: str) -> GeneratorConfig:
         return replace(

@@ -31,13 +31,18 @@ _SUM_ORDER_SLACK = 2.0**-50
 SEVERITY_MIN = 0
 SEVERITY_MAX = 5
 
-# Cells per block of the (rows, k) kernels that run over a whole batch:
-# their temporaries stay near 0.5 MiB each whatever the batch size.
+# Cells per block of every loop over a whole batch or file, read through
+# block_rows: each temporary stays near 0.5 MiB whatever the batch size.
 BLOCK_CELLS = 65536
 
 
 class DegenerateLabelsError(ValueError):
     """A binary criterion collapsed to a single class (TPR or FPR undefined)."""
+
+
+def block_rows(width: int) -> int:
+    """Rows in a block of about BLOCK_CELLS cells of ``width``, at least one."""
+    return max(1, BLOCK_CELLS // width)
 
 
 def as_logits(values) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import core
 from .calibration import THRESHOLDS_FORMAT_VERSION, CalibratedThresholds, RocCurve
-from .core import BLOCK_CELLS, SEVERITY_MAX, SEVERITY_MIN, SampleBatch, check_tags
+from .core import SEVERITY_MAX, SEVERITY_MIN, SampleBatch, block_rows, check_tags
 from .metrics import EvaluationSummary
 from .prediction import Evaluations
 
@@ -138,17 +138,25 @@ def _text_cells(values: list[str]) -> list[str]:
 # logits / probability CSV
 
 
+def _write_rows(path, header: list[str], row: str, ids: np.ndarray, *columns: np.ndarray) -> None:
+    """Write ``header``, then one ``row % cells`` line per row, a block of
+    ``block_rows(len(header))`` rows at a time: ``ids`` through ``_text_cells``,
+    then the 1-D numeric ``columns``, made Python numbers a row at a time."""
+    step = block_rows(len(header))
+    with _open_write(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(ids), step):
+            block = slice(start, start + step)
+            numbers = (memoryview(np.ascontiguousarray(c[block])) for c in columns)
+            fh.writelines(row % cells for cells in zip(_text_cells(ids[block].tolist()), *numbers))
+
+
 def write_samples_csv(samples: SampleBatch, path) -> None:
     """Write samples as probability rows at 9 significant digits."""
     k = samples.k_classes
+    header = ["sample_id", "label"] + [f"prob_{j}" for j in range(k)]
     row = "%s,%d," + ",".join(["%.9g"] * k) + "\n"
-    ids = _text_cells(samples.sample_id.tolist())
-    with _open_write(path) as fh:
-        fh.write(",".join(["sample_id", "label"] + [f"prob_{j}" for j in range(k)]) + "\n")
-        fh.writelines(
-            row % (sid, label, *values)
-            for sid, label, values in zip(ids, samples.label.tolist(), samples.probs.tolist())
-        )
+    _write_rows(path, header, row, samples.sample_id, samples.label, *samples.probs.T)
 
 
 # A label cell: an optional minus sign and ASCII digits, nothing else.
@@ -217,9 +225,9 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     endings) is split and parsed in bulk, one C call for all its values,
     and its ids, labels and cell counts are checked at once. A block the
     bulk pass cannot vouch for goes through a row-by-row csv loop instead,
-    and so does the rest of the file once a double quote appears, since a
-    quoted cell may span lines; only that loop reports cell, id and label
-    errors. Either way each row then goes through ``core.softmax``
+    which reads past the block only the lines that a quoted cell in its
+    last record spans; only that loop reports cell, id and label errors.
+    Either way each row then goes through ``core.softmax``
     (logit files) and ``core.as_probabilities`` on its own, so the
     messages and line numbers are those of a file read row by row.
     """
@@ -254,9 +262,9 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
         kind, k = _parse_header(path, header)
 
         # Ids in file order, each with its line; labels; and the
-        # validated rows, stacked into a matrix block of about
-        # BLOCK_CELLS cells at a time.
-        block_rows = max(1, BLOCK_CELLS // k)
+        # validated rows, stacked into a matrix block of
+        # core.block_rows rows at a time.
+        stack_rows = block_rows(k)
         first_line: dict[str, int] = {}
         labels: list[int] = []
         rows: list[np.ndarray] = []
@@ -271,7 +279,7 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                 rows.append(core.as_probabilities(values))
             except ValueError as exc:
                 raise ParseError(path, line_no, str(exc)) from None
-            if len(rows) == block_rows:
+            if len(rows) == stack_rows:
                 blocks.append(np.array(rows))
                 rows.clear()
 
@@ -291,9 +299,9 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                     line_no += len(block)
                     continue
 
-            # Row by row: this block, or once csv quoting appears the rest
-            # of the file, since a quoted cell may span lines.
-            reader = csv.reader(chain(block, fh) if '"' in text else block)
+            # Row by row: this block, and past it only the lines that a
+            # quoted cell in its last record spans.
+            reader = csv.reader(chain(block, fh))
             base, next_line = line_no - 1, line_no
             for row in reader:
                 # A quoted cell may span lines; name the record's first one.
@@ -329,6 +337,8 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                     raise ParseError(path, line_no, "non-numeric value cell") from None
                 labels.append(label)
                 keep(line_no, values)
+                if reader.line_num >= len(block):
+                    break
             line_no = next_line
     except csv.Error as exc:
         reason = (
@@ -478,10 +488,6 @@ _RECORD_COLUMNS = (
     ("entropy", "%.6f"), ("confidence", "%.6f"), ("margin", "%.6f"), ("score_top1", "%.6f"),
 )
 
-# Rows write_records_csv formats at once: the Python objects holding
-# their cells stay bounded whatever the batch size.
-RECORD_BLOCK_ROWS = 4096
-
 
 def write_records_csv(ev: Evaluations, path) -> None:
     """Write one row per evaluated sample, booleans as 0/1, reals at 6
@@ -493,14 +499,8 @@ def write_records_csv(ev: Evaluations, path) -> None:
     row = ",".join(
         spec or tags[name].replace("%", "%%") for name, spec in _RECORD_COLUMNS
     ) + "\n"
-    with _open_write(path) as fh:
-        fh.write(",".join(name for name, _ in _RECORD_COLUMNS) + "\n")
-        for start in range(0, len(ev), RECORD_BLOCK_ROWS):
-            block = ev.take(slice(start, start + RECORD_BLOCK_ROWS))
-            sample_id, *numbers = (
-                getattr(block, name).tolist() for name, spec in _RECORD_COLUMNS if spec
-            )
-            fh.writelines(row % cells for cells in zip(_text_cells(sample_id), *numbers))
+    columns = (getattr(ev, name) for name, spec in _RECORD_COLUMNS if spec)
+    _write_rows(path, [name for name, _ in _RECORD_COLUMNS], row, *columns)
 
 
 def _cell(value) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .calibration import CalibratedThresholds
-from .core import BLOCK_CELLS, SampleBatch, nonconformity_scores, normalized_entropies, top_two
+from .core import SampleBatch, block_rows, nonconformity_scores, normalized_entropies, top_two
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +58,8 @@ def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> 
 
     ``should_abstain`` flags the top-1 errors, the rule ``calibrate``
     placed ``q_abs`` by; argmax ties break toward the lowest class index.
-    The kernels run over blocks of about BLOCK_CELLS cells; each works row
-    by row, so the blocking changes no output bit.
+    The kernels run over blocks of ``core.block_rows`` rows; each works
+    row by row, so the blocking changes no output bit.
     """
     labels, p_mat = samples.label, samples.probs
     n, k = p_mat.shape
@@ -72,7 +72,7 @@ def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> 
     set_size, top1 = (np.empty(n, dtype=np.intp) for _ in range(2))
     covered = np.empty(n, dtype=bool)
     score_top1, entropy, conf, second = (np.empty(n) for _ in range(4))
-    step = max(1, BLOCK_CELLS // k)
+    step = block_rows(k)
     for start in range(0, n, step):
         block = slice(start, start + step)
         p = p_mat[block]

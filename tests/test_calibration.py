@@ -253,7 +253,7 @@ class TestCalibrate:
 
     def test_peak_stays_below_the_matrix(self):
         # An argmax over the whole read-only matrix copied it, a peak of
-        # 1.00x here; over blocks of BLOCK_CELLS cells it is 0.035x.
+        # 1.00x here; over blocks of core.block_rows(k) rows it is 0.035x.
         n, k = 2000, 1000
         samples = dirichlet_samples(n, k, seed=3)
         assert traced_peak(calibrate, samples, 0.1) <= 0.1 * n * k * 8

@@ -177,7 +177,9 @@ class TestGen:
     def test_generator_fault_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, generator={"n_samples": 0})
         assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
-        assert capsys.readouterr().err == "error: n_samples must be >= 1, got 0\n"
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config generator: n_samples must be >= 1, got 0\n"
+        )
         assert not (tmp_path / "d").exists()
 
     def test_conditions_sharing_a_file_name_exit_2(self, tmp_path, capsys):
@@ -211,7 +213,7 @@ class TestGen:
             else "nonnegative, and finite times"
         )
         assert capsys.readouterr().err == (
-            f"error: {key} must be {rule} the top severity 5, got {got}\n"
+            f"error: {cfg}: config generator: {key} must be {rule} the top severity 5, got {got}\n"
         )
         assert not (tmp_path / "d").exists()
 
@@ -275,12 +277,13 @@ class TestGen:
     def test_accuracy_at_or_below_chance_exits_2(self, tmp_path, capsys, accuracy):
         generator = {**small_config()["generator"], "k_classes": 10, "base_accuracy": accuracy}
         cfg = write_config(tmp_path, generator=generator)
-        assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 2
-        assert capsys.readouterr().err == (
-            "error: base_accuracy must exceed chance, 1/k_classes = 0.1 "
-            f"for k_classes 10, got {accuracy}\n"
-        )
-        assert not (tmp_path / "d" / "manifest.json").exists()
+        for command, out_flag in (("gen", "--out"), ("sweep", "--out-dir")):
+            assert main([command, str(cfg), out_flag, str(tmp_path / "d")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {cfg}: config generator: base_accuracy must exceed chance, "
+                f"1/k_classes = 0.1 for k_classes 10, got {accuracy}\n"
+            )
+            assert not (tmp_path / "d").exists()
 
 
 class TestCalibrate:

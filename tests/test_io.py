@@ -249,10 +249,12 @@ def _evaluations(draw):
 
 class TestWritersMatchCsvWriter:
     @settings(max_examples=300, deadline=None)
-    @given(samples=_sample_batches())
-    def test_samples_csv_bytes(self, tmp_path_factory, samples):
+    @given(samples=_sample_batches(), block_rows=st.integers(1, 9))
+    def test_samples_csv_bytes(self, tmp_path_factory, samples, block_rows):
         tmp = tmp_path_factory.mktemp("samples")
-        write_samples_csv(samples, tmp / "new.csv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "BLOCK_CELLS", (samples.k_classes + 2) * block_rows)
+            write_samples_csv(samples, tmp / "new.csv")
         csv_writer_samples(samples, tmp / "old.csv")
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
@@ -261,15 +263,15 @@ class TestWritersMatchCsvWriter:
     def test_records_csv_bytes(self, tmp_path_factory, ev, block_rows):
         tmp = tmp_path_factory.mktemp("records")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io, "RECORD_BLOCK_ROWS", block_rows)
+            mp.setattr(core, "BLOCK_CELLS", 12 * block_rows)
             write_records_csv(ev, tmp / "new.csv")
         csv_writer_records(ev, tmp / "old.csv")
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
     def test_records_csv_peak(self, tmp_path):
         # Formatting every column at once peaked at 194 bytes a row (9.7 MB
-        # here); a block of RECORD_BLOCK_ROWS rows holds about 390 bytes a
-        # row, whatever the batch size.
+        # here); a block of core.block_rows(12) rows stays within 40 bytes
+        # a cell of the block, whatever the batch size.
         n, k = 50_000, 10
         probs = np.random.default_rng(5).dirichlet(np.ones(k), size=n)
         ev = evaluate_samples(
@@ -277,9 +279,23 @@ class TestWritersMatchCsvWriter:
             thresholds(k_classes=k),
         )
         path = tmp_path / "records.csv"
-        assert traced_peak(write_records_csv, ev, path) <= 640 * io.RECORD_BLOCK_ROWS
+        assert traced_peak(write_records_csv, ev, path) <= 40 * core.BLOCK_CELLS
         csv_writer_records(ev, tmp_path / "old.csv")
         assert path.read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_samples_csv_peak(self, tmp_path):
+        # Formatting every row at once peaked at 4.0x the matrix (61 MiB
+        # here); blocks of core.block_rows(1002) rows, each making Python
+        # numbers of one row at a time, peak at 0.09x. The bytes are
+        # test_samples_csv_bytes' concern.
+        n, k = 2_000, 1_000
+        rng = np.random.default_rng(9)
+        samples = core.SampleBatch(
+            [f"s{i}" for i in range(n)], rng.integers(0, k, size=n), rng.dirichlet(np.ones(k), n)
+        )
+        path = tmp_path / "samples.csv"
+        assert traced_peak(write_samples_csv, samples, path) <= 0.1 * samples.probs.nbytes
+        assert path.stat().st_size > samples.probs.size  # every cell written
 
 
 def thresholds(**overrides):
@@ -337,7 +353,7 @@ class TestSamplesCsv:
             + "".join(f"s{i},{i % 2},0.25,0.75\n" for i in range(2500)),
             encoding="utf-8",
         )
-        monkeypatch.setattr(io, "BLOCK_CELLS", 2048)  # blocks of 1024 rows
+        monkeypatch.setattr(core, "BLOCK_CELLS", 2048)  # blocks of 1024 rows
         batch = read_logits_csv(path)
         assert len(batch) == 2500 and batch.probs.shape == (2500, 2)
         assert calls.count("as_probabilities") == 2500
@@ -527,6 +543,8 @@ class TestSamplesCsv:
     @example(text="sample_id,label,logit_0,logit_1\na,0,1.5,-2\nb,1,1000,1000\n",
              parse_rows=1, severity=0)
     @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n", parse_rows=1, severity=6)
+    @example(text='sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n"b\nc",1,0.5,0.5\nd,0,0.5,0.5\n',
+             parse_rows=1, severity=0)
     def test_bulk_parse_matches_the_rowwise_reader(
         self, tmp_path_factory, text, parse_rows, severity
     ):
@@ -552,6 +570,24 @@ class TestSamplesCsv:
             assert getattr(got, name).tolist() == getattr(want, name).tolist()
         assert (got.condition, got.severity) == (want.condition, want.severity)
         assert np.array_equal(got.probs.view(np.int64), want.probs.view(np.int64))
+
+    def test_a_quoted_cell_sends_only_its_own_block_row_by_row(self, tmp_path, monkeypatch):
+        # Line 3's quoted id spans into line 4, past its parse block of
+        # lines 2-3; the blocks after it are parsed in bulk.
+        path = tmp_path / "quoted.csv"
+        path.write_text(
+            'sample_id,label,prob_0,prob_1\ns0,0,0.5,0.5\n"a\nb",1,0.5,0.5\n'
+            + "".join(f"s{i},{i % 2},0.25,0.75\n" for i in range(1, 11)),
+            encoding="utf-8",
+        )
+        parsed = []
+        real = io._parse_block
+        monkeypatch.setattr(io, "_parse_block", lambda *a: parsed.append(real(*a)) or parsed[-1])
+        monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 4)  # blocks of 2 lines
+        batch = read_logits_csv(path)
+        assert batch.sample_id.tolist() == ["s0", "a\nb"] + [f"s{i}" for i in range(1, 11)]
+        assert [p is not None for p in parsed] == [False] + [True] * 5
+        assert np.array_equal(batch.probs, rowwise_read_logits_csv(path).probs)
 
     def test_severity_is_checked_before_the_file_is_opened(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -3,7 +3,10 @@
 import re
 from pathlib import Path
 
+import numpy as np
+
 import dualthresh
+from dualthresh import calibration, core, io, prediction
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +48,35 @@ def test_readme_library_example_runs(capsys):
     coverage_line, summary_line = capsys.readouterr().out.splitlines()
     assert len(coverage_line.split()) == 3
     assert summary_line.startswith("EvaluationSummary(condition='', severity=0, n=1000,")
+
+
+def test_core_block_rows_alone_sizes_every_block(tmp_path, monkeypatch):
+    # The rule "about BLOCK_CELLS cells, at least one row" is spelled once.
+    for module in (calibration, prediction, io):
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        assert not re.search(r"\bBLOCK_CELLS\b", source), module.__name__
+    assert "RECORD_BLOCK_ROWS" not in Path(io.__file__).read_text(encoding="utf-8")
+
+    # So patching core's constant alone reblocks the kernels and both
+    # writers, which call these once a block.
+    calls = []
+    for module, name in ((prediction, "nonconformity_scores"), (io, "_text_cells")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, n=name, f=real: calls.append(n) or f(*a))
+    n, k = 6, 3
+    ids = [f"s{i}" for i in range(n)]
+    samples = core.SampleBatch(ids, np.arange(n) % k, np.full((n, k), 1 / k))
+    thresholds = calibration.CalibratedThresholds(
+        q_conf=1.0, q_abs=0.5, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=k
+    )
+
+    def blocks():
+        calls.clear()
+        ev = prediction.evaluate_samples(samples, thresholds)
+        io.write_records_csv(ev, tmp_path / "records.csv")  # one more call quotes the tag
+        io.write_samples_csv(samples, tmp_path / "samples.csv")
+        return calls.count("nonconformity_scores"), calls.count("_text_cells") - 1
+
+    assert blocks() == (1, 2)
+    monkeypatch.setattr(core, "BLOCK_CELLS", 1)  # blocks of one row
+    assert blocks() == (n, 2 * n)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualthresh import prediction
+from dualthresh import core
 from dualthresh.calibration import CalibratedThresholds
 from dualthresh.core import SampleBatch, nonconformity_scores, normalized_entropies, top_two
 from dualthresh.prediction import Evaluations, evaluate_samples
@@ -340,13 +340,13 @@ class TestBlockedAgainstUnblocked:
         # Any cell budget from block * k to block * k + k - 1 gives
         # blocks of `block` rows.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prediction, "BLOCK_CELLS", block * k + spare_cells % k)
+            mp.setattr(core, "BLOCK_CELLS", block * k + spare_cells % k)
             assert_same(evaluate_samples(samples, thr), unblocked_evaluate(samples, thr))
 
     def test_default_block_over_several_blocks(self):
         rng = np.random.default_rng(61)
         k = 10
-        n = 2 * (prediction.BLOCK_CELLS // k) + 1
+        n = 2 * core.block_rows(k) + 1
         probs = rng.dirichlet(np.full(k, 0.5), size=n)
         probs[::7, 3] = 0.0  # exact zeros, renormalized below
         probs /= probs.sum(axis=1, keepdims=True)
