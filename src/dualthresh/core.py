@@ -120,8 +120,9 @@ def softmax(logits) -> np.ndarray:
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """The softmax kernel, over the last axis of unvalidated logits, as a
     new array: exp(z - max) / sum. A shift that overflows to -inf gives a
-    zero probability."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    zero probability, without a numpy warning."""
+    with np.errstate(over="ignore"):
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
@@ -179,9 +180,10 @@ class SampleBatch:
 
     Building a batch validates it: the tags through ``check_tags``, at
     least one row, each probability row through ``as_probabilities``
-    (entries within the rounding slack are clipped), every label in
-    [0, k), then every sample id a ``str`` without a carriage return, as
-    the CSV writers need. Every column is a read-only array.
+    (entries within the rounding slack are clipped), labels of an integer
+    dtype, each in [0, k), then every sample id a ``str`` without a
+    carriage return and unique, as the CSV writers and reader need. Every
+    column is a read-only array.
     """
 
     sample_id: np.ndarray
@@ -200,23 +202,34 @@ class SampleBatch:
             raise ValueError("samples must be non-empty")
         for i in range(n):
             probs[i] = as_probabilities(probs[i])
-        columns = {"probs": probs}
-        for name, dtype in (("sample_id", object), ("label", np.int64)):
-            column = np.array(getattr(self, name), dtype=dtype)
+        ids = np.array(self.sample_id, dtype=object)
+        label = np.asarray(self.label)
+        for name, column in (("sample_id", ids), ("label", label)):
             if column.shape != (n,):
                 raise ValueError(
                     f"{name} must have one entry per row, got shape {column.shape} for {n} rows"
                 )
-            columns[name] = column
-        label = columns["label"]
+        # Checked before the cast, which would truncate 1.7 or True to 1.
+        if label.dtype.kind not in "iu":
+            raise ValueError(f"label must hold integers, got {label.dtype}")
+        label = label.astype(np.int64)
         bad = (label < 0) | (label >= k)
         if bad.any():
             raise ValueError(f"label {label[bad.argmax()]} out of range for {k} classes")
-        for sample_id in columns["sample_id"]:
+        first_row: dict[str, int] = {}
+        for i, sample_id in enumerate(ids):
             if not isinstance(sample_id, str):
                 raise ValueError(f"sample_id must be a str, got {type(sample_id).__name__}")
             if "\r" in sample_id:
                 raise ValueError(f"sample_id {sample_id!r} holds a carriage return")
+            if first_row.setdefault(sample_id, i) != i:
+                raise ValueError(
+                    f"duplicate sample_id {sample_id!r} (first in row {first_row[sample_id]})"
+                )
+        self._install(condition, severity, sample_id=ids, label=label, probs=probs)
+
+    def _install(self, condition: str, severity: int, **columns: np.ndarray) -> None:
+        """Set the tags and the columns, each made read-only."""
         object.__setattr__(self, "condition", condition)
         object.__setattr__(self, "severity", severity)
         for name, column in columns.items():
@@ -229,11 +242,7 @@ class SampleBatch:
         ``check_tags`` returned, checking nothing but that there is a row;
         for producers that validated each row."""
         batch = object.__new__(cls)
-        object.__setattr__(batch, "condition", condition)
-        object.__setattr__(batch, "severity", severity)
-        for name, column in columns.items():
-            column.flags.writeable = False
-            object.__setattr__(batch, name, column)
+        batch._install(condition, severity, **columns)
         if len(batch) == 0:
             raise ValueError("samples must be non-empty")
         return batch
@@ -247,7 +256,8 @@ class SampleBatch:
 
     def take(self, index) -> "SampleBatch":
         """The rows selected by an index array or a bool mask, in that
-        order, with the batch's tags; they are not validated again."""
+        order, with the batch's tags; they are not validated again, so an
+        index that repeats a row repeats its sample id."""
         return SampleBatch._from_valid(
             self.condition, self.severity,
             **{name: getattr(self, name)[index] for name in ("sample_id", "label", "probs")},

@@ -15,7 +15,6 @@ import json
 import math
 import re
 from dataclasses import dataclass, fields
-from io import StringIO
 from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
@@ -111,27 +110,37 @@ def _open_write(path):
 
 
 def _text_cells(values: list[str]) -> list[str]:
-    """Return free-text values as the CSV cells ``csv.writer`` writes for
-    them in a row of several cells.
-
-    A value holding none of ``,`` ``"`` ``\\n`` ``\\r`` is its own cell; any
-    other goes through ``csv.writer`` itself, which alone decides quoting.
-    When no value holds one, ``values`` itself is returned.
-    """
+    """Return free-text values as CSV cells: a value holding ``,`` ``"`` or
+    ``\\n`` is wrapped in double quotes, each ``"`` in it doubled; any other
+    is its own cell. When no value needs quoting, ``values`` itself is
+    returned."""
     joined = "".join(values)
-    if "," not in joined and '"' not in joined and "\n" not in joined and "\r" not in joined:
+    if "," not in joined and '"' not in joined and "\n" not in joined:
         return values
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cells = []
-    for value in values:
-        if "," in value or '"' in value or "\n" in value or "\r" in value:
-            buf.seek(0)
-            buf.truncate()
-            writer.writerow([value])
-            value = buf.getvalue()[:-1]
-        cells.append(value)
-    return cells
+    return [
+        '"' + value.replace('"', '""') + '"'
+        if "," in value or '"' in value or "\n" in value else value
+        for value in values
+    ]
+
+
+def _write_csv(path, rows) -> None:
+    """Write ``rows`` as CSV lines, each cell made a ``str`` and quoted by
+    ``_text_cells``."""
+    with _open_write(path) as fh:
+        fh.writelines(",".join(_text_cells([str(v) for v in row])) + "\n" for row in rows)
+
+
+def _write_json(doc, path) -> None:
+    """Write ``doc`` indented by 2, with a final line feed."""
+    with _open_write(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _check_version(path, version, expected: int) -> None:
+    if version != expected:
+        raise ArtifactError(f"{path}: unknown format_version {version!r}, expected {expected}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +244,9 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     path = Path(path)
     # Records end at LF or CRLF only, so an unquoted carriage return
     # anywhere else makes the csv reader fail on its line rather than
-    # split the row in two. A logit row whose range passes the largest
-    # double shifts some entry to -inf, a zero probability, not a fault.
+    # split the row in two.
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="\n") as fh, np.errstate(over="ignore"):
+        with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
             sample_ids, labels, probs = _read_rows(path, fh)
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
@@ -447,9 +455,7 @@ def write_thresholds(thresholds: CalibratedThresholds, path) -> None:
         for key in _THRESHOLDS_FIELDS if key != "format_version"
     }
     doc["format_version"] = THRESHOLDS_FORMAT_VERSION
-    with _open_write(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def read_thresholds(path) -> CalibratedThresholds:
@@ -462,11 +468,7 @@ def read_thresholds(path) -> CalibratedThresholds:
     doc = check_fields(
         f"{path}: thresholds", load_json(path), _THRESHOLDS_FIELDS, _THRESHOLDS_FIELDS
     )
-    version = doc.pop("format_version")
-    if version != THRESHOLDS_FORMAT_VERSION:
-        raise ArtifactError(
-            f"{path}: unknown format_version {version!r}, expected {THRESHOLDS_FORMAT_VERSION}"
-        )
+    _check_version(path, doc.pop("format_version"), THRESHOLDS_FORMAT_VERSION)
     try:
         return CalibratedThresholds(**{
             key: float(value) if _THRESHOLDS_FIELDS[key] in (_REAL, NUMBER) else value
@@ -521,18 +523,12 @@ def write_summary(summaries: Sequence[EvaluationSummary], path, format: str = "c
     if len(summaries) == 0:
         raise ValueError("summaries must be non-empty")
     if format == "csv":
-        with _open_write(path) as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_SUMMARY_COLUMNS)
-            writer.writerows(_summary_row(s, _cell) for s in summaries)
+        _write_csv(path, [_SUMMARY_COLUMNS] + [_summary_row(s, _cell) for s in summaries])
     elif format == "json":
-        docs = [
+        _write_json([
             dict(zip(_SUMMARY_COLUMNS, _summary_row(s, lambda v: v if v is None else round(v, 6))))
             for s in summaries
-        ]
-        with _open_write(path) as fh:
-            json.dump(docs, fh, indent=2)
-            fh.write("\n")
+        ], path)
     else:
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
 
@@ -545,15 +541,14 @@ def write_heatmap(summaries: Sequence[EvaluationSummary], path) -> None:
     severities = sorted({s.severity for s in summaries})
     conditions = sorted({s.condition for s in summaries})
     cells = {(s.condition, s.severity): s for s in summaries}
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metric", "condition"] + [f"severity_{v}" for v in severities])
-        for metric in _SUMMARY_METRICS:
-            for cond in conditions:
-                groups = [cells.get((cond, sev)) for sev in severities]
-                writer.writerow([metric, cond] + [
-                    _cell(None if s is None else getattr(s, metric)) for s in groups
-                ])
+    rows = [["metric", "condition"] + [f"severity_{v}" for v in severities]]
+    for metric in _SUMMARY_METRICS:
+        for cond in conditions:
+            groups = [cells.get((cond, sev)) for sev in severities]
+            rows.append([metric, cond] + [
+                _cell(None if s is None else getattr(s, metric)) for s in groups
+            ])
+    _write_csv(path, rows)
 
 
 def write_roc_csv(curve: RocCurve, path) -> None:
@@ -608,10 +603,8 @@ def write_manifest(manifest: DatasetManifest, path) -> None:
         for sev, name, role in [(0, c.calibration, "calibration")]
         + [(sev, name, "test") for sev, name in c.tests]
     ]
-    with _open_write(path) as fh:
-        json.dump({"format_version": MANIFEST_FORMAT_VERSION, "k_classes": manifest.k_classes,
-                   "files": files}, fh, indent=2)
-        fh.write("\n")
+    _write_json({"format_version": MANIFEST_FORMAT_VERSION, "k_classes": manifest.k_classes,
+                 "files": files}, path)
 
 
 def read_manifest(path) -> DatasetManifest:
@@ -627,11 +620,7 @@ def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     where = f"{path}: manifest"
     doc = check_fields(where, load_json(path), _MANIFEST_FIELDS, _MANIFEST_FIELDS)
-    if doc["format_version"] != MANIFEST_FORMAT_VERSION:
-        raise ArtifactError(
-            f"{path}: unknown format_version {doc['format_version']!r}, "
-            f"expected {MANIFEST_FORMAT_VERSION}"
-        )
+    _check_version(path, doc["format_version"], MANIFEST_FORMAT_VERSION)
     files = [
         check_fields(f"{where} files[{i}]", entry, _ENTRY_FIELDS, ("path", "condition", "severity"))
         for i, entry in enumerate(doc["files"])

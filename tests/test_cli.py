@@ -311,6 +311,26 @@ class TestCalibrate:
         assert first.read_bytes() == second.read_bytes()
         assert json.loads(first.read_text(encoding="utf-8"))["created_utc"] == ""
 
+    @pytest.mark.parametrize("stdin", ["file", "pipe"])
+    def test_calibration_read_from_stdin(self, tmp_path, stdin):
+        # The reader takes its input in one pass, so a pipe, which cannot
+        # be read twice, gives the bytes the file gives.
+        cal = tmp_path / "cal.csv"
+        cal.write_text(WORKED_CAL_CSV, encoding="utf-8")
+        from_file, from_stdin = tmp_path / "file.json", tmp_path / "stdin.json"
+        assert main(
+            ["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(from_file)]
+        ) == 0
+        argv = ["calibrate", "--cal", "/dev/stdin", "--alpha", "0.5", "--out", str(from_stdin)]
+        with open(cal, "rb") as fh:
+            feed = {"stdin": fh} if stdin == "file" else {"input": fh.read()}
+            done = subprocess.run(
+                [sys.executable, "-m", "dualthresh.cli", *argv],
+                env=child_env(), capture_output=True, **feed,
+            )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert from_stdin.read_bytes() == from_file.read_bytes()
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(
             ["calibrate", "--cal", str(tmp_path / "nope.csv"), "--out",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualthresh import core
@@ -61,15 +61,20 @@ class TestSoftmax:
         spread=st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e100, 1e307]),
         edges=st.lists(st.floats(-1e308, 1e308), max_size=4),
     )
+    @example(k=2, n=1, seed=0, spread=1.0, edges=[1e308, -1e308])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_kernel_equals_softmax_of_each_row(self, k, n, seed, spread, edges):
         # A matrix's rows through the kernel are bit for bit each row
         # through softmax, with spreads whose shift overflows to -inf.
         z = np.random.default_rng(seed).standard_normal((n, k)) * spread
         z.flat[:len(edges)] = edges
-        with np.errstate(over="ignore"):
-            rows = softmax_rows(z)
-            for i in range(n):
-                assert rows[i].tobytes() == softmax(z[i]).tobytes()
+        rows = softmax_rows(z)
+        for i in range(n):
+            assert rows[i].tobytes() == softmax(z[i]).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shift_past_the_largest_double_is_a_zero_without_a_warning(self):
+        assert softmax([0.0, 1e308, -1e308]).tolist() == [0.0, 1.0, 0.0]
 
 
 class TestNonconformity:
@@ -285,6 +290,30 @@ class TestSampleBatch:
         assert batch.label.dtype == np.int64 and batch.probs.dtype == np.float64
         assert (batch.condition, batch.severity) == ("rain\x00", 3)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_any_integer_label_dtype_is_stored_as_int64(self, dtype):
+        batch = SampleBatch(["a", "b"], np.array([1, 0], dtype=dtype), [[0.2, 0.8], [0.6, 0.4]])
+        assert batch.label.dtype == np.int64 and batch.label.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("labels, dtype", [
+        ([1.7, 0.0], "float64"),
+        ([1.0, 0.0], "float64"),
+        ([True, False], "bool"),
+        (["1", "0"], "<U1"),
+        ([2**70, 0], "object"),
+    ])
+    def test_labels_that_are_not_integers(self, labels, dtype):
+        # A cast would truncate 1.7 to class 1, True and "1" to 1.
+        with pytest.raises(ValueError) as err:
+            SampleBatch(["a", "b"], labels, [[0.2, 0.8], [0.6, 0.4]])
+        assert str(err.value) == f"label must hold integers, got {dtype}"
+
+    def test_repeated_sample_id(self):
+        # The file written from such a batch is one the reader rejects.
+        with pytest.raises(ValueError) as err:
+            SampleBatch(["a", "b", "a"], [0, 1, 1], [[0.5, 0.5]] * 3)
+        assert str(err.value) == "duplicate sample_id 'a' (first in row 0)"
+
     def test_columns_are_read_only_copies(self):
         probs = np.array([[0.2, 0.8]])
         batch = SampleBatch(["a"], [1], probs)
@@ -359,6 +388,8 @@ class TestSampleBatch:
         assert part.probs.tolist() == [[0.3, 0.7], [0.9, 0.1]]
         assert (part.condition, part.severity) == ("rain", 2)
         assert batch.take(batch.sample_id != "a").label.tolist() == [1, 1]
+        # Not validated again: a repeated index repeats its sample id.
+        assert batch.take(np.array([1, 1])).sample_id.tolist() == ["b", "b"]
         assert not part.probs.flags.writeable
         assert calls == []
         with pytest.raises(ValueError, match="non-empty"):

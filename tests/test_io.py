@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import warnings
+from dataclasses import fields
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from dualthresh.io import (
     read_logits_csv,
     read_manifest,
     read_thresholds,
+    write_heatmap,
     write_manifest,
     write_records_csv,
     write_roc_csv,
@@ -45,8 +48,10 @@ _TEXT = st.text(
 _BATCH_TEXT = _TEXT.filter(lambda text: "\r" not in text)
 
 
-# Reference writers: the csv.writer-based bodies that the one-format-per-row
-# writers replaced. The new writers must write exactly their bytes.
+# Reference writers: the csv.writer-based bodies that io's writers replaced
+# (the per-sample ones by one format per row, the summary and heatmap ones
+# by io._text_cells' own quoting). The new writers must write exactly
+# their bytes.
 def csv_writer_samples(samples, path):
     k = samples.k_classes
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -78,6 +83,37 @@ def csv_writer_records(ev, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(name for name, _ in columns)
         writer.writerows(zip(*(column for _, column in columns)))
+
+
+def _fixed6_or_empty(value):
+    return "" if value is None else f"{value:.6f}"
+
+
+_METRICS = [f.name for f in fields(EvaluationSummary)][3:]
+
+
+def csv_writer_summary(summaries, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["condition", "severity", "n"] + _METRICS)
+        for s in summaries:
+            writer.writerow(
+                [s.condition, s.severity, s.n] + [_fixed6_or_empty(getattr(s, m)) for m in _METRICS]
+            )
+
+
+def csv_writer_heatmap(summaries, path):
+    severities = sorted({s.severity for s in summaries})
+    groups = {(s.condition, s.severity): s for s in summaries}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["metric", "condition"] + [f"severity_{v}" for v in severities])
+        for metric in _METRICS:
+            for cond in sorted({s.condition for s in summaries}):
+                writer.writerow([metric, cond] + [
+                    _fixed6_or_empty(getattr(groups[cond, sev], metric))
+                    if (cond, sev) in groups else "" for sev in severities
+                ])
 
 
 def rowwise_read_logits_csv(path, condition="", severity=0):
@@ -214,10 +250,11 @@ def _sample_batches(draw):
     k = draw(st.integers(2, 5))
     entry = _EDGE_FLOATS | st.floats(0.0, 1.0 / k)
     rows = []
-    for _ in range(draw(st.integers(1, 10))):
+    # A batch rejects a repeated sample id.
+    for sample_id in draw(st.lists(_BATCH_TEXT, min_size=1, max_size=10, unique=True)):
         probs = draw(st.lists(entry, min_size=k - 1, max_size=k - 1))
         probs.insert(draw(st.integers(0, k - 1)), 1.0 - math.fsum(probs))
-        rows.append((draw(_BATCH_TEXT), draw(st.integers(0, k - 1)), probs))
+        rows.append((sample_id, draw(st.integers(0, k - 1)), probs))
     return sample_batch(rows)
 
 
@@ -247,6 +284,44 @@ def _evaluations(draw):
     )
 
 
+# Conditions that need quoting, or that a %-format would misread.
+_CONDITIONS = st.sampled_from(["", "plain", "a,b", 'q"x', "%d", "50%", "line\nfeed"]) | _BATCH_TEXT
+
+_summaries = st.lists(
+    st.builds(
+        EvaluationSummary,
+        condition=_CONDITIONS,
+        severity=st.integers(0, 5),
+        n=st.integers(1, 10**9),
+        coverage=st.floats(0.0, 1.0),
+        avg_set_size=st.floats(0.0, 1000.0),
+        avg_entropy=st.floats(0.0, 1.0),
+        avg_confidence=st.floats(0.0, 1.0),
+        avg_margin=st.floats(0.0, 1.0),
+        abstention_rate=st.floats(0.0, 1.0),
+        auc=st.none() | st.floats(0.0, 1.0),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+def csv_writer_cell(value):
+    """The cell csv.writer writes for ``value`` in a row of several."""
+    buf = StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-len(",\n")]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(values=st.lists(
+    st.text(st.sampled_from('a,"\n \x00\u00e9%\t;\'\x85'), max_size=12) | _BATCH_TEXT
+))
+def test_text_cells_are_csv_writers_cells(values):
+    # Values without a carriage return, which a batch rejects and
+    # csv.writer leaves unquoted under an LF line terminator.
+    assert io._text_cells(values) == [csv_writer_cell(value) for value in values]
+
+
 class TestWritersMatchCsvWriter:
     @settings(max_examples=300, deadline=None)
     @given(samples=_sample_batches(), block_rows=st.integers(1, 9))
@@ -267,6 +342,21 @@ class TestWritersMatchCsvWriter:
             write_records_csv(ev, tmp / "new.csv")
         csv_writer_records(ev, tmp / "old.csv")
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(summaries=_summaries)
+    @example(summaries=[
+        EvaluationSummary(c, sev, 10, 0.9, 1.5, 0.25, 0.75, 0.5, 0.125, None if sev else 0.5)
+        for c in ["", "a,b", 'q"x', "%d", "line\nfeed"] for sev in (0, 3)
+    ])
+    def test_summary_and_heatmap_csv_bytes(self, tmp_path_factory, summaries):
+        tmp = tmp_path_factory.mktemp("summary")
+        write_summary(summaries, tmp / "summary.csv", format="csv")
+        csv_writer_summary(summaries, tmp / "summary_old.csv")
+        assert (tmp / "summary.csv").read_bytes() == (tmp / "summary_old.csv").read_bytes()
+        write_heatmap(summaries, tmp / "heatmap.csv")
+        csv_writer_heatmap(summaries, tmp / "heatmap_old.csv")
+        assert (tmp / "heatmap.csv").read_bytes() == (tmp / "heatmap_old.csv").read_bytes()
 
     def test_records_csv_peak(self, tmp_path):
         # Formatting every column at once peaked at 194 bytes a row (9.7 MB
@@ -855,24 +945,7 @@ class TestExports:
         assert math.copysign(1.0, json.loads(json_path.read_text())[0]["avg_entropy"]) == 1.0
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        summaries=st.lists(
-            st.builds(
-                EvaluationSummary,
-                condition=_BATCH_TEXT,
-                severity=st.integers(0, 5),
-                n=st.integers(1, 10**9),
-                coverage=st.floats(0.0, 1.0),
-                avg_set_size=st.floats(0.0, 1000.0),
-                avg_entropy=st.floats(0.0, 1.0),
-                avg_confidence=st.floats(0.0, 1.0),
-                avg_margin=st.floats(0.0, 1.0),
-                abstention_rate=st.floats(0.0, 1.0),
-                auc=st.none() | st.floats(0.0, 1.0),
-            ),
-            min_size=1, max_size=5,
-        )
-    )
+    @given(summaries=_summaries)
     def test_summary_parses_back_at_six_decimals(self, tmp_path_factory, summaries):
         tmp = tmp_path_factory.mktemp("summary")
         write_summary(summaries, tmp / "s.csv", format="csv")

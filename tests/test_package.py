@@ -80,3 +80,10 @@ def test_core_block_rows_alone_sizes_every_block(tmp_path, monkeypatch):
     assert blocks() == (1, 2)
     monkeypatch.setattr(core, "BLOCK_CELLS", 1)  # blocks of one row
     assert blocks() == (n, 2 * n)
+
+
+def test_io_writers_quote_by_one_rule():
+    # io._text_cells spells the CSV quoting rule; csv is left to the reader.
+    source = Path(io.__file__).read_text(encoding="utf-8")
+    assert "csv.writer" not in source
+    assert "StringIO" not in source

@@ -130,7 +130,7 @@ class TestEvaluateSample:
         rng = np.random.default_rng(12)
         thr = thresholds(math.inf, 0.5, k=4)
         samples = sample_batch(
-            ("x", int(rng.integers(0, 4)), random_prob_vector(rng, 4)) for _ in range(100)
+            (f"s{i}", int(rng.integers(0, 4)), random_prob_vector(rng, 4)) for i in range(100)
         )
         ev = evaluate_samples(samples, thr)
         assert ev.covered.all()
