@@ -51,6 +51,12 @@ class RocCurve:
         return zip(self.taus.tolist(), self.fpr.tolist(), self.tpr.tolist())
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise a ValueError unless alpha is in (0, 1); NaN is not."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class CalibratedThresholds:
     """The calibrated pair plus provenance.
@@ -71,8 +77,7 @@ class CalibratedThresholds:
     created_utc: str = ""
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.n_calibration < 1:
             raise ValueError(f"n_calibration must be >= 1, got {self.n_calibration}")
         if math.isnan(self.q_conf) or self.q_conf < 0.0:
@@ -96,8 +101,7 @@ def conformal_threshold(scores: Sequence[float], alpha: float) -> float:
     The rank is computed in exact rational arithmetic so that float
     representation of alpha can never shift the ceiling across an integer.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     s = np.asarray(scores, dtype=np.float64)
     n = s.size
     if n == 0:

@@ -23,6 +23,7 @@ from .calibration import (
     THRESHOLDS_FORMAT_VERSION,
     CalibratedThresholds,
     calibrate,
+    check_alpha,
 )
 from .core import DegenerateLabelsError, check_tags
 from .datagen import GeneratorConfig, derive_seed, generate_dataset, signal_strength
@@ -157,6 +158,32 @@ def _print_thresholds(thresholds: CalibratedThresholds) -> None:
     print(f"n={thresholds.n_calibration}")
 
 
+def _check_flags(check, *values) -> None:
+    """Run ``check`` on flag values; its ValueError, whose message starts
+    with the field it checks, is re-raised with the field named as its
+    flag."""
+    try:
+        check(*values)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
+
+
+def _check_files(inputs, outputs) -> None:
+    """Refuse an output naming the same file, after symbolic links and
+    ``..`` are resolved, as an input or an earlier output. Each item is
+    ``(flag, path, what the file holds)``; outputs come in the order they
+    are written."""
+    files = list(inputs)
+    for flag, path, holds in outputs:
+        for first, first_path, first_holds in files:
+            if os.path.realpath(first_path) == os.path.realpath(path):
+                raise ValueError(
+                    f"{first} and {flag} name the same file {first_path!r}; "
+                    f"the {holds} would overwrite the {first_holds}"
+                )
+        files.append((flag, path, holds))
+
+
 def _warn_sentinel(thresholds: CalibratedThresholds) -> None:
     if thresholds.q_conf == float("inf"):
         print(
@@ -212,6 +239,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _check_flags(check_alpha, args.alpha)
+    _check_files(
+        [("--cal", args.cal, "calibration data")], [("--out", args.out, "thresholds")]
+    )
     samples = read_logits_csv(args.cal)
     thresholds = calibrate(samples, args.alpha)
     _warn_sentinel(thresholds)
@@ -226,15 +257,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        check_tags(args.condition, args.severity)
-    except ValueError as exc:  # the message starts with the field, named as its flag
-        raise ValueError(f"--{exc}") from None
-    if Path(args.records_out).resolve() == Path(args.summary_out).resolve():
-        raise ValueError(
-            f"--records-out and --summary-out name the same file {args.records_out!r}; "
-            "the summary would overwrite the records"
-        )
+    _check_flags(check_tags, args.condition, args.severity)
+    _check_files(
+        [("--test", args.test, "test data"), ("--thresholds", args.thresholds, "thresholds")],
+        [("--records-out", args.records_out, "records"),
+         ("--summary-out", args.summary_out, "summary")],
+    )
     thresholds = read_thresholds(args.thresholds)
     # The rows go straight into evaluation, so they are freed before the
     # export; only the per-row outputs stay.

@@ -113,8 +113,12 @@ def _text_cells(values: list[str]) -> list[str]:
     """Return free-text values as CSV cells: a value holding ``,`` ``"`` or
     ``\\n`` is wrapped in double quotes, each ``"`` in it doubled; any other
     is its own cell. When no value needs quoting, ``values`` itself is
-    returned."""
+    returned. A value holding ``\\r`` is a ValueError: the rule leaves it
+    bare, and a CSV reader would split its row there."""
     joined = "".join(values)
+    if "\r" in joined:
+        bad = next(value for value in values if "\r" in value)
+        raise ValueError(f"CSV text cell {bad!r} holds a carriage return")
     if "," not in joined and '"' not in joined and "\n" not in joined:
         return values
     return [
@@ -126,9 +130,10 @@ def _text_cells(values: list[str]) -> list[str]:
 
 def _write_csv(path, rows) -> None:
     """Write ``rows`` as CSV lines, each cell made a ``str`` and quoted by
-    ``_text_cells``."""
+    ``_text_cells``, all built before the file is opened."""
+    lines = [",".join(_text_cells([str(v) for v in row])) + "\n" for row in rows]
     with _open_write(path) as fh:
-        fh.writelines(",".join(_text_cells([str(v) for v in row])) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
 def _write_json(doc, path) -> None:
@@ -227,7 +232,10 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     within the file and may not hold a carriage return, which the
     LF-terminated exports would leave unquoted. A leading UTF-8 byte-order
     mark is ignored (as spreadsheet exports write one); a file that is not
-    UTF-8 is an error naming the line of its first bad byte.
+    UTF-8 is an error naming the line of its first bad byte. Each block's
+    lines (below) are decoded before its rows are checked, so a bad byte
+    wins over other faults in its own block; faults in earlier blocks win
+    over it.
 
     Data lines are read in blocks of about PARSE_BLOCK_CELLS value cells.
     A block of plain lines (printable ASCII without a double quote, LF
@@ -242,14 +250,8 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     """
     condition, severity = check_tags(condition, severity)
     path = Path(path)
-    # Records end at LF or CRLF only, so an unquoted carriage return
-    # anywhere else makes the csv reader fail on its line rather than
-    # split the row in two.
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="\n") as fh:
-            sample_ids, labels, probs = _read_rows(path, fh)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+    with open(path, "rb") as fh:
+        sample_ids, labels, probs = _read_rows(path, _text_lines(path, fh))
     return SampleBatch._from_valid(
         condition, severity,
         sample_id=np.array(sample_ids, dtype=object),
@@ -259,7 +261,7 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
 
 
 def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
-    """The ids, labels and validated (n, k) matrix of the open file ``fh``."""
+    """The ids, labels and validated (n, k) matrix of a file's lines ``fh``."""
     # ``base`` counts the lines before the csv reader's first.
     reader, base = csv.reader(fh), 0
     try:
@@ -408,20 +410,21 @@ def _parse_block(lines: list[str], text: str, k: int, limit: int):
     return ids, labels, values
 
 
-def _not_utf8(path) -> ParseError:
-    """The error for a file that does not decode as UTF-8, naming the line
-    of its first bad byte (no UTF-8 sequence spans an LF)."""
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(
-                    path, line_no,
-                    f"byte {line[exc.start]:#04x} is not valid UTF-8 ({exc.reason})",
-                )
-    # Reached only if the file changed since it failed to decode.
-    return ParseError(path, 1, "file is not valid UTF-8")
+def _text_lines(path, fh):
+    """Yield the lines (each ending at LF only) of the binary file ``fh``
+    as UTF-8 text, a byte-order mark dropped from line 1; a bad byte is a
+    ParseError naming its line (no UTF-8 sequence spans an LF)."""
+    for line_no, line in enumerate(fh, 1):
+        if line_no == 1:
+            line = line.removeprefix(b"\xef\xbb\xbf")
+            if not line:  # the mark alone: an empty file
+                return
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                path, line_no, f"byte {line[exc.start]:#04x} is not valid UTF-8 ({exc.reason})"
+            ) from None
 
 
 # ---------------------------------------------------------------------------

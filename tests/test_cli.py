@@ -312,24 +312,64 @@ class TestCalibrate:
         assert json.loads(first.read_text(encoding="utf-8"))["created_utc"] == ""
 
     @pytest.mark.parametrize("stdin", ["file", "pipe"])
-    def test_calibration_read_from_stdin(self, tmp_path, stdin):
+    def test_calibration_read_from_stdin(self, tmp_path, stdin, capsys):
         # The reader takes its input in one pass, so a pipe, which cannot
-        # be read twice, gives the bytes the file gives.
+        # be read twice, gives the bytes the file gives, and a bad byte
+        # the line the file names.
+        cal = tmp_path / "cal.csv"
+        from_file, from_stdin = tmp_path / "file.json", tmp_path / "stdin.json"
+
+        def run(data):
+            cal.write_bytes(data)
+            code = main(
+                ["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(from_file)]
+            )
+            argv = ["calibrate", "--cal", "/dev/stdin", "--alpha", "0.5",
+                    "--out", str(from_stdin)]
+            with open(cal, "rb") as fh:
+                feed = {"stdin": fh} if stdin == "file" else {"input": fh.read()}
+                done = subprocess.run(
+                    [sys.executable, "-m", "dualthresh.cli", *argv],
+                    env=child_env(), capture_output=True, **feed,
+                )
+            assert done.returncode == code
+            return done.stderr.decode(), capsys.readouterr().err.replace(str(cal), "/dev/stdin")
+
+        assert run(WORKED_CAL_CSV.encode("utf-8")) == ("", "")
+        assert from_stdin.read_bytes() == from_file.read_bytes()
+        from_stdin.unlink()
+        assert run(WORKED_CAL_CSV.encode("utf-8").replace(b"c2,", b"c\xe92,")) == 2 * (
+            "error: /dev/stdin:3: byte 0xe9 is not valid UTF-8 (invalid continuation byte)\n",
+        )
+        assert not from_stdin.exists()
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan", "-inf"])
+    def test_alpha_is_checked_before_the_input_is_read(self, tmp_path, capsys, alpha):
+        out = tmp_path / "t.json"
+        code = main(
+            ["calibrate", "--cal", str(tmp_path / "missing.csv"), f"--alpha={alpha}",
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --alpha must be in (0, 1), got {float(alpha)}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", ["cal.csv", "./cal.csv", "sub/../cal.csv"])
+    def test_output_naming_the_input_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "sub").mkdir()
         cal = tmp_path / "cal.csv"
         cal.write_text(WORKED_CAL_CSV, encoding="utf-8")
-        from_file, from_stdin = tmp_path / "file.json", tmp_path / "stdin.json"
-        assert main(
-            ["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(from_file)]
-        ) == 0
-        argv = ["calibrate", "--cal", "/dev/stdin", "--alpha", "0.5", "--out", str(from_stdin)]
-        with open(cal, "rb") as fh:
-            feed = {"stdin": fh} if stdin == "file" else {"input": fh.read()}
-            done = subprocess.run(
-                [sys.executable, "-m", "dualthresh.cli", *argv],
-                env=child_env(), capture_output=True, **feed,
-            )
-        assert (done.returncode, done.stderr) == (0, b"")
-        assert from_stdin.read_bytes() == from_file.read_bytes()
+        code = main(
+            ["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(tmp_path / out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --cal and --out name the same file {str(cal)!r}; "
+            "the thresholds would overwrite the calibration data\n"
+        )
+        assert cal.read_text(encoding="utf-8") == WORKED_CAL_CSV
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(
@@ -554,6 +594,30 @@ class TestEvaluate:
         )
         assert not (tmp_path / "out.csv").exists()
 
+
+    @pytest.mark.parametrize("input_flag, output_flag, message", [
+        ("--test", "--records-out", "the records would overwrite the test data"),
+        ("--test", "--summary-out", "the summary would overwrite the test data"),
+        ("--thresholds", "--records-out", "the records would overwrite the thresholds"),
+        ("--thresholds", "--summary-out", "the summary would overwrite the thresholds"),
+    ])
+    def test_output_naming_an_input_exits_2(
+        self, tmp_path, capsys, input_flag, output_flag, message
+    ):
+        cal, thr = self._calibrated(tmp_path)
+        capsys.readouterr()
+        files = {"--test": str(cal), "--thresholds": str(thr),
+                 "--records-out": str(tmp_path / "r.csv"),
+                 "--summary-out": str(tmp_path / "s.csv")}
+        files[output_flag] = files[input_flag]
+        before = {name: Path(files[name]).read_bytes() for name in ("--test", "--thresholds")}
+        assert main(["evaluate", *(x for item in files.items() for x in item)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {input_flag} and {output_flag} name the same file "
+            f"{files[input_flag]!r}; {message}\n"
+        )
+        assert {name: Path(files[name]).read_bytes() for name in before} == before
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_non_object_json_artifact_exits_2(tmp_path, capsys, command):

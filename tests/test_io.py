@@ -1,4 +1,6 @@
+import builtins
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -195,6 +197,16 @@ _ODD_LABELS = [
 ]
 _ODD_IDS = ["", "a,b", '"a,b"', '"a\nb"', '"a""b"', 'a"b', "a\rb", "\x1c", "\ufeff", "\u0661"]
 
+# Invalid UTF-8 sequences, each with the reason the decoder gives for it:
+# a byte no sequence starts with, a lead byte before ASCII, a 3-byte
+# sequence cut short, and an encoded surrogate.
+_BAD_UTF8 = {
+    b"\xff": "invalid start byte",
+    b"\xc3a": "invalid continuation byte",
+    b"\xe2\x82a": "invalid continuation byte",
+    b"\xed\xa0\x80": "invalid continuation byte",
+}
+
 
 @st.composite
 def _data_files(draw):
@@ -339,6 +351,12 @@ class TestWritersMatchCsvWriter:
         tmp = tmp_path_factory.mktemp("records")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "BLOCK_CELLS", 12 * block_rows)
+            if "\r" in "".join([ev.condition, *ev.sample_id]):
+                # csv.writer leaves a carriage return bare, which splits
+                # the row; the writer refuses it instead.
+                with pytest.raises(ValueError, match="holds a carriage return"):
+                    write_records_csv(ev, tmp / "new.csv")
+                return
             write_records_csv(ev, tmp / "new.csv")
         csv_writer_records(ev, tmp / "old.csv")
         assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
@@ -357,6 +375,11 @@ class TestWritersMatchCsvWriter:
         write_heatmap(summaries, tmp / "heatmap.csv")
         csv_writer_heatmap(summaries, tmp / "heatmap_old.csv")
         assert (tmp / "heatmap.csv").read_bytes() == (tmp / "heatmap_old.csv").read_bytes()
+
+    def test_text_cell_holding_a_carriage_return_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            io._text_cells(["a", "b\rc", "d\r"])
+        assert str(err.value) == "CSV text cell 'b\\rc' holds a carriage return"
 
     def test_records_csv_peak(self, tmp_path):
         # Formatting every column at once peaked at 194 bytes a row (9.7 MB
@@ -701,6 +724,81 @@ class TestSamplesCsv:
             f"{path}:3002: byte 0xe9 is not valid UTF-8 (invalid continuation byte)"
         )
 
+    def test_byte_order_mark_alone_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        for data, message in [
+            (b"\xef\xbb\xbf", "file is empty"),
+            (b"\xef\xbb\xbf\n", "header must start with 'sample_id,label' followed by "
+                               "logit_0.. or prob_0.. columns"),
+        ]:
+            path.write_bytes(data)
+            with pytest.raises(ParseError) as err:
+                read_logits_csv(path)
+            assert str(err.value) == f"{path}:1: {message}"
+
+    def test_a_file_with_a_bad_byte_is_opened_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"sample_id,label,prob_0,prob_1\na,0,0.5,0.5\ncaf\xe9,1,0.5,0.5\n")
+        opened = []
+        real = builtins.open
+        monkeypatch.setattr(builtins, "open", lambda *a, **kw: opened.append(a[0]) or real(*a, **kw))
+        with pytest.raises(ParseError, match=":3: byte 0xe9"):
+            read_logits_csv(path)
+        assert opened == [path]
+
+    @pytest.mark.parametrize("parse_rows, line", [(1, 2), (2, 3)])
+    def test_a_bad_byte_wins_over_the_faults_of_its_own_block(
+        self, tmp_path, monkeypatch, parse_rows, line
+    ):
+        # Line 2's label is out of range and line 3 holds a bad byte. In
+        # blocks of one row line 2's block is checked first; in blocks of
+        # two rows both lines are decoded before either row is checked.
+        path = tmp_path / "two.csv"
+        path.write_bytes(b"sample_id,label,prob_0,prob_1\nb,7,0.5,0.5\n\xff,0,0.5,0.5\n")
+        monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 2 * parse_rows)
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert err.value.line == line
+        # The header is read before the first block.
+        path.write_bytes(b"sample_id,label,prob_0\n\xff,0,1.0\n")
+        with pytest.raises(ParseError, match=":1: header must start"):
+            read_logits_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 8), parse_rows=st.integers(1, 4), bom=st.booleans(),
+        bad=st.sampled_from(sorted(_BAD_UTF8)), data=st.data(),
+    )
+    def test_a_bad_byte_names_its_physical_line(
+        self, tmp_path_factory, n, parse_rows, bom, bad, data
+    ):
+        # A valid file whose rows include one quoted id spanning two
+        # lines; one invalid sequence goes into the header, a plain id or
+        # either line of the quoted id.
+        quoted = data.draw(st.integers(0, n - 1))
+        lines = [b"sample_id,label,prob_0,prob_1\n"]
+        targets = {"header": [(0, 0)], "plain": [], "quoted": []}
+        for i in range(n):
+            if i == quoted:
+                targets["quoted"] += [(len(lines), 2), (len(lines) + 1, 1)]
+                lines += [b'"q%d\n' % i, b'r",%d,0.25,0.75\n' % (i % 2)]
+            else:
+                targets["plain"].append((len(lines), 1))
+                lines.append(b"s%d,%d,0.5,0.5\n" % (i, i % 2))
+        where = data.draw(st.sampled_from([t for t in targets.values() if t]))
+        index, start = data.draw(st.sampled_from(where))
+        at = data.draw(st.integers(start, start + 1))
+        lines[index] = lines[index][:at] + bad + lines[index][at:]
+        path = tmp_path_factory.mktemp("utf8") / "bad.csv"
+        path.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(lines))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "PARSE_BLOCK_CELLS", 2 * parse_rows)
+            with pytest.raises(ParseError) as err:
+                read_logits_csv(path)
+        assert str(err.value) == (
+            f"{path}:{index + 1}: byte {bad[0]:#04x} is not valid UTF-8 ({_BAD_UTF8[bad]})"
+        )
+
     def test_mixed_class_counts_are_no_batch(self):
         # A batch holds one (n, k) matrix, so no writer sees mixed rows.
         with pytest.raises(ValueError):
@@ -895,6 +993,37 @@ class TestExports:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             write_summary([summarize(_records())], tmp_path / "x", format="xml")
+
+    @pytest.mark.parametrize("export", ["records condition", "records id", "summary", "heatmap"])
+    def test_carriage_return_cell_is_refused(self, tmp_path, export):
+        # A hand-built batch is not checked, so the writers refuse a cell
+        # that LF-terminated CSV would leave bare.
+        ev = _records()
+        path = tmp_path / "out.csv"
+        if export == "records id":
+            ev = dataclasses.replace(ev, sample_id=np.array(["a\rb"] + ev.sample_id.tolist()[1:]))
+            bad, write = "a\rb", lambda: write_records_csv(ev, path)
+        elif export.startswith("records"):
+            ev = dataclasses.replace(ev, condition="fo\rg")
+            bad, write = "fo\rg", lambda: write_records_csv(ev, path)
+        else:
+            summaries = [dataclasses.replace(summarize(ev), condition="fo\rg")]
+            writer = write_summary if export == "summary" else write_heatmap
+            bad, write = "fo\rg", lambda: writer(summaries, path)
+        with pytest.raises(ValueError) as err:
+            write()
+        assert str(err.value) == f"CSV text cell {bad!r} holds a carriage return"
+        if export == "records id":  # refused before its block is written
+            assert path.read_text(encoding="utf-8").count("\n") == 1
+        else:
+            assert not path.exists()
+
+    def test_carriage_return_condition_is_escaped_in_json(self, tmp_path):
+        summary = dataclasses.replace(summarize(_records()), condition="fo\rg")
+        path = tmp_path / "s.json"
+        write_summary([summary], path, format="json")
+        assert "fo\\rg" in path.read_text(encoding="utf-8")
+        assert json.loads(path.read_text(encoding="utf-8"))[0]["condition"] == "fo\rg"
 
     def test_roc_csv_row_count(self, tmp_path):
         scores = [0.1, 0.2, 0.2, 0.5, 0.9]

@@ -87,3 +87,11 @@ def test_io_writers_quote_by_one_rule():
     source = Path(io.__file__).read_text(encoding="utf-8")
     assert "csv.writer" not in source
     assert "StringIO" not in source
+
+
+def test_csv_reader_decodes_once():
+    # read_logits_csv decodes each line as it reads it; no second decoder
+    # reopens the file to find a bad byte.
+    source = Path(io.__file__).read_text(encoding="utf-8")
+    assert "_not_utf8" not in source
+    assert "utf-8-sig" not in source
