@@ -46,10 +46,6 @@ class RocCurve:
     def __len__(self) -> int:
         return self.taus.size
 
-    def points(self):
-        """Iterate (tau, fpr, tpr) triples in stored (descending-tau) order."""
-        return zip(self.taus.tolist(), self.fpr.tolist(), self.tpr.tolist())
-
 
 def check_alpha(alpha: float) -> None:
     """Raise a ValueError unless alpha is in (0, 1); NaN is not."""

@@ -152,17 +152,28 @@ def _check_version(path, version, expected: int) -> None:
 # logits / probability CSV
 
 
-def _write_rows(path, header: list[str], row: str, ids: np.ndarray, *columns: np.ndarray) -> None:
-    """Write ``header``, then one ``row % cells`` line per row, a block of
-    ``block_rows(len(header))`` rows at a time: ``ids`` through ``_text_cells``,
-    then the 1-D numeric ``columns``, made Python numbers a row at a time."""
+def _write_rows(path, header: list[str], row: str, *columns: np.ndarray) -> None:
+    """Write ``header``, then one ``row % cells`` line per row of the 1-D
+    ``columns``, a block of ``block_rows(len(header))`` rows at a time. A
+    text column (dtype kind O or U) goes through ``_text_cells``; any other
+    is made Python numbers a row at a time. Every text block is quoted
+    once before the file is opened, so a refused cell leaves no file, or
+    the one already there as it was."""
     step = block_rows(len(header))
+    blocks = [slice(start, start + step) for start in range(0, len(columns[0]), step)]
+    for block in blocks:
+        for c in columns:
+            if c.dtype.kind in "OU":
+                _text_cells(c[block].tolist())
     with _open_write(path) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(ids), step):
-            block = slice(start, start + step)
-            numbers = (memoryview(np.ascontiguousarray(c[block])) for c in columns)
-            fh.writelines(row % cells for cells in zip(_text_cells(ids[block].tolist()), *numbers))
+        for block in blocks:
+            cells = (
+                _text_cells(c[block].tolist()) if c.dtype.kind in "OU"
+                else memoryview(np.ascontiguousarray(c[block]))
+                for c in columns
+            )
+            fh.writelines(row % line for line in zip(*cells))
 
 
 def write_samples_csv(samples: SampleBatch, path) -> None:
@@ -280,16 +291,17 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
         rows: list[np.ndarray] = []
         blocks: list[np.ndarray] = []
 
-        def keep(line_no: int, values) -> None:
-            # Looked up on core at each call, so a wrapper set there sees
-            # every row.
-            try:
-                if kind == "logit":
-                    values = core.softmax(values)
-                rows.append(core.as_probabilities(values))
-            except ValueError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            if len(rows) == stack_rows:
+        def keep(first: int, values) -> None:
+            # Validate the rows of ``values``, the first on line ``first``.
+            # Looked up on core at each call and called once a row, so a
+            # wrapper set there sees every row.
+            softmax, as_probabilities = core.softmax, core.as_probabilities
+            for line_no, row in enumerate(values, first):
+                try:
+                    rows.append(as_probabilities(softmax(row) if kind == "logit" else row))
+                except ValueError as exc:
+                    raise ParseError(path, line_no, str(exc)) from None
+            if len(rows) >= stack_rows:
                 blocks.append(np.array(rows))
                 rows.clear()
 
@@ -304,8 +316,7 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                 if len(id_lines) == len(block) and first_line.keys().isdisjoint(id_lines):
                     first_line.update(id_lines)
                     labels.extend(block_labels)
-                    for i, row in enumerate(values):
-                        keep(line_no + i, row)
+                    keep(line_no, values)
                     line_no += len(block)
                     continue
 
@@ -346,7 +357,7 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                 except ValueError:
                     raise ParseError(path, line_no, "non-numeric value cell") from None
                 labels.append(label)
-                keep(line_no, values)
+                keep(line_no, [values])
                 if reader.line_num >= len(block):
                     break
             line_no = next_line
@@ -556,10 +567,7 @@ def write_heatmap(summaries: Sequence[EvaluationSummary], path) -> None:
 
 def write_roc_csv(curve: RocCurve, path) -> None:
     """Export one curve's operating points as tau,fpr,tpr rows."""
-    with _open_write(path) as fh:
-        fh.write("tau,fpr,tpr\n")
-        for tau, fpr, tpr in curve.points():
-            fh.write(f"{tau:.6f},{fpr:.6f},{tpr:.6f}\n")
+    _write_rows(path, ["tau", "fpr", "tpr"], "%.6f,%.6f,%.6f\n", curve.taus, curve.fpr, curve.tpr)
 
 
 # ---------------------------------------------------------------------------

@@ -97,11 +97,78 @@ class TestConformalThreshold:
                 conformal_threshold([1.0], bad_alpha)
 
 
+# n + 1 <= 41 scores: any floats, or in half of the draws a few values, so
+# that scores tie.
+_SCORES = st.lists(st.floats(allow_nan=False), min_size=2, max_size=41) | st.lists(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=2, max_size=41
+)
+# alpha from twentieths and from uniform floats in (0, 1).
+_ALPHAS = st.integers(1, 19).map(lambda i: i / 20) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True
+)
+
+
+@st.composite
+def _two_kind_p0s(draw):
+    """p0 of each row of a 2-class, label-0 batch of n + 1 <= 41 rows: at
+    least two correct rows (p0 >= 0.5) and two top-1 errors (p0 < 0.5),
+    so every leave-one-out fold keeps both kinds; in half of the draws from
+    a few values, so that scores tie."""
+    if draw(st.booleans()):
+        right, wrong = st.sampled_from([0.5, 0.75, 1.0]), st.sampled_from([0.0, 0.25])
+    else:
+        right, wrong = st.floats(0.5, 1.0), st.floats(0.0, 0.5, exclude_max=True)
+    return draw(st.lists(right, min_size=2, max_size=20)) + draw(
+        st.lists(wrong, min_size=2, max_size=21)
+    )
+
+
+def check_counting_guarantee(scores, covered, alpha):
+    """The exact form of conformal coverage over n + 1 rows, each judged by
+    a threshold fitted on the other n: at least (n+1)(1-alpha) rows are
+    covered, and with distinct scores at most rank = ceil((n+1)(1-alpha)),
+    all n + 1 when rank exceeds n. Coverage under exchangeability is the
+    expectation of the covered fraction."""
+    n = len(scores) - 1
+    need = (n + 1) * (1 - Fraction(alpha))
+    count = sum(covered)
+    assert count >= need
+    if len(set(scores)) == n + 1:
+        rank = math.ceil(need)
+        assert count <= rank
+        if rank > n:
+            assert count == n + 1
+
+
+class TestCoverageGuarantee:
+    @settings(max_examples=1000, deadline=None)
+    @given(scores=_SCORES, alpha=_ALPHAS)
+    def test_conformal_threshold_covers_exactly(self, scores, alpha):
+        covered = [
+            score <= conformal_threshold(scores[:i] + scores[i + 1:], alpha)
+            for i, score in enumerate(scores)
+        ]
+        check_counting_guarantee(scores, covered, alpha)
+
+    @settings(max_examples=150, deadline=None)
+    @given(p0s=_two_kind_p0s(), alpha=_ALPHAS)
+    def test_calibrate_and_evaluate_cover_exactly(self, p0s, alpha):
+        samples = sample_batch((f"s{i}", 0, [p0, 1.0 - p0]) for i, p0 in enumerate(p0s))
+        rows = np.arange(len(samples))
+        covered = [
+            bool(evaluate_samples(
+                samples.take([i]), calibrate(samples.take(rows != i), alpha)
+            ).covered[0])
+            for i in rows
+        ]
+        check_counting_guarantee(label_scores(samples).tolist(), covered, alpha)
+
+
 class TestRocPoints:
     def test_perfect_separation(self):
         roc = roc_points([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
         assert roc.auc == pytest.approx(1.0)
-        pts = dict((t, (f, p)) for t, f, p in roc.points())
+        pts = dict(zip(roc.taus.tolist(), zip(roc.fpr.tolist(), roc.tpr.tolist())))
         assert pts[0.2] == (0.0, 1.0)
 
     def test_three_of_four_pairs_ordered(self):

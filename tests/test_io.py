@@ -118,6 +118,14 @@ def csv_writer_heatmap(summaries, path):
                 ])
 
 
+def reference_roc_csv(curve, path):
+    """The f-string loop that write_roc_csv replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("tau,fpr,tpr\n")
+        for tau, fpr, tpr in zip(curve.taus.tolist(), curve.fpr.tolist(), curve.tpr.tolist()):
+            fh.write(f"{tau:.6f},{fpr:.6f},{tpr:.6f}\n")
+
+
 def rowwise_read_logits_csv(path, condition="", severity=0):
     """Reference reader: the csv loop that checks, parses and validates one
     row at a time, which the bulk block parse must match."""
@@ -317,6 +325,17 @@ _summaries = st.lists(
 )
 
 
+@st.composite
+def _roc_curves(draw):
+    """Curves of up to 30 scores, both flags present: any floats, or a few
+    values that tie, hold -0.0 and reach 1e300."""
+    values = st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0, 0.5, 1e300])
+    scores = draw(st.lists(values, min_size=2, max_size=30))
+    flags = draw(st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)))
+    flags[0], flags[-1] = True, False
+    return roc_points(scores, flags)
+
+
 def csv_writer_cell(value):
     """The cell csv.writer writes for ``value`` in a row of several."""
     buf = StringIO()
@@ -375,6 +394,18 @@ class TestWritersMatchCsvWriter:
         write_heatmap(summaries, tmp / "heatmap.csv")
         csv_writer_heatmap(summaries, tmp / "heatmap_old.csv")
         assert (tmp / "heatmap.csv").read_bytes() == (tmp / "heatmap_old.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve=_roc_curves(), block_rows=st.none() | st.integers(1, 3))
+    def test_roc_csv_bytes(self, tmp_path_factory, curve, block_rows):
+        # Blocks of 1-3 rows, or one block for the whole curve.
+        tmp = tmp_path_factory.mktemp("roc")
+        with pytest.MonkeyPatch.context() as mp:
+            if block_rows is not None:
+                mp.setattr(core, "BLOCK_CELLS", 3 * block_rows)
+            write_roc_csv(curve, tmp / "new.csv")
+        reference_roc_csv(curve, tmp / "old.csv")
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
     def test_text_cell_holding_a_carriage_return_is_refused(self):
         with pytest.raises(ValueError) as err:
@@ -994,14 +1025,25 @@ class TestExports:
         with pytest.raises(ValueError, match="format"):
             write_summary([summarize(_records())], tmp_path / "x", format="xml")
 
-    @pytest.mark.parametrize("export", ["records condition", "records id", "summary", "heatmap"])
-    def test_carriage_return_cell_is_refused(self, tmp_path, export):
+    @pytest.mark.parametrize("export", [
+        "records condition", "records id", "records id in a later block", "records id over a file",
+        "summary", "heatmap",
+    ])
+    def test_carriage_return_cell_is_refused(self, tmp_path, monkeypatch, export):
         # A hand-built batch is not checked, so the writers refuse a cell
-        # that LF-terminated CSV would leave bare.
+        # that LF-terminated CSV would leave bare, before the file is opened.
         ev = _records()
         path = tmp_path / "out.csv"
-        if export == "records id":
-            ev = dataclasses.replace(ev, sample_id=np.array(["a\rb"] + ev.sample_id.tolist()[1:]))
+        if export == "records id over a file":
+            path.write_bytes(b"kept\n")
+        if export.startswith("records id"):
+            ids = ev.sample_id.tolist()
+            if export == "records id in a later block":
+                monkeypatch.setattr(core, "BLOCK_CELLS", 1)  # blocks of one row
+                ids[-1] = "a\rb"
+            else:
+                ids[0] = "a\rb"
+            ev = dataclasses.replace(ev, sample_id=np.array(ids))
             bad, write = "a\rb", lambda: write_records_csv(ev, path)
         elif export.startswith("records"):
             ev = dataclasses.replace(ev, condition="fo\rg")
@@ -1013,8 +1055,8 @@ class TestExports:
         with pytest.raises(ValueError) as err:
             write()
         assert str(err.value) == f"CSV text cell {bad!r} holds a carriage return"
-        if export == "records id":  # refused before its block is written
-            assert path.read_text(encoding="utf-8").count("\n") == 1
+        if export == "records id over a file":
+            assert path.read_bytes() == b"kept\n"
         else:
             assert not path.exists()
 

@@ -1,5 +1,6 @@
 """The package's public names and the README's library example."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -57,8 +58,9 @@ def test_core_block_rows_alone_sizes_every_block(tmp_path, monkeypatch):
         assert not re.search(r"\bBLOCK_CELLS\b", source), module.__name__
     assert "RECORD_BLOCK_ROWS" not in Path(io.__file__).read_text(encoding="utf-8")
 
-    # So patching core's constant alone reblocks the kernels and both
-    # writers, which call these once a block.
+    # So patching core's constant alone reblocks the kernels, called once
+    # a block, and both writers, which quote each block twice: once to
+    # check it before the file is opened, once to write it.
     calls = []
     for module, name in ((prediction, "nonconformity_scores"), (io, "_text_cells")):
         real = getattr(module, name)
@@ -77,9 +79,9 @@ def test_core_block_rows_alone_sizes_every_block(tmp_path, monkeypatch):
         io.write_samples_csv(samples, tmp_path / "samples.csv")
         return calls.count("nonconformity_scores"), calls.count("_text_cells") - 1
 
-    assert blocks() == (1, 2)
+    assert blocks() == (1, 4)
     monkeypatch.setattr(core, "BLOCK_CELLS", 1)  # blocks of one row
-    assert blocks() == (n, 2 * n)
+    assert blocks() == (n, 4 * n)
 
 
 def test_io_writers_quote_by_one_rule():
@@ -87,6 +89,19 @@ def test_io_writers_quote_by_one_rule():
     source = Path(io.__file__).read_text(encoding="utf-8")
     assert "csv.writer" not in source
     assert "StringIO" not in source
+
+
+def test_one_streamed_csv_writer():
+    # Every per-row CSV, the ROC curve's too, streams through
+    # io._write_rows; only the three writers open a file.
+    tree = ast.parse(Path(io.__file__).read_text(encoding="utf-8"))
+    openers = {
+        node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_open_write"
+    }
+    assert openers == {"_write_rows", "_write_csv", "_write_json"}
+    assert not hasattr(calibration.RocCurve, "points")
 
 
 def test_csv_reader_decodes_once():
