@@ -13,10 +13,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain, islice
 from pathlib import Path
+from stat import S_IMODE, S_ISREG
 from typing import Sequence
 
 import numpy as np
@@ -105,8 +108,38 @@ def check_fields(where: str, doc, types: dict, required=()) -> dict:
     return doc
 
 
+@contextmanager
 def _open_write(path):
-    return open(path, "w", encoding="utf-8", newline="")
+    """Open ``path`` for UTF-8 text output that appears whole or not at all:
+    the text goes to a new ``.NAME.*.tmp`` beside the file the path resolves
+    to, and ``os.replace`` moves it there when the block ends; any exception
+    removes it instead. Modes, links and refusals are those of
+    ``open(path, "w")``. A target that exists but is not a regular file
+    (``/dev/stdout``, a FIFO) is written in place."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        return
+    head, name = os.path.split(os.path.realpath(path))
+    temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:  # 0o666 & ~umask, as open gives a new file
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as open(path, "w") would name it
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            if st is not None:  # open's refusal, then the replaced file's bits
+                os.close(os.open(path, os.O_WRONLY))
+                os.fchmod(fd, S_IMODE(st.st_mode))
+            yield fh
+        os.replace(temp, os.path.join(head, name))
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _text_cells(values: list[str]) -> list[str]:
@@ -130,10 +163,9 @@ def _text_cells(values: list[str]) -> list[str]:
 
 def _write_csv(path, rows) -> None:
     """Write ``rows`` as CSV lines, each cell made a ``str`` and quoted by
-    ``_text_cells``, all built before the file is opened."""
-    lines = [",".join(_text_cells([str(v) for v in row])) + "\n" for row in rows]
+    ``_text_cells``, one line at a time."""
     with _open_write(path) as fh:
-        fh.writelines(lines)
+        fh.writelines(",".join(_text_cells([str(v) for v in row])) + "\n" for row in rows)
 
 
 def _write_json(doc, path) -> None:
@@ -156,18 +188,13 @@ def _write_rows(path, header: list[str], row: str, *columns: np.ndarray) -> None
     """Write ``header``, then one ``row % cells`` line per row of the 1-D
     ``columns``, a block of ``block_rows(len(header))`` rows at a time. A
     text column (dtype kind O or U) goes through ``_text_cells``; any other
-    is made Python numbers a row at a time. Every text block is quoted
-    once before the file is opened, so a refused cell leaves no file, or
-    the one already there as it was."""
+    is made Python numbers a row at a time. A refused cell, like any
+    fault, leaves the target as ``_open_write`` found it."""
     step = block_rows(len(header))
-    blocks = [slice(start, start + step) for start in range(0, len(columns[0]), step)]
-    for block in blocks:
-        for c in columns:
-            if c.dtype.kind in "OU":
-                _text_cells(c[block].tolist())
     with _open_write(path) as fh:
         fh.write(",".join(header) + "\n")
-        for block in blocks:
+        for start in range(0, len(columns[0]), step):
+            block = slice(start, start + step)
             cells = (
                 _text_cells(c[block].tolist()) if c.dtype.kind in "OU"
                 else memoryview(np.ascontiguousarray(c[block]))

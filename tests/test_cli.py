@@ -10,7 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from dualthresh import cli
 from dualthresh.cli import main
+
+from .test_io import fail_second_write
 
 WORKED_CAL_CSV = (
     "sample_id,label,prob_0,prob_1\n"
@@ -310,6 +313,22 @@ class TestCalibrate:
             ) == 0
         assert first.read_bytes() == second.read_bytes()
         assert json.loads(first.read_text(encoding="utf-8"))["created_utc"] == ""
+
+    def test_out_to_standard_output_prints_the_thresholds(self, tmp_path, capsys):
+        # A target that is not a regular file is written in place.
+        cal = tmp_path / "cal.csv"
+        cal.write_text(WORKED_CAL_CSV, encoding="utf-8")
+        out = tmp_path / "thr.json"
+        assert main(["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(out)]) == 0
+        report = capsys.readouterr().out.replace(str(out), "/dev/stdout")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualthresh.cli", "calibrate", "--cal", str(cal),
+             "--alpha", "0.5", "--out", "/dev/stdout"],
+            env=child_env(), capture_output=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes() + report.encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv", "thr.json"]
 
     @pytest.mark.parametrize("stdin", ["file", "pipe"])
     def test_calibration_read_from_stdin(self, tmp_path, stdin, capsys):
@@ -914,6 +933,36 @@ class TestSweep:
         assert [line.split(",")[:2] for line in summary.splitlines()[1:]] == [
             ["fog", "0"], ["fog", "3"], ["rain", "0"],
         ]
+
+    def test_records_write_failing_mid_file_leaves_no_final_name(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The records write fails after its header is written; the outputs
+        # left are those a malformed test file leaves
+        # (test_malformed_later_condition_keeps_earlier_outputs).
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        write_records = cli.write_records_csv
+
+        def failing_records(ev, path):
+            if path.name != "records_rain_s3.csv":
+                return write_records(ev, path)
+            with pytest.MonkeyPatch.context() as patch:
+                fail_second_write(patch)
+                return write_records(ev, path)
+
+        monkeypatch.setattr(cli, "write_records_csv", failing_records)
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err == (
+            "error: condition 'rain' failed: [Errno 28] No space left on device\n"
+        )
+        assert {p.name for p in (tmp_path / "sw").iterdir()} == {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+        }
 
     def test_summary_rows_sorted_by_condition_then_severity(self, tmp_path):
         cfg = write_config(tmp_path, conditions=["rain", "fog"], severities=[3, 0])

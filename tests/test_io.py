@@ -1,8 +1,12 @@
 import builtins
 import csv
 import dataclasses
+import errno
 import json
 import math
+import os
+import stat
+import threading
 import warnings
 from dataclasses import fields
 from io import StringIO
@@ -1031,7 +1035,8 @@ class TestExports:
     ])
     def test_carriage_return_cell_is_refused(self, tmp_path, monkeypatch, export):
         # A hand-built batch is not checked, so the writers refuse a cell
-        # that LF-terminated CSV would leave bare, before the file is opened.
+        # that LF-terminated CSV would leave bare, and the target is left
+        # as it was, even when the cell is in a later block.
         ev = _records()
         path = tmp_path / "out.csv"
         if export == "records id over a file":
@@ -1139,6 +1144,153 @@ class TestExports:
             for name in list(expected)[3:]:
                 cell = row[name]
                 assert (None if cell == "" else float(cell)) == expected[name], name
+
+
+# Each public writer, writing a small fixed document to a path.
+_MANIFEST = DatasetManifest(2, (ManifestCondition("rain", "cal.csv", ((1, "s1.csv"),)),))
+WRITERS = {
+    "samples": lambda path: write_samples_csv(sample_batch([("a", 0, [0.9, 0.1])]), path),
+    "records": lambda path: write_records_csv(_records(), path),
+    "roc": lambda path: write_roc_csv(roc_points([0.1, 0.5, 0.9], [False, True, True]), path),
+    "summary csv": lambda path: write_summary([summarize(_records())], path, format="csv"),
+    "summary json": lambda path: write_summary([summarize(_records())], path, format="json"),
+    "heatmap": lambda path: write_heatmap([summarize(_records())], path),
+    "thresholds": lambda path: write_thresholds(thresholds(), path),
+    "manifest": lambda path: write_manifest(_MANIFEST, path),
+}
+
+
+class SecondWriteFails:
+    """A text file whose second write raises ENOSPC, as a full disk would;
+    the first write is flushed, so it reaches the file."""
+
+    def __init__(self, fh):
+        self._fh, self._writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def write(self, text):
+        self._writes += 1
+        if self._writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._fh.write(text)
+        self._fh.flush()
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def fail_second_write(monkeypatch):
+    """Make every file ``dualthresh.io`` opens fail on its second write."""
+    monkeypatch.setattr(
+        io, "open", lambda *a, **kw: SecondWriteFails(builtins.open(*a, **kw)), raising=False
+    )
+
+
+class TestOutputFiles:
+    """Every output appears whole or not at all, with the file semantics of
+    ``open(path, "w")``; a target that is not a regular file is written in
+    place."""
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_fifo_receives_the_bytes_of_a_regular_file(self, tmp_path, writer):
+        WRITERS[writer](tmp_path / "regular")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        WRITERS[writer](fifo)
+        reader.join(timeout=30)
+        assert received == [(tmp_path / "regular").read_bytes()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "regular"]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_dev_null_is_accepted(self, writer):
+        WRITERS[writer](os.devnull)
+        assert stat.S_ISCHR(os.lstat(os.devnull).st_mode)
+
+    def test_new_output_gets_the_mode_open_gives(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            WRITERS["records"](tmp_path / "out.csv")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == 0o666 & ~0o027
+
+    def test_replaced_output_keeps_its_permission_bits(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o604)
+        os.link(path, tmp_path / "hard")
+        WRITERS["records"](path)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
+        assert path.read_bytes().startswith(b"sample_id,")
+        # The target is replaced, not rewritten: a hard link keeps the old bytes.
+        assert (tmp_path / "hard").read_bytes() == b"old\n"
+
+    def test_symlinked_output_stays_a_link(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        real = tmp_path / "real" / "out.json"
+        real.write_bytes(b"old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        WRITERS["thresholds"](tmp_path / "expected.json")
+        WRITERS["thresholds"](link)
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.json", "link.json", "real"]
+        assert [p.name for p in real.parent.iterdir()] == ["out.json"]
+
+    def test_unwritable_output_is_refused_exactly_as_open_refuses_it(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o444)
+        if os.access(path, os.W_OK):  # as root: open would write it
+            WRITERS["records"](path)
+            assert path.read_bytes().startswith(b"sample_id,")
+        else:
+            with pytest.raises(PermissionError) as err:
+                WRITERS["records"](path)
+            assert str(err.value) == f"[Errno 13] Permission denied: '{path}'"
+            assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_missing_directory_is_named_as_open_names_it(self, tmp_path):
+        path = tmp_path / "absent" / "out.csv"
+        with pytest.raises(FileNotFoundError) as err:
+            WRITERS["records"](path)
+        assert str(err.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+    @pytest.mark.parametrize("old", [b"old\n", None])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_write_leaves_the_target_as_it_was(self, tmp_path, monkeypatch, writer, old):
+        path = tmp_path / "out"
+        if old is not None:
+            path.write_bytes(old)
+        before = sorted(os.listdir(tmp_path))
+        fail_second_write(monkeypatch)
+        with pytest.raises(OSError, match="No space left on device"):
+            WRITERS[writer](path)
+        assert sorted(os.listdir(tmp_path)) == before
+        if old is not None:
+            assert path.read_bytes() == old
+
+    def test_unserializable_json_leaves_the_target_as_it_was(self, tmp_path):
+        path = tmp_path / "summary.json"
+        path.write_bytes(b"old\n")
+        summary = dataclasses.replace(summarize(_records()), condition="c", severity=0,
+                                      n=np.int64(5))
+        with pytest.raises(TypeError, match="int64"):
+            write_summary([summary], path, format="json")
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["summary.json"]
 
 
 class TestManifest:
