@@ -19,7 +19,6 @@ from .calibration import (
 from .core import (
     DegenerateLabelsError,
     SampleBatch,
-    as_logits,
     as_probabilities,
     softmax,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "SampleBatch",
     "__version__",
     "abstention_threshold",
-    "as_logits",
     "as_probabilities",
     "calibrate",
     "conformal_threshold",

@@ -291,6 +291,11 @@ def _read_manifest_file(path, cond: str, severity: int, k_classes: int):
     return samples
 
 
+def _mark_partial(paths: list[Path]) -> list[Path]:
+    """Rename each of ``paths`` to ``NAME.partial`` and return the new paths."""
+    return [path.rename(path.with_name(path.name + ".partial")) for path in paths]
+
+
 def _run_condition(
     alpha: float, k_classes: int, group: ManifestCondition, slug: str, out: Path,
     summaries: list,
@@ -329,9 +334,7 @@ def _run_condition(
                 f"abstention={summary.abstention_rate:.4f}"
             )
     except Exception:
-        for path in written:
-            if path.exists():
-                path.rename(path.with_name(path.name + ".partial"))
+        _mark_partial(written)
         raise
 
 
@@ -364,14 +367,23 @@ def cmd_sweep(args) -> int:
         except Exception as exc:  # reported per condition; sweep continues
             failures[group.condition] = exc
 
-    suffix = ".partial" if failures else ""
+    # Written under their final names, then renamed *.partial if a
+    # condition failed, so none of an earlier run's is left beside them.
     if all_summaries:
-        write_summary(all_summaries, out / f"summary.csv{suffix}", format="csv")
-        write_summary(all_summaries, out / f"summary.json{suffix}", format="json")
-        write_heatmap(all_summaries, out / f"heatmap.csv{suffix}")
-        print(f"wrote {out / ('summary.csv' + suffix)}")
-        print(f"wrote {out / ('summary.json' + suffix)}")
-        print(f"wrote {out / ('heatmap.csv' + suffix)}")
+        written = []
+        try:
+            for name, write in (
+                ("summary.csv", lambda path: write_summary(all_summaries, path, format="csv")),
+                ("summary.json", lambda path: write_summary(all_summaries, path, format="json")),
+                ("heatmap.csv", lambda path: write_heatmap(all_summaries, path)),
+            ):
+                write(out / name)
+                written.append(out / name)
+        finally:
+            if failures:
+                written = _mark_partial(written)
+        for path in written:
+            print(f"wrote {path}")
 
     if failures:
         for cond, exc in failures.items():

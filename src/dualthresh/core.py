@@ -6,7 +6,6 @@ from any number of threads and safe to pass between them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,24 +42,6 @@ class DegenerateLabelsError(ValueError):
 def block_rows(width: int) -> int:
     """Rows in a block of about BLOCK_CELLS cells of ``width``, at least one."""
     return max(1, BLOCK_CELLS // width)
-
-
-def as_logits(values) -> np.ndarray:
-    """Validate a raw logit vector: at least two finite entries.
-
-    Returns a read-only float64 copy.
-    """
-    z = np.array(values, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError(f"logits must be one-dimensional, got shape {z.shape}")
-    if z.size < 2:
-        raise ValueError(f"need at least 2 classes, got {z.size}")
-    # A finite sum means every entry is finite; only a NaN, an infinity or
-    # an overflowing sum pays for the elementwise check.
-    if not math.isfinite(sum(z.tolist())) and not np.all(np.isfinite(z)):
-        raise ValueError("logits contain NaN or infinite entries")
-    z.flags.writeable = False
-    return z
 
 
 def as_probabilities(values) -> np.ndarray:
@@ -106,13 +87,21 @@ def as_probabilities(values) -> np.ndarray:
 
 
 def softmax(logits) -> np.ndarray:
-    """Exponentiate and normalize a logit vector.
+    """Exponentiate and normalize a logit vector of at least two finite
+    entries; returns a read-only float64 array.
 
     Computed as exp(z - max(z)) / sum(exp(z - max(z))), which is invariant
     under an additive shift of all logits and cannot overflow for finite
     input of any magnitude.
     """
-    p = softmax_rows(as_logits(logits))
+    z = np.array(logits, dtype=np.float64)
+    if z.ndim != 1:
+        raise ValueError(f"logits must be one-dimensional, got shape {z.shape}")
+    if z.size < 2:
+        raise ValueError(f"need at least 2 classes, got {z.size}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits contain NaN or infinite entries")
+    p = softmax_rows(z)
     p.flags.writeable = False
     return p
 

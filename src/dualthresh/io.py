@@ -108,20 +108,31 @@ def check_fields(where: str, doc, types: dict, required=()) -> dict:
     return doc
 
 
+def _descriptor(path) -> int | None:
+    """The descriptor ``path`` names: 1 for ``/dev/stdout``, 2 for
+    ``/dev/stderr``, N for ``/dev/fd/N`` or ``/proc/self/fd/N``; else None."""
+    path = os.path.abspath(path)
+    fd = re.fullmatch(r"/(?:dev|proc/self)/fd/([0-9]+)", path)
+    return int(fd[1]) if fd else {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
+
+
 @contextmanager
 def _open_write(path):
     """Open ``path`` for UTF-8 text output that appears whole or not at all:
     the text goes to a new ``.NAME.*.tmp`` beside the file the path resolves
     to, and ``os.replace`` moves it there when the block ends; any exception
     removes it instead. Modes, links and refusals are those of
-    ``open(path, "w")``. A target that exists but is not a regular file
-    (``/dev/stdout``, a FIFO) is written in place."""
+    ``open(path, "w")``. A path naming an open descriptor of the process
+    (``/dev/stdout``, ``/dev/fd/N``) is written through a duplicate of it,
+    sharing its offset with what the process prints there; any other target
+    that exists but is not a regular file (a FIFO) is written in place."""
     try:
         st = os.stat(path)
     except FileNotFoundError:
         st = None
-    if st is not None and not S_ISREG(st.st_mode):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    fd = None if st is None else _descriptor(path)
+    if fd is not None or st is not None and not S_ISREG(st.st_mode):
+        with open(path if fd is None else os.dup(fd), "w", encoding="utf-8", newline="") as fh:
             yield fh
         return
     head, name = os.path.split(os.path.realpath(path))
@@ -282,9 +293,10 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     bulk pass cannot vouch for goes through a row-by-row csv loop instead,
     which reads past the block only the lines that a quoted cell in its
     last record spans; only that loop reports cell, id and label errors.
-    Either way each row then goes through ``core.softmax``
-    (logit files) and ``core.as_probabilities`` on its own, so the
-    messages and line numbers are those of a file read row by row.
+    Either way a logit block is then checked as one matrix and normalized
+    by one ``core.softmax_rows`` call, and each row goes through
+    ``core.as_probabilities`` on its own, so the messages and line numbers
+    are those of a file read row by row.
     """
     condition, severity = check_tags(condition, severity)
     path = Path(path)
@@ -319,13 +331,20 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
         blocks: list[np.ndarray] = []
 
         def keep(first: int, values) -> None:
-            # Validate the rows of ``values``, the first on line ``first``.
-            # Looked up on core at each call and called once a row, so a
-            # wrapper set there sees every row.
-            softmax, as_probabilities = core.softmax, core.as_probabilities
+            # Validate the rows of ``values``, the first on line ``first``:
+            # logits as one matrix, then each row as probabilities. Looked
+            # up on core at each call, so a wrapper set there sees them all.
+            if kind == "logit":
+                values = np.asarray(values)
+                finite = np.isfinite(values).all(axis=1)
+                if not finite.all():
+                    bad = first + int(finite.argmin())
+                    raise ParseError(path, bad, "logits contain NaN or infinite entries")
+                values = core.softmax_rows(values)
+            as_probabilities = core.as_probabilities
             for line_no, row in enumerate(values, first):
                 try:
-                    rows.append(as_probabilities(softmax(row) if kind == "logit" else row))
+                    rows.append(as_probabilities(row))
                 except ValueError as exc:
                     raise ParseError(path, line_no, str(exc)) from None
             if len(rows) >= stack_rows:

@@ -314,21 +314,30 @@ class TestCalibrate:
         assert first.read_bytes() == second.read_bytes()
         assert json.loads(first.read_text(encoding="utf-8"))["created_utc"] == ""
 
-    def test_out_to_standard_output_prints_the_thresholds(self, tmp_path, capsys):
-        # A target that is not a regular file is written in place.
+    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    def test_out_to_standard_output_prints_the_thresholds(self, tmp_path, capsys, stdout):
+        # /dev/stdout is written through the process's own standard
+        # output, so a regular file there keeps its inode and holds the
+        # JSON, then the report lines printed after it.
         cal = tmp_path / "cal.csv"
         cal.write_text(WORKED_CAL_CSV, encoding="utf-8")
         out = tmp_path / "thr.json"
         assert main(["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(out)]) == 0
         report = capsys.readouterr().out.replace(str(out), "/dev/stdout")
-        proc = subprocess.run(
-            [sys.executable, "-m", "dualthresh.cli", "calibrate", "--cal", str(cal),
-             "--alpha", "0.5", "--out", "/dev/stdout"],
-            env=child_env(), capture_output=True, timeout=120,
-        )
+        log = tmp_path / "log"
+        with open(log, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dualthresh.cli", "calibrate", "--cal", str(cal),
+                 "--alpha", "0.5", "--out", "/dev/stdout"],
+                env=child_env(), stdout=subprocess.PIPE if stdout == "pipe" else fh,
+                stderr=subprocess.PIPE, timeout=120,
+            )
+            inode = os.fstat(fh.fileno()).st_ino
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == out.read_bytes() + report.encode()
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv", "thr.json"]
+        printed = proc.stdout if stdout == "pipe" else log.read_bytes()
+        assert printed == out.read_bytes() + report.encode()
+        assert os.stat(log).st_ino == inode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.csv", "log", "thr.json"]
 
     @pytest.mark.parametrize("stdin", ["file", "pipe"])
     def test_calibration_read_from_stdin(self, tmp_path, stdin, capsys):
@@ -933,6 +942,59 @@ class TestSweep:
         assert [line.split(",")[:2] for line in summary.splitlines()[1:]] == [
             ["fog", "0"], ["fog", "3"], ["rain", "0"],
         ]
+
+    def test_failed_sweep_leaves_no_summaries_of_an_earlier_run(self, tmp_path, capsys):
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "data" / "fog_s3.csv"
+        lines = bad.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].split(",", 1)[0] + ",0,1.5" + ",-0.1" * 5 + "\n"
+        bad.write_text("".join(lines), encoding="utf-8")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        out = capsys.readouterr().out
+        assert (
+            f"wrote {tmp_path / 'sw' / 'summary.csv.partial'}\n"
+            f"wrote {tmp_path / 'sw' / 'summary.json.partial'}\n"
+            f"wrote {tmp_path / 'sw' / 'heatmap.csv.partial'}\n"
+        ) in out
+        names = {p.name for p in (tmp_path / "sw").iterdir()}
+        assert {"summary.csv.partial", "summary.json.partial", "heatmap.csv.partial"} <= names
+        assert not names & {"summary.csv", "summary.json", "heatmap.csv"}
+        summary = (tmp_path / "sw" / "summary.csv.partial").read_text(encoding="utf-8")
+        assert [line.split(",")[:2] for line in summary.splitlines()[1:]] == [
+            ["fog", "0"], ["rain", "0"], ["rain", "3"],
+        ]
+
+    def test_failed_summary_write_in_a_failed_sweep_leaves_only_partials(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # rain fails, then the summary.json write fails mid-file: the
+        # summary.csv already written is renamed like the rest.
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        with open(tmp_path / "data" / "rain_s3.csv", "a", encoding="utf-8") as fh:
+            fh.write("z,0\n")
+        write_summary = cli.write_summary
+
+        def failing_summary(summaries, path, format):
+            if format != "json":
+                return write_summary(summaries, path, format=format)
+            with pytest.MonkeyPatch.context() as patch:
+                fail_second_write(patch)
+                return write_summary(summaries, path, format=format)
+
+        monkeypatch.setattr(cli, "write_summary", failing_summary)
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err.endswith("error: [Errno 28] No space left on device\n")
+        assert {p.name for p in (tmp_path / "sw").iterdir()} == {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial", "summary.csv.partial",
+        }
 
     def test_records_write_failing_mid_file_leaves_no_final_name(
         self, tmp_path, capsys, monkeypatch

@@ -9,7 +9,6 @@ from dualthresh import core
 from dualthresh.core import (
     PROB_SUM_TOL,
     SampleBatch,
-    as_logits,
     as_probabilities,
     nonconformity_scores,
     softmax,
@@ -53,21 +52,25 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(bad)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        k=st.sampled_from([2, 7, 10, 100, 1000]),
-        n=st.integers(1, 4),
+        k=st.sampled_from([2, 3, 10, 100, 1000, 2000]) | st.integers(2, 2000),
+        n=st.integers(1, 6),
         seed=st.integers(0, 2**32 - 1),
-        spread=st.sampled_from([1e-3, 1.0, 30.0, 1e3, 1e100, 1e307]),
-        edges=st.lists(st.floats(-1e308, 1e308), max_size=4),
+        spread=st.sampled_from([1e-3, 1.0, 30.0, 700.0, 1e3, 1e100, 1e307]),
+        edges=st.lists(st.floats(-1e308, 1e308) | st.sampled_from([1e308, -1e308]), max_size=6),
     )
     @example(k=2, n=1, seed=0, spread=1.0, edges=[1e308, -1e308])
+    @example(k=2000, n=3, seed=1, spread=1e307, edges=[1e308, -1e308, -1e308, 1e308])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_kernel_equals_softmax_of_each_row(self, k, n, seed, spread, edges):
-        # A matrix's rows through the kernel are bit for bit each row
-        # through softmax, with spreads whose shift overflows to -inf.
-        z = np.random.default_rng(seed).standard_normal((n, k)) * spread
-        z.flat[:len(edges)] = edges
+        # A block's rows through the kernel, as the CSV reader normalizes
+        # them, are bit for bit each row through softmax, at widths up to
+        # 2,000 and magnitudes up to 1e308, where the shift overflows to
+        # -inf. The edge entries land in any row.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, k)) * spread
+        z.flat[rng.integers(0, z.size, len(edges))] = edges
         rows = softmax_rows(z)
         for i in range(n):
             assert rows[i].tobytes() == softmax(z[i]).tobytes()
@@ -143,8 +146,8 @@ class TestValidation:
             p[0] = 0.5
 
     def test_logits_require_two_classes(self):
-        with pytest.raises(ValueError):
-            as_logits([3.0])
+        with pytest.raises(ValueError, match="^need at least 2 classes, got 1$"):
+            softmax([3.0])
 
 
 def sequential_probabilities(values):
@@ -270,7 +273,9 @@ class TestValidatorOracle:
     @settings(max_examples=500, deadline=None)
     @given(values=_ROWS)
     def test_logits_match_the_sequential_checks(self, values):
-        assert _outcome(as_logits, values) == _outcome(sequential_logits, values)
+        assert _outcome(softmax, values) == _outcome(
+            lambda v: softmax_rows(sequential_logits(v)), values
+        )
 
     def test_sum_edges_are_the_tolerance(self):
         assert _SUM_EDGE_HIGH - 1.0 <= PROB_SUM_TOL < math.nextafter(_SUM_EDGE_HIGH, 2.0) - 1.0

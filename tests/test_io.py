@@ -201,7 +201,7 @@ def rowwise_read_logits_csv(path, condition="", severity=0):
 _ODD_CELLS = [
     "\x1c0.5", "0.5\x1f", "1_0", "\u0661", "\uff11.\uff15", "nan", "-nan", "inf", "-inf",
     "", " 0.5", "0.5 ", "1e400", "1e-400", "0x1p-1", "+.5", ".", "1e", "1d0", "0.5\x00",
-    "\t0.5", "0.5\x7f", "1,5", '"0.5"', "0.5\r", "#0.5",
+    "\t0.5", "0.5\x7f", "1,5", '"0.5"', "0.5\r", "#0.5", "1e309", "-1e309",
 ]
 _ODD_LABELS = [
     "99999999999999999999", "-1", " 1", "+1", "01", "-0", "1_0", "\u0661", "", "0.0",
@@ -243,7 +243,8 @@ def _data_files(draw):
         if draw(st.integers(0, 9)) == 0:
             label = draw(st.sampled_from(_ODD_LABELS))
         if kind == "logit":
-            values = draw(st.lists(st.floats(-50.0, 50.0), min_size=k, max_size=k))
+            logit = st.floats(-50.0, 50.0) | st.sampled_from([700.0, -700.0, 1e308, -1e308])
+            values = draw(st.lists(logit, min_size=k, max_size=k))
         else:
             values = draw(st.lists(_EDGE_FLOATS | st.floats(0.0, 1.0 / k),
                                    min_size=k - 1, max_size=k - 1))
@@ -486,11 +487,30 @@ class TestSamplesCsv:
             assert samples.probs[1] == pytest.approx([0.5, 0.5], abs=1e-12)
             assert samples.probs[2].tolist() == [1.0, 0.0]
 
+    @pytest.mark.parametrize("rows, bulk, message", [
+        # Line 4's -inf sits in a bulk block of lines 2-5.
+        ("a,0,1.5,-2\nb,1,0,0\nc,0,-inf,0\nd,1,nan,0\n", True, "4"),
+        # Line 3's nan comes before line 4's bad label in one block, which
+        # is read row by row.
+        ("a,0,1.5,-2\nb,1,nan,0\nc,7,0,0\nd,1,0,0\n", False, "3"),
+    ], ids=["bulk", "row_by_row"])
+    def test_non_finite_logit_row_names_its_line(self, tmp_path, monkeypatch, rows, bulk, message):
+        path = tmp_path / "logits.csv"
+        path.write_text("sample_id,label,logit_0,logit_1\n" + rows, encoding="utf-8")
+        parsed = []
+        real = io._parse_block
+        monkeypatch.setattr(io, "_parse_block", lambda *a: parsed.append(real(*a)) or parsed[-1])
+        monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 8)  # blocks of 4 rows
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value) == f"{path}:{message}: logits contain NaN or infinite entries"
+        assert [p is not None for p in parsed] == [bulk]
+
     @pytest.mark.parametrize("kind", ["prob", "logit"])
     def test_each_row_is_validated_once_through_core(self, tmp_path, monkeypatch, kind):
         # The reader looks the validators up on core at each call.
         calls = []
-        for name in ("as_probabilities", "softmax"):
+        for name in ("as_probabilities", "softmax", "softmax_rows"):
             real = getattr(core, name)
             monkeypatch.setattr(
                 core, name, lambda p, name=name, real=real: calls.append(name) or real(p)
@@ -504,17 +524,20 @@ class TestSamplesCsv:
         monkeypatch.setattr(core, "BLOCK_CELLS", 2048)  # blocks of 1024 rows
         batch = read_logits_csv(path)
         assert len(batch) == 2500 and batch.probs.shape == (2500, 2)
+        # Logits take one softmax_rows call per parse block of 2,048 rows.
         assert calls.count("as_probabilities") == 2500
-        assert calls.count("softmax") == (2500 if kind == "logit" else 0)
+        assert calls.count("softmax") == 0
+        assert calls.count("softmax_rows") == (2 if kind == "logit" else 0)
         calls.clear()
         evaluate_samples(batch.take(np.arange(0, 2500, 2)), thresholds(k_classes=2))
         assert calls == []
         # Parse blocks of 1, 2 and 3 rows: still one validation per row.
-        for parse_rows in (1, 2, 3):
+        for parse_rows, blocks in ((1, 2500), (2, 1250), (3, 834)):
             monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 2 * parse_rows)
             assert np.array_equal(read_logits_csv(path).probs, batch.probs)
             assert calls.count("as_probabilities") == 2500
-            assert calls.count("softmax") == (2500 if kind == "logit" else 0)
+            assert calls.count("softmax") == 0
+            assert calls.count("softmax_rows") == (blocks if kind == "logit" else 0)
             calls.clear()
 
     def test_two_row_file(self, tmp_path):
@@ -691,6 +714,16 @@ class TestSamplesCsv:
     @example(text="sample_id,label,logit_0,logit_1\na,0,1.5,-2\nb,1,1000,1000\n",
              parse_rows=1, severity=0)
     @example(text="sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n", parse_rows=1, severity=6)
+    @example(text="sample_id,label,logit_0,logit_1\na,0,1.5,-2\nb,1,nan,0\nc,0,0,inf\n",
+             parse_rows=3, severity=0)
+    @example(text="sample_id,label,logit_0,logit_1\na,0,1.5,-2\nb,1,-inf,0\n",
+             parse_rows=2, severity=0)
+    @example(text="sample_id,label,logit_0,logit_1\na,0,1.5,-2\nb,1,0,1e309\n",
+             parse_rows=1, severity=0)
+    @example(text="sample_id,label,logit_0,logit_1\na,0,inf,0\nb,7,0,0\n",
+             parse_rows=2, severity=0)
+    @example(text="sample_id,label,logit_0,logit_1,logit_2\na,0,1e308,-1e308,0\n"
+                  "b,2,-1e308,1e308,1e308\n", parse_rows=2, severity=0)
     @example(text='sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n"b\nc",1,0.5,0.5\nd,0,0.5,0.5\n',
              parse_rows=1, severity=0)
     def test_bulk_parse_matches_the_rowwise_reader(
@@ -1194,8 +1227,8 @@ def fail_second_write(monkeypatch):
 
 class TestOutputFiles:
     """Every output appears whole or not at all, with the file semantics of
-    ``open(path, "w")``; a target that is not a regular file is written in
-    place."""
+    ``open(path, "w")``; a path naming an open descriptor is written through
+    it, and any other target that is not a regular file in place."""
 
     @pytest.mark.parametrize("writer", WRITERS)
     def test_fifo_receives_the_bytes_of_a_regular_file(self, tmp_path, writer):
@@ -1210,6 +1243,21 @@ class TestOutputFiles:
         assert received == [(tmp_path / "regular").read_bytes()]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "regular"]
+
+    @pytest.mark.parametrize("prefix", ["/dev/fd", "/proc/self/fd"])
+    def test_a_descriptor_path_writes_through_the_descriptor(self, tmp_path, prefix):
+        # The text lands at the descriptor's offset, in the file it has open.
+        WRITERS["thresholds"](tmp_path / "regular")
+        log = tmp_path / "log"
+        with open(log, "w", encoding="utf-8") as fh:
+            fh.write("before\n")
+            fh.flush()
+            inode = os.fstat(fh.fileno()).st_ino
+            WRITERS["thresholds"](f"{prefix}/{fh.fileno()}")
+            fh.write("after\n")
+        assert log.read_bytes() == b"before\n" + (tmp_path / "regular").read_bytes() + b"after\n"
+        assert os.stat(log).st_ino == inode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log", "regular"]
 
     @pytest.mark.parametrize("writer", WRITERS)
     def test_dev_null_is_accepted(self, writer):
