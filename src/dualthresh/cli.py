@@ -291,9 +291,21 @@ def _read_manifest_file(path, cond: str, severity: int, k_classes: int):
     return samples
 
 
+def _group_outputs(out: Path, slug: str, severity: int) -> tuple[Path, Path]:
+    """The records and ROC files of one (condition, severity) group."""
+    return out / f"records_{slug}_s{severity}.csv", out / f"roc_{slug}_s{severity}.csv"
+
+
 def _mark_partial(paths: list[Path]) -> list[Path]:
-    """Rename each of ``paths`` to ``NAME.partial`` and return the new paths."""
-    return [path.rename(path.with_name(path.name + ".partial")) for path in paths]
+    """Rename each file under ``paths`` to ``NAME.partial``, whichever run
+    wrote it, and return the new paths."""
+    return [path.rename(path.with_name(path.name + ".partial")) for path in paths if path.exists()]
+
+
+def _clear_partial(paths: list[Path]) -> None:
+    """Remove the ``NAME.partial`` an earlier run left beside each of ``paths``."""
+    for path in paths:
+        path.with_name(path.name + ".partial").unlink(missing_ok=True)
 
 
 def _run_condition(
@@ -301,41 +313,34 @@ def _run_condition(
     summaries: list,
 ) -> None:
     """Calibrate one condition on its calibration file, then read, evaluate
-    and export its test files one at a time to files named by ``slug``,
-    printing a line per step and appending each group's summary to
-    ``summaries``. On failure the files written so far are renamed
-    ``*.partial`` and the error is re-raised."""
+    and export its test files one at a time to ``_group_outputs``, printing
+    a line per step and appending each group's summary to ``summaries``. A
+    group with no AUC removes any ROC file of its name."""
     cond = group.condition
-    written = []
-    try:
-        thresholds = calibrate(_read_manifest_file(group.calibration, cond, 0, k_classes), alpha)
-        _warn_sentinel(thresholds)
+    thresholds = calibrate(_read_manifest_file(group.calibration, cond, 0, k_classes), alpha)
+    _warn_sentinel(thresholds)
+    print(
+        f"[{cond}] q_conf={thresholds.q_conf:.6f}"
+        f" q_abs={thresholds.q_abs:.6f} youden_j={thresholds.youden_j:.6f}"
+        f" n={thresholds.n_calibration}"
+    )
+
+    for sev, path in group.tests:
+        ev = evaluate_samples(_read_manifest_file(path, cond, sev, k_classes), thresholds)
+        rec_path, roc_path = _group_outputs(out, slug, sev)
+        write_records_csv(ev, rec_path)
+
+        summary = summarize(ev)
+        if summary.auc is None:
+            roc_path.unlink(missing_ok=True)
+        else:
+            write_roc_csv(detection_auc(ev), roc_path)
+        summaries.append(summary)
         print(
-            f"[{cond}] q_conf={thresholds.q_conf:.6f}"
-            f" q_abs={thresholds.q_abs:.6f} youden_j={thresholds.youden_j:.6f}"
-            f" n={thresholds.n_calibration}"
+            f"[{cond}] severity {sev}: n={summary.n} "
+            f"coverage={summary.coverage:.4f} "
+            f"abstention={summary.abstention_rate:.4f}"
         )
-
-        for sev, path in group.tests:
-            ev = evaluate_samples(_read_manifest_file(path, cond, sev, k_classes), thresholds)
-            rec_path = out / f"records_{slug}_s{sev}.csv"
-            write_records_csv(ev, rec_path)
-            written.append(rec_path)
-
-            summary = summarize(ev)
-            if summary.auc is not None:
-                roc_path = out / f"roc_{slug}_s{sev}.csv"
-                write_roc_csv(detection_auc(ev), roc_path)
-                written.append(roc_path)
-            summaries.append(summary)
-            print(
-                f"[{cond}] severity {sev}: n={summary.n} "
-                f"coverage={summary.coverage:.4f} "
-                f"abstention={summary.abstention_rate:.4f}"
-            )
-    except Exception:
-        _mark_partial(written)
-        raise
 
 
 def cmd_sweep(args) -> int:
@@ -357,33 +362,33 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     all_summaries: list[EvaluationSummary] = []
     failures = {}
+    # One rule for every output name: its .partial of an earlier run goes
+    # first, and a failed condition's files are renamed .partial.
     for group in manifest.conditions:
+        slug = slugs[group.condition]
+        outputs = [path for sev, _ in group.tests for path in _group_outputs(out, slug, sev)]
         try:
-            _run_condition(
-                cfg.alpha, manifest.k_classes, group, slugs[group.condition], out, all_summaries
-            )
-        except BrokenPipeError:  # stdout is gone: no later condition can report
-            raise
-        except Exception as exc:  # reported per condition; sweep continues
-            failures[group.condition] = exc
+            _clear_partial(outputs)
+            _run_condition(cfg.alpha, manifest.k_classes, group, slug, out, all_summaries)
+        except Exception as exc:
+            _mark_partial(outputs)
+            if isinstance(exc, BrokenPipeError):  # stdout is gone: no later condition can report
+                raise
+            failures[group.condition] = exc  # reported per condition; sweep continues
 
-    # Written under their final names, then renamed *.partial if a
-    # condition failed, so none of an earlier run's is left beside them.
-    if all_summaries:
-        written = []
-        try:
-            for name, write in (
-                ("summary.csv", lambda path: write_summary(all_summaries, path, format="csv")),
-                ("summary.json", lambda path: write_summary(all_summaries, path, format="json")),
-                ("heatmap.csv", lambda path: write_heatmap(all_summaries, path)),
-            ):
-                write(out / name)
-                written.append(out / name)
-        finally:
-            if failures:
-                written = _mark_partial(written)
-        for path in written:
-            print(f"wrote {path}")
+    # The summaries are the run's: written on every run, a header alone
+    # when no group finished, and renamed .partial if a condition failed.
+    summaries = [out / "summary.csv", out / "summary.json", out / "heatmap.csv"]
+    _clear_partial(summaries)
+    try:
+        write_summary(all_summaries, summaries[0], format="csv")
+        write_summary(all_summaries, summaries[1], format="json")
+        write_heatmap(all_summaries, summaries[2])
+    finally:
+        if failures:
+            summaries = _mark_partial(summaries)
+    for path in summaries:
+        print(f"wrote {path}")
 
     if failures:
         for cond, exc in failures.items():

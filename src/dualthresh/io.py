@@ -75,10 +75,20 @@ SEVERITY = (
 
 
 def load_json(path):
-    """Parse a UTF-8 JSON file; invalid UTF-8 or JSON is an ArtifactError."""
+    """Parse a UTF-8 JSON file; invalid UTF-8 or JSON, or an object that
+    repeats a key, is an ArtifactError."""
+
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ArtifactError(f"{path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise ArtifactError(f"{path}: not valid JSON ({exc})") from None
         except UnicodeDecodeError as exc:
@@ -578,10 +588,9 @@ def _summary_row(s: EvaluationSummary, metric_out) -> list:
 def write_summary(summaries: Sequence[EvaluationSummary], path, format: str = "csv") -> None:
     """Write grouped summaries as CSV or JSON.
 
-    An absent AUC becomes an empty CSV cell or a JSON null.
+    An absent AUC becomes an empty CSV cell or a JSON null. No summaries
+    give the header alone (``[]`` in JSON).
     """
-    if len(summaries) == 0:
-        raise ValueError("summaries must be non-empty")
     if format == "csv":
         _write_csv(path, [_SUMMARY_COLUMNS] + [_summary_row(s, _cell) for s in summaries])
     elif format == "json":

@@ -666,6 +666,54 @@ def test_non_object_json_artifact_exits_2(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "key, first, second", [("alpha", 0.1, 0.5), ("k_classes", 6, 4)], ids=["top", "generator"]
+)
+def test_config_with_a_repeated_key_exits_2(tmp_path, capsys, key, first, second):
+    # Either value alone is valid, so only the repeat is at fault.
+    cfg = write_config(tmp_path)
+    text = cfg.read_text(encoding="utf-8")
+    assert text.count(f'"{key}": {first}') == 1
+    text = text.replace(f'"{key}": {first}', f'"{key}": {first}, "{key}": {second}')
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: duplicate key {key!r}\n"
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("where", ["top level", "files entry"])
+def test_manifest_with_a_repeated_key_exits_2(tmp_path, capsys, where):
+    main(["gen", str(write_config(tmp_path)), "--out", str(tmp_path / "data")])
+    capsys.readouterr()
+    manifest = tmp_path / "data" / "manifest.json"
+    # A valid manifest but for one repeated key, whose last value is valid too.
+    text = json.dumps({"format_version": 1, "k_classes": 6, "files": [_cal(), _test()]})
+    if where == "top level":
+        key, text = "k_classes", text.replace('"k_classes": 6', '"k_classes": 2, "k_classes": 6')
+    else:
+        key, text = "role", text.replace('"role": "test"', '"role": "test", "role": "test"')
+    manifest.write_text(text, encoding="utf-8")
+    cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+    assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: duplicate key {key!r}\n"
+    assert not (tmp_path / "sw").exists()
+
+
+def test_thresholds_with_a_repeated_key_exits_2(tmp_path, capsys):
+    # The second q_abs would abstain on every row if it were kept.
+    cal, thr = tmp_path / "cal.csv", tmp_path / "thr.json"
+    cal.write_text(WORKED_CAL_CSV, encoding="utf-8")
+    main(["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(thr)])
+    capsys.readouterr()
+    thr.write_text(thr.read_text(encoding="utf-8").rstrip()[:-1] + ', "q_abs": -1e9}',
+                   encoding="utf-8")
+    assert main(["evaluate", "--test", str(cal), "--thresholds", str(thr),
+                 "--records-out", str(tmp_path / "r.csv"),
+                 "--summary-out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {thr}: duplicate key 'q_abs'\n"
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "sweep data", "sweep config"])
 def test_non_utf8_input_exits_2_naming_the_file(tmp_path, capsys, command):
     if command == "calibrate":
@@ -1023,6 +1071,116 @@ class TestSweep:
         assert {p.name for p in (tmp_path / "sw").iterdir()} == {
             "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
             "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+        }
+
+    def _rerun(self, tmp_path, capsys, conditions, edit):
+        """Sweep ``conditions`` from a manifest into ``sw``, apply ``edit``
+        to the data directory, sweep again and return that run's exit code
+        and standard output."""
+        main(["gen", str(write_config(tmp_path, conditions=conditions)),
+              "--out", str(tmp_path / "data")])
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")]) == 0
+        capsys.readouterr()
+        edit(tmp_path / "data")
+        code = main(["sweep", str(cfg), "--out-dir", str(tmp_path / "sw")])
+        return code, capsys.readouterr().out
+
+    def test_all_fail_rerun_leaves_only_header_partial_summaries(self, tmp_path, capsys):
+        def break_calibration(data):
+            with open(data / "rain_cal.csv", "a", encoding="utf-8") as fh:
+                fh.write("x,0\n")
+
+        code, out = self._rerun(tmp_path, capsys, ["rain"], break_calibration)
+        assert code == 2
+        sw = tmp_path / "sw"
+        assert out.endswith(
+            f"wrote {sw / 'summary.csv.partial'}\n"
+            f"wrote {sw / 'summary.json.partial'}\n"
+            f"wrote {sw / 'heatmap.csv.partial'}\n"
+        )
+        assert {p.name for p in sw.iterdir()} == {
+            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "records_rain_s3.csv.partial", "roc_rain_s3.csv.partial",
+            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+        }
+        assert (sw / "summary.csv.partial").read_bytes() == (
+            b"condition,severity,n,coverage,avg_set_size,avg_entropy,"
+            b"avg_confidence,avg_margin,abstention_rate,auc\n"
+        )
+        assert (sw / "summary.json.partial").read_bytes() == b"[]\n"
+        assert (sw / "heatmap.csv.partial").read_bytes() == b"metric,condition\n"
+
+    def test_rerun_with_a_failing_calibration_file_renames_earlier_outputs(
+        self, tmp_path, capsys
+    ):
+        def break_calibration(data):
+            (data / "rain_cal.csv").write_text(WORKED_CAL_CSV, encoding="utf-8")
+
+        sw = tmp_path / "sw"
+        code, _ = self._rerun(tmp_path, capsys, ["fog", "rain"], break_calibration)
+        assert code == 2
+        assert {p.name for p in sw.iterdir()} == {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv",
+            "roc_fog_s3.csv", "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "records_rain_s3.csv.partial", "roc_rain_s3.csv.partial",
+            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+        }
+
+    def test_rerun_group_with_one_flag_class_leaves_no_roc_file(self, tmp_path, capsys):
+        def all_correct(data):  # every top-1 right: no should-abstain flag set
+            (data / "rain_s3.csv").write_text(
+                "sample_id,label," + ",".join(f"prob_{j}" for j in range(6)) + "\n"
+                + "".join(
+                    f"t{i},{i % 6}," + ",".join("0.95" if j == i % 6 else "0.01"
+                                                for j in range(6)) + "\n"
+                    for i in range(12)
+                ),
+                encoding="utf-8",
+            )
+
+        code, _ = self._rerun(tmp_path, capsys, ["rain"], all_correct)
+        assert code == 0
+        sw = tmp_path / "sw"
+        assert {p.name for p in sw.iterdir()} == {
+            "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv",
+            "summary.csv", "summary.json", "heatmap.csv",
+        }
+        assert (sw / "summary.csv").read_text(encoding="utf-8").endswith(",\n")  # no AUC
+
+    def test_finished_rerun_clears_partials_of_a_failed_run(self, tmp_path, capsys):
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        cal = tmp_path / "data" / "rain_cal.csv"
+        good = cal.read_bytes()
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        finished = tree_bytes(sw)
+        cal.write_bytes(good + b"x,0\n")
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        assert (sw / "summary.csv.partial").exists()
+        assert (sw / "records_rain_s0.csv.partial").exists()
+        cal.write_bytes(good)
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        assert tree_bytes(sw) == finished
+
+    def test_failed_rerun_leaves_only_its_own_partials(self, tmp_path, capsys):
+        # rain fails at its last test file, then at its calibration file:
+        # the second run wrote nothing for rain, so no rain file is left.
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        with open(tmp_path / "data" / "rain_s3.csv", "a", encoding="utf-8") as fh:
+            fh.write("z,0\n")
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        assert (sw / "records_rain_s0.csv.partial").exists()
+        (tmp_path / "data" / "rain_cal.csv").write_text(WORKED_CAL_CSV, encoding="utf-8")
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        assert {p.name for p in sw.iterdir()} == {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
             "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
         }
 

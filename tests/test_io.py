@@ -1051,6 +1051,17 @@ class TestExports:
         assert csv_path.read_text(encoding="utf-8").splitlines()[1].endswith(",")
         assert json.loads(json_path.read_text(encoding="utf-8"))[0]["auc"] is None
 
+    def test_no_summaries_write_the_header_alone(self, tmp_path):
+        write_summary([], tmp_path / "s.csv", format="csv")
+        write_summary([], tmp_path / "s.json", format="json")
+        write_heatmap([], tmp_path / "h.csv")
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"condition,severity,n,coverage,avg_set_size,avg_entropy,"
+            b"avg_confidence,avg_margin,abstention_rate,auc\n"
+        )
+        assert (tmp_path / "s.json").read_bytes() == b"[]\n"
+        assert (tmp_path / "h.csv").read_bytes() == b"metric,condition\n"
+
     def test_numpy_integer_severity_exports_to_json(self, tmp_path):
         samples = sample_batch([("a", 0, [0.9, 0.1])], "rain", np.int64(3))
         path = tmp_path / "s.json"

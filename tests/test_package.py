@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import dualthresh
-from dualthresh import calibration, core, io, prediction
+from dualthresh import calibration, cli, core, io, prediction
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -131,6 +131,28 @@ def _writes_a_file(node) -> bool:
     ]
     writes = any(m <= set("rwaxbt+") and m & set("wax+") for m in modes)
     return name in ("open", "fdopen") and writes
+
+
+def test_sweep_spells_each_output_rule_once():
+    # _group_outputs alone names a group's records and ROC files, and
+    # cmd_sweep alone renames a failed condition's files, so
+    # _run_condition needs no failure handling of its own.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def group_name(node) -> bool:
+        return isinstance(node, ast.Constant) and str(node.value).startswith(("records_", "roc_"))
+
+    def mark_partial(node) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_mark_partial"
+
+    def holders(match) -> set:
+        return {name for name, node in functions.items() if any(map(match, ast.walk(node)))}
+
+    assert sum(map(group_name, ast.walk(tree))) == 2
+    assert holders(group_name) == {"_group_outputs"}
+    assert holders(mark_partial) == {"cmd_sweep"}
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(functions["_run_condition"]))
 
 
 def test_logits_are_normalized_a_block_at_a_time():
