@@ -145,15 +145,14 @@ def roc_points(scores: Sequence[float], should_abstain: Sequence[bool]) -> RocCu
     pos_desc = flags[order].astype(np.int64)
     cum_pos = np.concatenate([[0], np.cumsum(pos_desc)])
 
-    # first_idx[j]: position of the first occurrence of the j-th unique
-    # value (descending); samples before it are the ones exceeding it.
-    uniq_desc, first_idx = np.unique(-s_desc, return_index=True)
-    uniq_desc = -uniq_desc
+    # first_idx[j]: where the j-th run of equal sorted scores starts; the
+    # samples before it are the ones exceeding its value.
+    first_idx = np.flatnonzero(np.r_[True, s_desc[1:] != s_desc[:-1]])
 
     tp = np.concatenate([[0], cum_pos[first_idx], [n_pos]])
     counted = np.concatenate([[0], first_idx, [s.size]])
     fp = counted - tp
-    taus = np.concatenate([[math.inf], uniq_desc, [-math.inf]])
+    taus = np.concatenate([[math.inf], s_desc[first_idx], [-math.inf]])
 
     tpr = tp / n_pos
     fpr = fp / n_neg

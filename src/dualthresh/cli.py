@@ -36,7 +36,6 @@ from .io import (
     ArtifactError,
     DatasetManifest,
     ManifestCondition,
-    ParseError,
     check_fields,
     is_int,
     load_json,
@@ -302,12 +301,6 @@ def _mark_partial(paths: list[Path]) -> list[Path]:
     return [path.rename(path.with_name(path.name + ".partial")) for path in paths if path.exists()]
 
 
-def _clear_partial(paths: list[Path]) -> None:
-    """Remove the ``NAME.partial`` an earlier run left beside each of ``paths``."""
-    for path in paths:
-        path.with_name(path.name + ".partial").unlink(missing_ok=True)
-
-
 def _run_condition(
     alpha: float, k_classes: int, group: ManifestCondition, slug: str, out: Path,
     summaries: list,
@@ -360,34 +353,38 @@ def cmd_sweep(args) -> int:
     manifest = read_manifest(manifest_path)
     slugs = _slugs(c.condition for c in manifest.conditions)
     out.mkdir(parents=True, exist_ok=True)
+    summaries = [out / "summary.csv", out / "summary.json", out / "heatmap.csv"]
+    # Every output name this run owns: each condition's, then the summaries
+    # (under None). Each name's .partial of an earlier run goes first; an
+    # entry leaves once its files are finished, and the names left when the
+    # run stops, whatever stopped it, are renamed .partial.
+    owned = {
+        g.condition: [p for sev, _ in g.tests for p in _group_outputs(out, slugs[g.condition], sev)]
+        for g in manifest.conditions
+    } | {None: summaries}
+    for path in [path for paths in owned.values() for path in paths]:
+        path.with_name(path.name + ".partial").unlink(missing_ok=True)
     all_summaries: list[EvaluationSummary] = []
     failures = {}
-    # One rule for every output name: its .partial of an earlier run goes
-    # first, and a failed condition's files are renamed .partial.
-    for group in manifest.conditions:
-        slug = slugs[group.condition]
-        outputs = [path for sev, _ in group.tests for path in _group_outputs(out, slug, sev)]
-        try:
-            _clear_partial(outputs)
-            _run_condition(cfg.alpha, manifest.k_classes, group, slug, out, all_summaries)
-        except Exception as exc:
-            _mark_partial(outputs)
-            if isinstance(exc, BrokenPipeError):  # stdout is gone: no later condition can report
-                raise
-            failures[group.condition] = exc  # reported per condition; sweep continues
-
-    # The summaries are the run's: written on every run, a header alone
-    # when no group finished, and renamed .partial if a condition failed.
-    summaries = [out / "summary.csv", out / "summary.json", out / "heatmap.csv"]
-    _clear_partial(summaries)
     try:
+        for group in manifest.conditions:
+            slug = slugs[group.condition]
+            try:
+                _run_condition(cfg.alpha, manifest.k_classes, group, slug, out, all_summaries)
+                del owned[group.condition]
+            except BrokenPipeError:  # stdout is gone: no later condition can report
+                raise
+            except Exception as exc:
+                failures[group.condition] = exc  # reported per condition; sweep continues
+        # Written on every run, a header alone when no group finished.
         write_summary(all_summaries, summaries[0], format="csv")
         write_summary(all_summaries, summaries[1], format="json")
         write_heatmap(all_summaries, summaries[2])
+        if not failures:
+            del owned[None]
     finally:
-        if failures:
-            summaries = _mark_partial(summaries)
-    for path in summaries:
+        renamed = {key: _mark_partial(paths) for key, paths in owned.items()}
+    for path in renamed.get(None, summaries):
         print(f"wrote {path}")
 
     if failures:
@@ -477,7 +474,7 @@ def main(argv=None) -> int:
             os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ArtifactError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # ParseError and ArtifactError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

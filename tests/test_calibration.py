@@ -207,6 +207,27 @@ class TestRocPoints:
             roc = roc_points(scores, flags)
             assert roc.auc == pytest.approx(mann_whitney(scores, flags), abs=1e-9)
 
+    @settings(max_examples=500, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.sampled_from([-0.0, 0.0, math.inf, -math.inf, 0.25, 0.5, -1.0, 5e-324]),
+                  st.booleans()),
+        min_size=2, max_size=30,
+    ))
+    @example(rows=[(0.0, True), (-0.0, False), (-0.0, True), (0.0, False)])
+    @example(rows=[(-0.0, True), (0.0, False), (math.inf, True), (-math.inf, False)])
+    def test_taus_are_the_unique_scores_bitwise(self, rows):
+        # Each tau is the first of its run of equal sorted scores, as
+        # np.unique on the negated scores picks it, signed zeros included.
+        scores, flags = map(np.array, zip(*rows))
+        assume(0 < flags.sum() < flags.size)
+        s_desc = scores[np.argsort(-scores, kind="stable")]
+        uniq, first_idx = np.unique(-s_desc, return_index=True)
+        roc = roc_points(scores, flags)
+        taus = np.concatenate([[math.inf], -uniq, [-math.inf]])
+        assert np.array_equal(roc.taus.view(np.int64), taus.view(np.int64))
+        counted = np.concatenate([[0], first_idx, [scores.size]])
+        assert np.array_equal(roc.tp_counts + roc.fp_counts, counted)
+
     def test_degenerate_flags(self):
         with pytest.raises(DegenerateLabelsError):
             roc_points([0.1, 0.2], [True, True])

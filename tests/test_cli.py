@@ -1074,6 +1074,82 @@ class TestSweep:
             "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
         }
 
+    def test_closed_stdout_rerun_leaves_no_earlier_output_under_a_final_name(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # fog's first progress line fails, so this run finishes no output:
+        # every file of the earlier run is renamed, rain's and the summaries
+        # included.
+        cfg = write_config(tmp_path, conditions=["fog", "rain"])
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        finished = {p.name for p in sw.iterdir()} - {"data"}
+        assert {"summary.csv", "records_rain_s3.csv", "roc_rain_s3.csv"} <= finished
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", ClosedAfterFirstLine())
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert {p.name for p in sw.iterdir()} == {
+            "data", *(name + ".partial" for name in finished)
+        }
+
+    def test_failed_summary_write_in_a_clean_rerun_leaves_only_partial_summaries(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Every condition finishes, then the summary.json write fails
+        # mid-file: this run's summary.csv and the earlier run's
+        # summary.json and heatmap.csv are all renamed.
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        earlier = (sw / "summary.json").read_bytes()
+        capsys.readouterr()
+        write_summary = cli.write_summary
+
+        def failing_summary(summaries, path, format):
+            if format != "json":
+                return write_summary(summaries, path, format=format)
+            with pytest.MonkeyPatch.context() as patch:
+                fail_second_write(patch)
+                return write_summary(summaries, path, format=format)
+
+        monkeypatch.setattr(cli, "write_summary", failing_summary)
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert {p.name for p in sw.iterdir()} == {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+            "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv", "roc_rain_s3.csv",
+            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+        }
+        assert (sw / "summary.json.partial").read_bytes() == earlier
+
+    def test_interrupted_sweep_renames_what_it_did_not_finish(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # An interrupt at rain's second ROC write: fog finished, and rain's
+        # files (the earlier run's roc_rain_s3.csv among them) and the
+        # earlier run's summaries are renamed.
+        write_roc = cli.write_roc_csv
+
+        def interrupted_roc(curve, path):
+            if path.name == "roc_rain_s3.csv":
+                raise KeyboardInterrupt
+            return write_roc(curve, path)
+
+        def interrupt(data):
+            monkeypatch.setattr(cli, "write_roc_csv", interrupted_roc)
+
+        with pytest.raises(KeyboardInterrupt):
+            self._rerun(tmp_path, capsys, ["fog", "rain"], interrupt)
+        assert {p.name for p in (tmp_path / "sw").iterdir()} == {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "records_rain_s3.csv.partial", "roc_rain_s3.csv.partial",
+            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+        }
+
     def _rerun(self, tmp_path, capsys, conditions, edit):
         """Sweep ``conditions`` from a manifest into ``sw``, apply ``edit``
         to the data directory, sweep again and return that run's exit code

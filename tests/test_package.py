@@ -154,6 +154,21 @@ def test_sweep_spells_each_output_rule_once():
     assert holders(mark_partial) == {"cmd_sweep"}
     assert not any(isinstance(node, ast.Try) for node in ast.walk(functions["_run_condition"]))
 
+    # One finally renames whatever cmd_sweep did not finish, however it
+    # stopped; no handler renames, and a closed pipe is only re-raised.
+    sweep = functions["cmd_sweep"]
+    tries = [node for node in ast.walk(sweep) if isinstance(node, ast.Try)]
+    handlers = [handler for node in tries for handler in node.handlers]
+    assert sum(map(mark_partial, ast.walk(sweep))) == 1
+    assert any(mark_partial(n) for t in tries for stmt in t.finalbody for n in ast.walk(stmt))
+    assert not any(mark_partial(n) for handler in handlers for n in ast.walk(handler))
+    assert sum(getattr(n, "attr", None) == "unlink" for n in ast.walk(sweep)) == 1
+    assert all(
+        isinstance(handler.body[0], ast.Raise) and handler.body[0].exc is None
+        for handler in handlers
+        if "BrokenPipeError" in ast.unparse(handler.type)
+    )
+
 
 def test_logits_are_normalized_a_block_at_a_time():
     # The reader's per-row route through core.softmax stays gone: io
