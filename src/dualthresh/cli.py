@@ -296,9 +296,10 @@ def _group_outputs(out: Path, slug: str, severity: int) -> tuple[Path, Path]:
 
 
 def _mark_partial(paths: list[Path]) -> list[Path]:
-    """Rename each file under ``paths`` to ``NAME.partial``, whichever run
-    wrote it, and return the new paths."""
-    return [path.rename(path.with_name(path.name + ".partial")) for path in paths if path.exists()]
+    """Rename each regular file under ``paths`` to ``NAME.partial``,
+    whichever run wrote it, and return the new paths. Anything else under
+    a name, a directory say, is left as it is."""
+    return [path.rename(path.with_name(path.name + ".partial")) for path in paths if path.is_file()]
 
 
 def _run_condition(
@@ -355,15 +356,16 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     summaries = [out / "summary.csv", out / "summary.json", out / "heatmap.csv"]
     # Every output name this run owns: each condition's, then the summaries
-    # (under None). Each name's .partial of an earlier run goes first; an
+    # (under None). Each name's .partial file of an earlier run goes first; an
     # entry leaves once its files are finished, and the names left when the
     # run stops, whatever stopped it, are renamed .partial.
     owned = {
         g.condition: [p for sev, _ in g.tests for p in _group_outputs(out, slugs[g.condition], sev)]
         for g in manifest.conditions
     } | {None: summaries}
-    for path in [path for paths in owned.values() for path in paths]:
-        path.with_name(path.name + ".partial").unlink(missing_ok=True)
+    for partial in [p.with_name(p.name + ".partial") for paths in owned.values() for p in paths]:
+        if partial.is_file():
+            partial.unlink()
     all_summaries: list[EvaluationSummary] = []
     failures = {}
     try:

@@ -297,9 +297,8 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     over it.
 
     Data lines are read in blocks of about PARSE_BLOCK_CELLS value cells.
-    A block of plain lines (printable ASCII without a double quote, and
-    either LF endings or CRLF endings on every line with no other carriage
-    return) is split and parsed in bulk, one C call for all its values,
+    A block of plain lines (printable ASCII without a double quote, LF
+    endings) is split and parsed in bulk, one C call for all its values,
     and its ids, labels and cell counts are checked at once. A block the
     bulk pass cannot vouch for goes through a row-by-row csv loop instead,
     which reads past the block only the lines that a quoted cell in its
@@ -365,12 +364,8 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
         limit = csv.field_size_limit()
         line_no = reader.line_num + 1
         while block := list(islice(fh, max(1, PARSE_BLOCK_CELLS // k))):
-            text, lines = "".join(block), block
-            # Lines that all end in CRLF, with no other CR, parse as LF lines;
-            # an LF block pays one memchr-speed `in` scan, not two counts.
-            if "\r" in text and len(block) == text.count("\r") == text.count("\r\n"):
-                text, lines = text.replace("\r\n", "\n"), [line[:-2] + "\n" for line in block]
-            parsed = _parse_block(lines, text, k, limit)
+            text = "".join(block)
+            parsed = _parse_block(block, text, k, limit)
             if parsed is not None:
                 ids, block_labels, values = parsed
                 id_lines = dict(zip(ids, range(line_no, line_no + len(block))))

@@ -1125,6 +1125,31 @@ class TestSweep:
         }
         assert (sw / "summary.json.partial").read_bytes() == earlier
 
+    def test_directory_under_a_summary_name_fails_only_the_summaries(self, tmp_path, capsys):
+        # A directory under summary.json fails that write on every run but
+        # is never renamed, so each rerun clears the earlier .partial files,
+        # runs every condition and leaves no earlier output under a final
+        # name: the first renames the earlier heatmap, the second removes it.
+        cfg = write_config(tmp_path, conditions=["fog", "rain"])
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        (sw / "summary.json").unlink()
+        (sw / "summary.json").mkdir()
+        (sw / "summary.csv").write_text("earlier\n", encoding="utf-8")
+        for earlier in ({"heatmap.csv.partial"}, set()):
+            capsys.readouterr()
+            assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+            out, err = capsys.readouterr()
+            assert "[fog]" in out and "[rain]" in out
+            assert err == f"error: [Errno 21] Is a directory: '{sw / 'summary.json'}'\n"
+            assert {p.name for p in sw.iterdir()} == {
+                "data", "summary.json", "summary.csv.partial", *earlier,
+                "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+                "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv", "roc_rain_s3.csv",
+            }
+            assert (sw / "summary.json").is_dir()
+            assert (sw / "summary.csv.partial").read_text(encoding="utf-8") != "earlier\n"
+
     def test_interrupted_sweep_renames_what_it_did_not_finish(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -223,10 +223,8 @@ _BAD_UTF8 = {
 @st.composite
 def _data_files(draw):
     """The text of a logits or probability CSV: mostly valid rows, some
-    with an odd id, label, cell or line ending, some blank or duplicated;
-    one file in ten has CRLF line endings throughout."""
+    with an odd id, label, cell or line ending, some blank or duplicated."""
     kind = draw(st.sampled_from(["prob", "logit"]))
-    crlf = draw(st.integers(0, 9)) == 0
     k = draw(st.integers(2, 3))
     lines, ids = [], []
     for i in range(draw(st.integers(1, 10))):
@@ -258,8 +256,6 @@ def _data_files(draw):
         lines.append(",".join([sample_id, label, *cells]) + end)
     text = ",".join(["sample_id", "label"] + [f"{kind}_{j}" for j in range(k)]) + "\n"
     text += "".join(lines)
-    if crlf:
-        text = text.replace("\r\n", "\n").replace("\n", "\r\n")
     if draw(st.integers(0, 9)) == 0:
         text = text.rstrip("\n")
     if draw(st.integers(0, 19)) == 0:
@@ -773,24 +769,6 @@ class TestSamplesCsv:
         assert batch.sample_id.tolist() == ["s0", "a\nb"] + [f"s{i}" for i in range(1, 11)]
         assert [p is not None for p in parsed] == [False] + [True] * 5
         assert np.array_equal(batch.probs, rowwise_read_logits_csv(path).probs)
-
-    def test_crlf_file_never_enters_the_row_loop(self, tmp_path, monkeypatch):
-        # Two parse blocks of CRLF lines read as their LF twin does, each
-        # in bulk: the one csv reader made is the header's.
-        rows = "".join(f"s{i},{i % 2},{i / 8!r},{1 - i / 8!r}\n" for i in range(4))
-        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-        lf.write_text("sample_id,label,prob_0,prob_1\n" + rows, encoding="utf-8")
-        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-        want = read_logits_csv(lf)
-        readers = []
-        real = csv.reader
-        monkeypatch.setattr(csv, "reader", lambda *a: readers.append(a) or real(*a))
-        monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 4)  # blocks of 2 lines
-        got = read_logits_csv(crlf)
-        assert len(readers) == 1
-        assert got.sample_id.tolist() == want.sample_id.tolist() == [f"s{i}" for i in range(4)]
-        assert got.label.tolist() == want.label.tolist()
-        assert np.array_equal(got.probs.view(np.int64), want.probs.view(np.int64))
 
     def test_severity_is_checked_before_the_file_is_opened(self, tmp_path):
         path = tmp_path / "t.csv"
