@@ -298,8 +298,17 @@ def _group_outputs(out: Path, slug: str, severity: int) -> tuple[Path, Path]:
 def _mark_partial(paths: list[Path]) -> list[Path]:
     """Rename each regular file under ``paths`` to ``NAME.partial``,
     whichever run wrote it, and return the new paths. Anything else under
-    a name, a directory say, is left as it is."""
-    return [path.rename(path.with_name(path.name + ".partial")) for path in paths if path.is_file()]
+    a name, a directory say, is left as it is. A file whose ``.partial``
+    name is taken by anything but a regular file is removed instead, so no
+    unfinished output stays under its final name."""
+    renamed = []
+    for path in filter(Path.is_file, paths):
+        partial = path.with_name(path.name + ".partial")
+        if partial.is_file() or not partial.exists():
+            renamed.append(path.rename(partial))
+        else:
+            path.unlink()
+    return renamed
 
 
 def _run_condition(

@@ -19,11 +19,11 @@ configs differing only in severity see paired underlying randomness.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from .core import SEVERITY_MAX, SampleBatch, check_tags, softmax_rows
 
@@ -32,10 +32,13 @@ DEFAULT_NOISE_SIGMA_PER_LEVEL = 0.4
 
 _SEED_BITS = 64
 
-# Normal density normaliser, spelled as scipy's norm distribution spells
-# it, so the accuracy integrand below is the same floating-point
-# arithmetic as norm.pdf * norm.cdf and gives bit-identical solutions.
-_NORM_PDF_C = np.sqrt(2 * np.pi)
+# Composite Simpson rule on [-12, 12] for the accuracy integral, with the
+# normal density folded into the weights. The step is spelled 24/600, not
+# taken as a difference of two nodes (that is 1e-15 short), so the weights
+# sum to 1 and every accuracy below 1 is reached at a finite boost.
+_NODES = np.linspace(-12.0, 12.0, 601)
+_SIMPSON = np.r_[1.0, np.tile([4.0, 2.0], 299), 4.0, 1.0] * (24.0 / 600 / 3)
+_WEIGHTS = _SIMPSON * np.exp(-_NODES**2 / 2.0) / math.sqrt(2.0 * math.pi)
 
 
 def derive_seed(base_seed: int, *parts) -> int:
@@ -59,21 +62,19 @@ def signal_strength(k_classes: int, base_accuracy: float) -> float:
     """Logit boost on the true class yielding the requested top-1 accuracy.
 
     With unit-normal base noise on every logit and a boost mu on the true
-    one, top-1 accuracy is P(mu + Z > max of k-1 iid Z), an increasing
-    function of mu; invert it by bracketed root finding. That needs an
-    accuracy above chance, the accuracy at mu = 0.
+    one, top-1 accuracy is P(mu + Z > max of k-1 iid Z), the integral of
+    phi(z) * Phi(z + mu)**(k-1), an increasing function of mu. It is
+    computed by a fixed 601-node composite Simpson rule on [-12, 12], with
+    Phi(x) = erfc(-x / sqrt 2) / 2, and inverted by bisection to a bracket
+    of 1e-10. That needs an accuracy above chance, 1/k, the accuracy at
+    mu = 0 by symmetry; it is compared exactly, not through the quadrature.
     """
 
     def top1_accuracy(mu: float) -> float:
-        val, _ = integrate.quad(
-            lambda z: np.exp(-z**2 / 2.0) / _NORM_PDF_C
-            * special.ndtr(z + mu) ** (k_classes - 1),
-            -12.0,
-            12.0,
-        )
-        return val
+        erfc = np.fromiter(map(math.erfc, ((_NODES + mu) / -math.sqrt(2.0)).tolist()), float)
+        return float((_WEIGHTS * (0.5 * erfc) ** (k_classes - 1)).sum())
 
-    if top1_accuracy(0.0) >= base_accuracy:
+    if base_accuracy <= 1 / k_classes:
         raise ValueError(
             f"base_accuracy must exceed chance, 1/k_classes = {1 / k_classes:.6g} "
             f"for k_classes {k_classes}, got {base_accuracy}"
@@ -81,9 +82,10 @@ def signal_strength(k_classes: int, base_accuracy: float) -> float:
     lo, hi = 0.0, 8.0
     while top1_accuracy(hi) < base_accuracy:
         hi *= 2.0
-    return optimize.brentq(
-        lambda m: top1_accuracy(m) - base_accuracy, lo, hi, xtol=1e-10
-    )
+    while hi - lo > 1e-10:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if top1_accuracy(mid) < base_accuracy else (lo, mid)
+    return (lo + hi) / 2.0
 
 
 @dataclass(frozen=True)

@@ -96,12 +96,17 @@ def tree_bytes(root):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    probe = "import sys, dualthresh.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+    # Neither the package nor its command line loads any scipy module.
+    for module in ("dualthresh", "dualthresh.cli"):
+        probe = (
+            f"import sys, {module}; print('scipy.stats' in sys.modules, "
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False []", module
 
 
 class TestVersionAndUsage:
@@ -1149,6 +1154,35 @@ class TestSweep:
             }
             assert (sw / "summary.json").is_dir()
             assert (sw / "summary.csv.partial").read_text(encoding="utf-8") != "earlier\n"
+
+    def test_directory_under_a_partial_name_removes_the_file_it_blocks(
+        self, tmp_path, capsys
+    ):
+        # rain fails at its last test file, and a directory sits under the
+        # .partial name of the earlier run's records file for that group:
+        # the file is removed, not renamed, every other unfinished name is
+        # still renamed, and rain's own error is reported.
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        capsys.readouterr()
+        (sw / "records_rain_s3.csv.partial").mkdir()
+        bad = tmp_path / "data" / "rain_s3.csv"
+        with open(bad, "a", encoding="utf-8") as fh:
+            fh.write("z,0\n")  # line 202, after the header and 200 rows
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: condition 'rain' failed: {bad}:202: expected 8 cells, got 2\n"
+        )
+        assert {p.name for p in sw.iterdir()} == {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "records_rain_s3.csv.partial", "roc_rain_s3.csv.partial",
+            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+        }
+        assert (sw / "records_rain_s3.csv.partial").is_dir()
 
     def test_interrupted_sweep_renames_what_it_did_not_finish(
         self, tmp_path, capsys, monkeypatch

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dualthresh import core
 from dualthresh.datagen import (
@@ -40,10 +42,11 @@ class TestSignalStrength:
         mu = signal_strength(2, 0.8)
         assert norm.cdf(mu / np.sqrt(2)) == pytest.approx(0.8, abs=1e-8)
 
-
-    @pytest.mark.parametrize("k", [2, 10, 100])
-    @pytest.mark.parametrize("accuracy", [0.7, 0.95])
-    def test_matches_scipy_stats_integrand_exactly(self, k, accuracy):
+    @pytest.mark.parametrize("k", [2, 10, 100, 1000, 10000])
+    @pytest.mark.parametrize("accuracy", [0.55, 0.7, 0.9, 0.95, 0.99])
+    def test_matches_scipy_quad_and_brentq_within_tolerance(self, k, accuracy):
+        # Oracle: scipy's adaptive quadrature of the same integral, inverted
+        # by brentq to its xtol of 1e-10.
         from scipy import integrate, optimize, stats
 
         def top1_accuracy(mu):
@@ -59,7 +62,34 @@ class TestSignalStrength:
         expected = optimize.brentq(
             lambda m: top1_accuracy(m) - accuracy, 0.0, hi, xtol=1e-10
         )
-        assert signal_strength(k, accuracy) == expected
+        mu = signal_strength(k, accuracy)
+        assert abs(mu - expected) <= 1e-9
+        assert abs(top1_accuracy(mu) - accuracy) <= 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.sampled_from([2, 10, 1000]),
+        a=st.floats(0.001, 0.999),
+        b=st.floats(0.001, 0.999),
+    )
+    def test_monotone_in_accuracy(self, k, a, b):
+        lo, hi = sorted((a, b))
+        assume(lo > 1 / k)
+        assert signal_strength(k, lo) <= signal_strength(k, hi)
+
+    @pytest.mark.parametrize("k", [2, 10, 100, 1000])
+    def test_chance_is_refused_and_just_above_it_is_solved(self, k):
+        # Accuracy at mu = 0 is 1/k by symmetry; the quadrature's own value
+        # there may round either side of it.
+        with pytest.raises(ValueError, match="must exceed chance"):
+            signal_strength(k, 1 / k)
+        assert 0.0 <= signal_strength(k, float(np.nextafter(1 / k, 1))) <= 1e-6
+
+    @pytest.mark.parametrize("k", [2, 10000])
+    def test_largest_accuracy_below_one_is_reached(self, k):
+        # The bracket doubles until the accuracy is reached, so the
+        # quadrature must reach every float below 1 once Phi saturates.
+        assert 8.0 < signal_strength(k, float(np.nextafter(1.0, 0))) < 64.0
 
 
 class TestGenerateDataset:

@@ -2,14 +2,17 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import dualthresh
 from dualthresh import calibration, cli, core, io, prediction
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PUBLIC_NAMES = [
     "CalibratedThresholds",
@@ -40,6 +43,25 @@ def test_public_names_are_exactly_these_and_resolve():
     assert sorted(dualthresh.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         getattr(dualthresh, name)
+
+
+def test_package_imports_only_the_stdlib_and_numpy():
+    # Every import, function bodies included, is of the standard library,
+    # numpy or the package itself, and numpy is the one dependency.
+    for source in sorted(Path(dualthresh.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names | {"numpy", "dualthresh"}, (source, name)
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_readme_library_example_runs(capsys):
