@@ -171,16 +171,17 @@ def _check_files(inputs, outputs) -> None:
     """Refuse an output naming the same file, after symbolic links and
     ``..`` are resolved, as an input or an earlier output. Each item is
     ``(flag, path, what the file holds)``; outputs come in the order they
-    are written."""
-    files = list(inputs)
-    for flag, path, holds in outputs:
-        for first, first_path, first_holds in files:
-            if os.path.realpath(first_path) == os.path.realpath(path):
-                raise ValueError(
-                    f"{first} and {flag} name the same file {first_path!r}; "
-                    f"the {holds} would overwrite the {first_holds}"
-                )
-        files.append((flag, path, holds))
+    are written. Each path is resolved once."""
+    files = {}
+    for item in inputs:
+        files.setdefault(os.path.realpath(item[1]), item)
+    for item in outputs:
+        first = files.setdefault(os.path.realpath(item[1]), item)
+        if first is not item:
+            raise ValueError(
+                f"{first[0]} and {item[0]} name the same file {first[1]!r}; "
+                f"the {item[2]} would overwrite the {first[2]}"
+            )
 
 
 def _warn_sentinel(thresholds: CalibratedThresholds) -> None:
@@ -295,22 +296,6 @@ def _group_outputs(out: Path, slug: str, severity: int) -> tuple[Path, Path]:
     return out / f"records_{slug}_s{severity}.csv", out / f"roc_{slug}_s{severity}.csv"
 
 
-def _mark_partial(paths: list[Path]) -> list[Path]:
-    """Rename each regular file under ``paths`` to ``NAME.partial``,
-    whichever run wrote it, and return the new paths. Anything else under
-    a name, a directory say, is left as it is. A file whose ``.partial``
-    name is taken by anything but a regular file is removed instead, so no
-    unfinished output stays under its final name."""
-    renamed = []
-    for path in filter(Path.is_file, paths):
-        partial = path.with_name(path.name + ".partial")
-        if partial.is_file() or not partial.exists():
-            renamed.append(path.rename(partial))
-        else:
-            path.unlink()
-    return renamed
-
-
 def _run_condition(
     alpha: float, k_classes: int, group: ManifestCondition, slug: str, out: Path,
     summaries: list,
@@ -318,7 +303,7 @@ def _run_condition(
     """Calibrate one condition on its calibration file, then read, evaluate
     and export its test files one at a time to ``_group_outputs``, printing
     a line per step and appending each group's summary to ``summaries``. A
-    group with no AUC removes any ROC file of its name."""
+    group with no AUC gets no ROC file."""
     cond = group.condition
     thresholds = calibrate(_read_manifest_file(group.calibration, cond, 0, k_classes), alpha)
     _warn_sentinel(thresholds)
@@ -334,9 +319,7 @@ def _run_condition(
         write_records_csv(ev, rec_path)
 
         summary = summarize(ev)
-        if summary.auc is None:
-            roc_path.unlink(missing_ok=True)
-        else:
+        if summary.auc is not None:
             write_roc_csv(detection_auc(ev), roc_path)
         summaries.append(summary)
         print(
@@ -349,53 +332,64 @@ def _run_condition(
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_file(args.config)
     out = Path(args.out_dir)
+    inputs = [("the config", args.config, "config")]
 
     # Data always flows through the CSV ingestion path, whether freshly
     # generated or supplied via a manifest; a one-group sweep is then
     # byte-for-byte the calibrate + evaluate pipeline.
-    if cfg.manifest is not None:
+    if cfg.manifest is None:
+        groups = dict.fromkeys(cfg.conditions, cfg.severities)
+    else:
         manifest_path = Path(cfg.manifest)
         if not manifest_path.is_absolute():
             manifest_path = Path(args.config).resolve().parent / manifest_path
-    else:
-        manifest_path = _generate_tree(cfg, out / "data", quiet=True)
+        manifest = read_manifest(manifest_path)
+        groups = {g.condition: [sev for sev, _ in g.tests] for g in manifest.conditions}
+        inputs += [("the manifest", str(manifest_path), "manifest")] + [
+            ("a manifest file", path, "data")
+            for g in manifest.conditions for path in [g.calibration, *dict(g.tests).values()]
+        ]
+    slugs = _slugs(groups)
+    # Every output name this run owns, the three summaries last. At every
+    # instant a final name holds only a file this run finished, and its
+    # NAME.partial the file an earlier run left under NAME: before anything
+    # is written, each such file moves aside. An input under one of these
+    # names, or a NAME.partial that is not a regular file, is refused first.
+    names = [p for c in groups for s in groups[c] for p in _group_outputs(out, slugs[c], s)]
+    names += [out / "summary.csv", out / "summary.json", out / "heatmap.csv"]
+    partials = [p.with_name(p.name + ".partial") for p in names]
+    _check_files(inputs, [("--out-dir", p, "sweep output") for p in names + partials])
+    for partial in partials:
+        if partial.exists() and not partial.is_file():
+            raise ValueError(f"{partial} is not a regular file; earlier outputs move there")
+    for path, partial in zip(names, partials):
+        if path.is_file():
+            path.rename(partial)
+
+    if cfg.manifest is None:
+        manifest = read_manifest(_generate_tree(cfg, out / "data", quiet=True))
         print(f"generated dataset under {out / 'data'}")
-    manifest = read_manifest(manifest_path)
-    slugs = _slugs(c.condition for c in manifest.conditions)
     out.mkdir(parents=True, exist_ok=True)
-    summaries = [out / "summary.csv", out / "summary.json", out / "heatmap.csv"]
-    # Every output name this run owns: each condition's, then the summaries
-    # (under None). Each name's .partial file of an earlier run goes first; an
-    # entry leaves once its files are finished, and the names left when the
-    # run stops, whatever stopped it, are renamed .partial.
-    owned = {
-        g.condition: [p for sev, _ in g.tests for p in _group_outputs(out, slugs[g.condition], sev)]
-        for g in manifest.conditions
-    } | {None: summaries}
-    for partial in [p.with_name(p.name + ".partial") for paths in owned.values() for p in paths]:
-        if partial.is_file():
-            partial.unlink()
     all_summaries: list[EvaluationSummary] = []
     failures = {}
-    try:
-        for group in manifest.conditions:
-            slug = slugs[group.condition]
-            try:
-                _run_condition(cfg.alpha, manifest.k_classes, group, slug, out, all_summaries)
-                del owned[group.condition]
-            except BrokenPipeError:  # stdout is gone: no later condition can report
-                raise
-            except Exception as exc:
-                failures[group.condition] = exc  # reported per condition; sweep continues
-        # Written on every run, a header alone when no group finished.
-        write_summary(all_summaries, summaries[0], format="csv")
-        write_summary(all_summaries, summaries[1], format="json")
-        write_heatmap(all_summaries, summaries[2])
-        if not failures:
-            del owned[None]
-    finally:
-        renamed = {key: _mark_partial(paths) for key, paths in owned.items()}
-    for path in renamed.get(None, summaries):
+    for group in manifest.conditions:
+        slug = slugs[group.condition]
+        try:
+            _run_condition(cfg.alpha, manifest.k_classes, group, slug, out, all_summaries)
+        except BrokenPipeError:  # stdout is gone: no later condition can report
+            raise
+        except Exception as exc:
+            failures[group.condition] = exc  # reported per condition; sweep continues
+    # Written on every run, a header alone when no group finished, and under
+    # the .partial names when a condition failed.
+    summaries = (partials if failures else names)[-3:]
+    write_summary(all_summaries, summaries[0], format="csv")
+    write_summary(all_summaries, summaries[1], format="json")
+    write_heatmap(all_summaries, summaries[2])
+    if not failures:
+        for partial in partials:
+            partial.unlink(missing_ok=True)
+    for path in summaries:
         print(f"wrote {path}")
 
     if failures:

@@ -57,6 +57,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _check_signal(k_classes: int, base_accuracy: float) -> None:
+    """Refuse a class count below 2 or an accuracy outside (0, 1), NaN
+    included."""
+    if k_classes < 2:
+        raise ValueError(f"k_classes must be >= 2, got {k_classes}")
+    if not 0.0 < base_accuracy < 1.0:
+        raise ValueError(f"base_accuracy must be in (0, 1), got {base_accuracy}")
+
+
 @lru_cache(maxsize=None)
 def signal_strength(k_classes: int, base_accuracy: float) -> float:
     """Logit boost on the true class yielding the requested top-1 accuracy.
@@ -68,12 +77,14 @@ def signal_strength(k_classes: int, base_accuracy: float) -> float:
     Phi(x) = erfc(-x / sqrt 2) / 2, and inverted by bisection to a bracket
     of 1e-10. That needs an accuracy above chance, 1/k, the accuracy at
     mu = 0 by symmetry; it is compared exactly, not through the quadrature.
+    The settings ``GeneratorConfig`` refuses are refused first.
     """
 
     def top1_accuracy(mu: float) -> float:
         erfc = np.fromiter(map(math.erfc, ((_NODES + mu) / -math.sqrt(2.0)).tolist()), float)
         return float((_WEIGHTS * (0.5 * erfc) ** (k_classes - 1)).sum())
 
+    _check_signal(k_classes, base_accuracy)
     if base_accuracy <= 1 / k_classes:
         raise ValueError(
             f"base_accuracy must exceed chance, 1/k_classes = {1 / k_classes:.6g} "
@@ -100,14 +111,9 @@ class GeneratorConfig:
     noise_sigma_per_level: float = DEFAULT_NOISE_SIGMA_PER_LEVEL
 
     def __post_init__(self):
-        if self.k_classes < 2:
-            raise ValueError(f"k_classes must be >= 2, got {self.k_classes}")
+        _check_signal(self.k_classes, self.base_accuracy)
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not 0.0 < self.base_accuracy < 1.0:
-            raise ValueError(
-                f"base_accuracy must be in (0, 1), got {self.base_accuracy}"
-            )
         check_tags(self.condition, self.severity)
         # JSON configs may carry NaN and Infinity (NaN fails every
         # comparison), and a finite setting may overflow at the top severity.

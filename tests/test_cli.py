@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,32 @@ def run_with_closed_stdout(argv):
         )
     finally:
         os.close(write_end)
+
+
+# A child that runs the CLI on sys.argv[2:] and kills itself with SIGKILL
+# as soon as it writes a line starting with sys.argv[1], so no cleanup of
+# any kind runs.
+KILLED_AFTER_LINE = """
+import os, signal, sys
+from dualthresh.cli import main
+
+class KilledAfterLine:
+    def __init__(self, stream, prefix):
+        self.stream, self.prefix = stream, prefix
+
+    def write(self, text):
+        self.stream.write(text)
+        if text.startswith(self.prefix):
+            self.stream.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return len(text)
+
+    def flush(self):
+        self.stream.flush()
+
+sys.stdout = KilledAfterLine(sys.stdout, sys.argv[1])
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 def tree_bytes(root):
@@ -966,8 +993,8 @@ class TestSweep:
             f"error: condition 'fog' failed: {bad}: 2 classes, manifest declares 6\n"
         )
         # fog's severity-0 outputs, if written before its test file failed,
-        # are kept as .partial
-        fog = {"records_fog_s0.csv.partial", "roc_fog_s0.csv.partial"}
+        # keep their final names: this run finished them
+        fog = {"records_fog_s0.csv", "roc_fog_s0.csv"}
         assert {p.name for p in (tmp_path / "sw").iterdir()} == {
             "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv",
             "roc_rain_s3.csv", "summary.csv.partial", "summary.json.partial",
@@ -988,7 +1015,7 @@ class TestSweep:
         )
         assert {p.name for p in (tmp_path / "sw").iterdir()} == {
             "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
-            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "records_rain_s0.csv", "roc_rain_s0.csv",
             "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
         }
         summary = (tmp_path / "sw" / "summary.csv.partial").read_text(encoding="utf-8")
@@ -1024,8 +1051,9 @@ class TestSweep:
     def test_failed_summary_write_in_a_failed_sweep_leaves_only_partials(
         self, tmp_path, capsys, monkeypatch
     ):
-        # rain fails, then the summary.json write fails mid-file: the
-        # summary.csv already written is renamed like the rest.
+        # rain fails, so the summaries go to their .partial names, and the
+        # summary.json write fails mid-file: only summary.csv.partial is
+        # left of them.
         main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
               "--out", str(tmp_path / "data")])
         capsys.readouterr()
@@ -1046,7 +1074,7 @@ class TestSweep:
         assert capsys.readouterr().err.endswith("error: [Errno 28] No space left on device\n")
         assert {p.name for p in (tmp_path / "sw").iterdir()} == {
             "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
-            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial", "summary.csv.partial",
+            "records_rain_s0.csv", "roc_rain_s0.csv", "summary.csv.partial",
         }
 
     def test_records_write_failing_mid_file_leaves_no_final_name(
@@ -1075,7 +1103,7 @@ class TestSweep:
         )
         assert {p.name for p in (tmp_path / "sw").iterdir()} == {
             "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
-            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            "records_rain_s0.csv", "roc_rain_s0.csv",
             "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
         }
 
@@ -1098,12 +1126,12 @@ class TestSweep:
             "data", *(name + ".partial" for name in finished)
         }
 
-    def test_failed_summary_write_in_a_clean_rerun_leaves_only_partial_summaries(
+    def test_failed_summary_write_in_a_clean_rerun_leaves_no_earlier_summary_final(
         self, tmp_path, capsys, monkeypatch
     ):
         # Every condition finishes, then the summary.json write fails
-        # mid-file: this run's summary.csv and the earlier run's
-        # summary.json and heatmap.csv are all renamed.
+        # mid-file: this run's summary.csv keeps its final name, and the
+        # earlier run's files, moved aside before the run, stay .partial.
         main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
               "--out", str(tmp_path / "data")])
         cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
@@ -1123,45 +1151,51 @@ class TestSweep:
         monkeypatch.setattr(cli, "write_summary", failing_summary)
         assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
-        assert {p.name for p in sw.iterdir()} == {
+        groups = {
             "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
             "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv", "roc_rain_s3.csv",
+        }
+        assert {p.name for p in sw.iterdir()} == {
+            *groups, *(name + ".partial" for name in groups), "summary.csv",
             "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
         }
         assert (sw / "summary.json.partial").read_bytes() == earlier
 
     def test_directory_under_a_summary_name_fails_only_the_summaries(self, tmp_path, capsys):
         # A directory under summary.json fails that write on every run but
-        # is never renamed, so each rerun clears the earlier .partial files,
-        # runs every condition and leaves no earlier output under a final
-        # name: the first renames the earlier heatmap, the second removes it.
+        # is never moved, so each rerun runs every condition and leaves no
+        # earlier output under a final name: its summary.csv is written, and
+        # the earlier files stay under their .partial names.
         cfg = write_config(tmp_path, conditions=["fog", "rain"])
         sw = tmp_path / "sw"
         assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
         (sw / "summary.json").unlink()
         (sw / "summary.json").mkdir()
         (sw / "summary.csv").write_text("earlier\n", encoding="utf-8")
-        for earlier in ({"heatmap.csv.partial"}, set()):
+        groups = {
+            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+            "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv", "roc_rain_s3.csv",
+        }
+        for _ in range(2):
+            earlier = (sw / "summary.csv").read_bytes()
             capsys.readouterr()
             assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
             out, err = capsys.readouterr()
             assert "[fog]" in out and "[rain]" in out
             assert err == f"error: [Errno 21] Is a directory: '{sw / 'summary.json'}'\n"
             assert {p.name for p in sw.iterdir()} == {
-                "data", "summary.json", "summary.csv.partial", *earlier,
-                "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
-                "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv", "roc_rain_s3.csv",
+                "data", "summary.json", "summary.csv", "summary.csv.partial",
+                "heatmap.csv.partial", *groups, *(name + ".partial" for name in groups),
             }
             assert (sw / "summary.json").is_dir()
-            assert (sw / "summary.csv.partial").read_text(encoding="utf-8") != "earlier\n"
+            assert (sw / "summary.csv.partial").read_bytes() == earlier
+            assert (sw / "summary.csv").read_text(encoding="utf-8") != "earlier\n"
 
-    def test_directory_under_a_partial_name_removes_the_file_it_blocks(
-        self, tmp_path, capsys
-    ):
-        # rain fails at its last test file, and a directory sits under the
-        # .partial name of the earlier run's records file for that group:
-        # the file is removed, not renamed, every other unfinished name is
-        # still renamed, and rain's own error is reported.
+    def test_directory_under_a_partial_name_is_refused_up_front(self, tmp_path, capsys):
+        # A directory sits under the .partial name of the earlier run's
+        # records file for a group, where that file would move: the rerun
+        # stops before anything moves or is written, and before rain's
+        # malformed test file is read.
         main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
               "--out", str(tmp_path / "data")])
         cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
@@ -1169,27 +1203,26 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
         capsys.readouterr()
         (sw / "records_rain_s3.csv.partial").mkdir()
-        bad = tmp_path / "data" / "rain_s3.csv"
-        with open(bad, "a", encoding="utf-8") as fh:
+        with open(tmp_path / "data" / "rain_s3.csv", "a", encoding="utf-8") as fh:
             fh.write("z,0\n")  # line 202, after the header and 200 rows
+        before = tree_bytes(sw)
         assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: condition 'rain' failed: {bad}:202: expected 8 cells, got 2\n"
-        )
-        assert {p.name for p in sw.iterdir()} == {
-            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
-            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
-            "records_rain_s3.csv.partial", "roc_rain_s3.csv.partial",
-            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
-        }
+        assert capsys.readouterr() == ("", (
+            f"error: {sw / 'records_rain_s3.csv.partial'} is not a regular file; "
+            "earlier outputs move there\n"
+        ))
+        assert tree_bytes(sw) == before
+        names = {p.name for p in sw.iterdir()}
+        assert names == {str(name) for name in before} | {"records_rain_s3.csv.partial"}
         assert (sw / "records_rain_s3.csv.partial").is_dir()
 
     def test_interrupted_sweep_renames_what_it_did_not_finish(
         self, tmp_path, capsys, monkeypatch
     ):
-        # An interrupt at rain's second ROC write: fog finished, and rain's
-        # files (the earlier run's roc_rain_s3.csv among them) and the
-        # earlier run's summaries are renamed.
+        # An interrupt at rain's second ROC write: what this run finished
+        # (fog's files, rain's severity-0 files and records_rain_s3.csv)
+        # holds the final names, and every file of the earlier run stays
+        # under its .partial name, roc_rain_s3.csv and the summaries included.
         write_roc = cli.write_roc_csv
 
         def interrupted_roc(curve, path):
@@ -1202,11 +1235,13 @@ class TestSweep:
 
         with pytest.raises(KeyboardInterrupt):
             self._rerun(tmp_path, capsys, ["fog", "rain"], interrupt)
-        assert {p.name for p in (tmp_path / "sw").iterdir()} == {
+        finished = {
             "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
-            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
-            "records_rain_s3.csv.partial", "roc_rain_s3.csv.partial",
-            "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
+            "records_rain_s0.csv", "roc_rain_s0.csv", "records_rain_s3.csv",
+        }
+        earlier = finished | {"roc_rain_s3.csv", "summary.csv", "summary.json", "heatmap.csv"}
+        assert {p.name for p in (tmp_path / "sw").iterdir()} == {
+            *finished, *(name + ".partial" for name in earlier)
         }
 
     def _rerun(self, tmp_path, capsys, conditions, edit):
@@ -1256,9 +1291,10 @@ class TestSweep:
         sw = tmp_path / "sw"
         code, _ = self._rerun(tmp_path, capsys, ["fog", "rain"], break_calibration)
         assert code == 2
+        fog = {"records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv"}
         assert {p.name for p in sw.iterdir()} == {
-            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv",
-            "roc_fog_s3.csv", "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
+            *fog, *(name + ".partial" for name in fog),
+            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
             "records_rain_s3.csv.partial", "roc_rain_s3.csv.partial",
             "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
         }
@@ -1301,9 +1337,10 @@ class TestSweep:
         assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
         assert tree_bytes(sw) == finished
 
-    def test_failed_rerun_leaves_only_its_own_partials(self, tmp_path, capsys):
+    def test_failed_rerun_keeps_earlier_files_only_as_partials(self, tmp_path, capsys):
         # rain fails at its last test file, then at its calibration file:
-        # the second run wrote nothing for rain, so no rain file is left.
+        # the second run finished no rain file, so the first run's rain
+        # files are left under .partial names only.
         main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
               "--out", str(tmp_path / "data")])
         with open(tmp_path / "data" / "rain_s3.csv", "a", encoding="utf-8") as fh:
@@ -1311,13 +1348,94 @@ class TestSweep:
         cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
         sw = tmp_path / "sw"
         assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
-        assert (sw / "records_rain_s0.csv.partial").exists()
+        assert (sw / "records_rain_s0.csv").exists()
         (tmp_path / "data" / "rain_cal.csv").write_text(WORKED_CAL_CSV, encoding="utf-8")
         assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        fog = {"records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv"}
         assert {p.name for p in sw.iterdir()} == {
-            "records_fog_s0.csv", "roc_fog_s0.csv", "records_fog_s3.csv", "roc_fog_s3.csv",
+            *fog, *(name + ".partial" for name in fog),
+            "records_rain_s0.csv.partial", "roc_rain_s0.csv.partial",
             "summary.csv.partial", "summary.json.partial", "heatmap.csv.partial",
         }
+
+    def _killed_rerun(self, tmp_path):
+        """Sweep fog and rain from a manifest into ``sw``, date every
+        output at the epoch, then rerun in a child killed with SIGKILL once
+        it prints fog's severity-0 line; return the config, ``sw`` and the
+        first run's files."""
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])),
+              "--out", str(tmp_path / "data")])
+        cfg = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        sw = tmp_path / "sw"
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        first = tree_bytes(sw)
+        for path in sw.iterdir():
+            os.utime(path, ns=(0, 0))
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLED_AFTER_LINE, "[fog] severity 0",
+             "sweep", str(cfg), "--out-dir", str(sw)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        assert proc.stdout.splitlines()[-1].startswith("[fog] severity 0: n=200 ")
+        return cfg, sw, first
+
+    def test_killed_rerun_leaves_no_earlier_output_under_a_final_name(self, tmp_path):
+        # Only fog's severity-0 files were finished when the kill came;
+        # every file of the first run sits under its .partial name, unchanged.
+        _, sw, first = self._killed_rerun(tmp_path)
+        finished = {"records_fog_s0.csv", "roc_fog_s0.csv"}
+        assert {p.name for p in sw.iterdir()} == {
+            *finished, *(f"{name}.partial" for name in first)
+        }
+        assert all((sw / name).stat().st_mtime_ns > 0 for name in finished)
+        for name, data in first.items():
+            partial = sw / f"{name}.partial"
+            assert (partial.read_bytes(), partial.stat().st_mtime_ns) == (data, 0)
+
+    def test_finished_rerun_after_a_kill_leaves_the_first_runs_tree(self, tmp_path):
+        cfg, sw, first = self._killed_rerun(tmp_path)
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        assert tree_bytes(sw) == first
+
+    @pytest.mark.parametrize(
+        "what, name, first, holds",
+        [
+            ("rain_s3.csv", "records_fog_s0.csv", "a manifest file", "data"),
+            ("rain_s3.csv", "roc_rain_s3.csv.partial", "a manifest file", "data"),
+            ("rain_cal.csv", "summary.csv", "a manifest file", "data"),
+            ("manifest", "summary.json", "the manifest", "manifest"),
+            ("config", "heatmap.csv.partial", "the config", "config"),
+            ("generating config", "summary.json", "the config", "config"),
+        ],
+    )
+    def test_input_under_an_output_name_is_refused_up_front(
+        self, tmp_path, capsys, what, name, first, holds
+    ):
+        # The data, the manifest and the config sit in the output directory,
+        # and one input (``what``) carries a name the sweep owns: the sweep
+        # stops before anything moves or is written.
+        sw = tmp_path / "sw"
+        main(["gen", str(write_config(tmp_path, conditions=["fog", "rain"])), "--out", str(sw)])
+        capsys.readouterr()
+        doc = json.loads((sw / "manifest.json").read_text(encoding="utf-8"))
+        for entry in doc["files"]:
+            if entry["path"] == what:
+                (sw / what).rename(sw / name)
+                entry["path"] = name
+        manifest = name if what == "manifest" else "manifest.json"
+        (sw / "manifest.json").unlink()
+        (sw / manifest).write_text(json.dumps(doc), encoding="utf-8")
+        cfg = write_config(sw, name=name if what.endswith("config") else "cfg_m.json",
+                           conditions=["fog", "rain"],
+                           **({} if what == "generating config" else {"manifest": manifest}))
+        before = tree_bytes(sw)
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {first} and --out-dir name the same file {str(sw / name)!r}; "
+            f"the sweep output would overwrite the {holds}\n"
+        ))
+        assert tree_bytes(sw) == before
 
     def test_summary_rows_sorted_by_condition_then_severity(self, tmp_path):
         cfg = write_config(tmp_path, conditions=["rain", "fog"], severities=[3, 0])

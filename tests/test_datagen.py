@@ -1,3 +1,6 @@
+import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +18,7 @@ from dualthresh.datagen import (
 )
 from dualthresh.prediction import evaluate_samples
 
+from .test_cli import child_env
 from .test_prediction import thresholds
 
 
@@ -90,6 +94,37 @@ class TestSignalStrength:
         # The bracket doubles until the accuracy is reached, so the
         # quadrature must reach every float below 1 once Phi saturates.
         assert 8.0 < signal_strength(k, float(np.nextafter(1.0, 0))) < 64.0
+
+    @pytest.mark.parametrize(
+        "k, accuracy, message",
+        [
+            (10, math.nan, "base_accuracy must be in (0, 1), got nan"),
+            (10, 1.0, "base_accuracy must be in (0, 1), got 1.0"),
+            (10, 0.0, "base_accuracy must be in (0, 1), got 0.0"),
+            (10, -0.5, "base_accuracy must be in (0, 1), got -0.5"),
+            (1, 0.5, "k_classes must be >= 2, got 1"),
+            (0, 0.5, "k_classes must be >= 2, got 0"),
+            (-3, 0.5, "k_classes must be >= 2, got -3"),
+        ],
+    )
+    def test_refuses_what_a_generator_config_refuses(self, k, accuracy, message):
+        for refused in (lambda: signal_strength(k, accuracy),
+                        lambda: config(k_classes=k, base_accuracy=accuracy)):
+            with pytest.raises(ValueError) as exc:
+                refused()
+            assert str(exc.value) == message
+
+    def test_accuracy_above_one_is_refused_in_a_child(self):
+        # No boost reaches an accuracy above 1, so a search for one never
+        # ends; a child with a timeout keeps such a hang out of the suite.
+        proc = subprocess.run(
+            [sys.executable, "-c", "import dualthresh; dualthresh.signal_strength(10, 1.5)"],
+            env=child_env(), capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1] == (
+            "ValueError: base_accuracy must be in (0, 1), got 1.5"
+        )
 
 
 class TestGenerateDataset:

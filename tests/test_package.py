@@ -157,39 +157,40 @@ def _writes_a_file(node) -> bool:
 
 def test_sweep_spells_each_output_rule_once():
     # _group_outputs alone names a group's records and ROC files, and
-    # cmd_sweep alone renames a failed condition's files, so
-    # _run_condition needs no failure handling of its own.
+    # cmd_sweep moves every earlier file aside before the first condition
+    # runs, so neither a condition nor a failure renames or removes a file.
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     def group_name(node) -> bool:
         return isinstance(node, ast.Constant) and str(node.value).startswith(("records_", "roc_"))
 
-    def mark_partial(node) -> bool:
-        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_mark_partial"
+    def calls(node, name) -> bool:
+        func = getattr(node, "func", None)
+        return getattr(func, "id", None) == name or getattr(func, "attr", None) == name
 
     def holders(match) -> set:
         return {name for name, node in functions.items() if any(map(match, ast.walk(node)))}
 
     assert sum(map(group_name, ast.walk(tree))) == 2
     assert holders(group_name) == {"_group_outputs"}
-    assert holders(mark_partial) == {"cmd_sweep"}
-    assert not any(isinstance(node, ast.Try) for node in ast.walk(functions["_run_condition"]))
+    run_condition = list(ast.walk(functions["_run_condition"]))
+    assert not any(isinstance(node, ast.Try) or calls(node, "unlink") for node in run_condition)
 
-    # One finally renames whatever cmd_sweep did not finish, however it
-    # stopped; no handler renames, and a closed pipe is only re-raised.
+    # No finally, and no handler that renames: what a stopped sweep leaves
+    # is decided before it runs.
     sweep = functions["cmd_sweep"]
     tries = [node for node in ast.walk(sweep) if isinstance(node, ast.Try)]
+    assert not any(node.finalbody for node in tries)
     handlers = [handler for node in tries for handler in node.handlers]
-    assert sum(map(mark_partial, ast.walk(sweep))) == 1
-    assert any(mark_partial(n) for t in tries for stmt in t.finalbody for n in ast.walk(stmt))
-    assert not any(mark_partial(n) for handler in handlers for n in ast.walk(handler))
-    assert sum(getattr(n, "attr", None) == "unlink" for n in ast.walk(sweep)) == 1
-    assert all(
-        isinstance(handler.body[0], ast.Raise) and handler.body[0].exc is None
-        for handler in handlers
-        if "BrokenPipeError" in ast.unparse(handler.type)
-    )
+    assert not any(calls(n, "rename") for handler in handlers for n in ast.walk(handler))
+
+    # Every rename is cmd_sweep's, above the loop that runs the conditions.
+    loop = next(node for node in ast.walk(sweep) if isinstance(node, ast.For)
+                and any(calls(n, "_run_condition") for n in ast.walk(node)))
+    renames = [node for node in ast.walk(tree) if calls(node, "rename")]
+    assert holders(lambda node: calls(node, "rename")) == {"cmd_sweep"}
+    assert renames and all(node.lineno < loop.lineno for node in renames)
 
 
 def test_logits_are_normalized_a_block_at_a_time():
