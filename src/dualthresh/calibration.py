@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -86,6 +85,14 @@ class CalibratedThresholds:
             raise ValueError(f"k_classes must be >= 2, got {self.k_classes}")
 
 
+def _check_scores(s: np.ndarray) -> None:
+    """Refuse empty scores, then NaN scores."""
+    if s.size == 0:
+        raise ValueError("scores must be non-empty")
+    if np.isnan(s).any():
+        raise ValueError("scores contain NaN")
+
+
 def conformal_threshold(scores: Sequence[float], alpha: float) -> float:
     """Finite-sample conformal quantile of calibration nonconformity scores.
 
@@ -94,17 +101,19 @@ def conformal_threshold(scores: Sequence[float], alpha: float) -> float:
     1/(n+1)) the quantile does not exist among the scores and +inf is
     returned; coverage then holds vacuously.
 
-    The rank is computed in exact rational arithmetic so that float
+    The rank is computed in integers from the exact ratio num/den of alpha
+    (any real with ``as_integer_ratio``: float, numpy float32 or float64,
+    Fraction, Decimal), as ceil((n+1)(den-num)/den), so the float
     representation of alpha can never shift the ceiling across an integer.
     """
     check_alpha(alpha)
     s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise ValueError(f"scores must be one-dimensional, got shape {s.shape}")
+    _check_scores(s)
     n = s.size
-    if n == 0:
-        raise ValueError("scores must be non-empty")
-    if np.any(np.isnan(s)):
-        raise ValueError("scores contain NaN")
-    rank = math.ceil(Fraction(n + 1) * (1 - Fraction(alpha)))
+    num, den = alpha.as_integer_ratio()
+    rank = -(-(n + 1) * (den - num) // den)
     if rank > n:
         return math.inf
     return float(np.sort(s)[rank - 1])
@@ -125,10 +134,7 @@ def roc_points(scores: Sequence[float], should_abstain: Sequence[bool]) -> RocCu
     flags = np.asarray(should_abstain, dtype=bool)
     if s.ndim != 1 or flags.ndim != 1 or s.size != flags.size:
         raise ValueError("scores and should_abstain must be equal-length 1-D sequences")
-    if s.size == 0:
-        raise ValueError("scores must be non-empty")
-    if np.any(np.isnan(s)):
-        raise ValueError("scores contain NaN")
+    _check_scores(s)
     n_pos = int(flags.sum())
     n_neg = int(flags.size - n_pos)
     if n_pos == 0 or n_neg == 0:
@@ -196,7 +202,9 @@ def calibrate(samples: SampleBatch, alpha: float) -> CalibratedThresholds:
     quantile at level alpha, flags the top-1 errors, and places the
     abstention threshold at the Youden optimum of the score ROC. The
     argmax runs over blocks of ``core.block_rows`` rows, since numpy's
-    argmax over a read-only matrix copies it whole.
+    argmax over a read-only matrix copies it whole. The quantile is ranked
+    at alpha's exact value, and ``float(alpha)`` is recorded, so a numpy
+    float32 alpha still writes as a JSON number.
     """
     labels, probs = samples.label, samples.probs
     n, k = probs.shape
@@ -225,7 +233,7 @@ def calibrate(samples: SampleBatch, alpha: float) -> CalibratedThresholds:
     return CalibratedThresholds(
         q_conf=q_conf,
         q_abs=q_abs,
-        alpha=alpha,
+        alpha=float(alpha),
         n_calibration=n,
         youden_j=youden_j,
         k_classes=k,

@@ -26,7 +26,7 @@ from .calibration import (
     check_alpha,
 )
 from .core import DegenerateLabelsError, check_tags
-from .datagen import GeneratorConfig, derive_seed, generate_dataset, signal_strength
+from .datagen import GeneratorConfig, derive_seed, generate_dataset
 from .io import (
     CONDITION,
     INTEGER,
@@ -111,9 +111,8 @@ class SweepConfig:
     def from_file(cls, path) -> "SweepConfig":
         doc = check_fields(f"{path}: config", load_json(path), _TOP_KEY_TYPES)
         gen = check_fields(f"{path}: config generator", doc.pop("generator", {}), _GEN_KEY_TYPES)
-        try:  # before anything is written; generation reuses the cached solution
+        try:
             generator = replace(DEFAULT_GENERATOR, **gen)
-            signal_strength(generator.k_classes, generator.base_accuracy)
         except (OverflowError, ValueError) as exc:
             raise ArtifactError(f"{path}: config generator: {exc}") from None
         for key in ("conditions", "severities"):
@@ -271,7 +270,7 @@ def cmd_evaluate(args) -> int:
         thresholds,
     )
     write_records_csv(ev, args.records_out)
-    fmt = "json" if str(args.summary_out).endswith(".json") else "csv"
+    fmt = "json" if str(args.summary_out).lower().endswith(".json") else "csv"
     write_summary([summarize(ev)], args.summary_out, format=fmt)
     print(f"evaluated {len(ev)} samples")
     print(f"wrote {args.records_out}")
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--test", required=True, help="test CSV (logits or probs)")
     p_eval.add_argument("--thresholds", required=True, help="thresholds JSON")
     p_eval.add_argument("--records-out", required=True, help="per-sample records CSV to write")
-    p_eval.add_argument("--summary-out", required=True, help="summary file to write (.csv or .json)")
+    p_eval.add_argument("--summary-out", required=True, help="summary: .csv, or .json in any case")
     p_eval.add_argument("--condition", default="", help="condition tag for the samples")
     p_eval.add_argument("--severity", type=int, default=0, help="severity tag for the samples")
     p_eval.set_defaults(func=cmd_evaluate)

@@ -58,12 +58,18 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _check_signal(k_classes: int, base_accuracy: float) -> None:
-    """Refuse a class count below 2 or an accuracy outside (0, 1), NaN
-    included."""
+    """Refuse a class count below 2, an accuracy outside (0, 1), NaN
+    included, or one at or below chance, 1/k, the accuracy at boost 0 by
+    symmetry, compared exactly rather than through the quadrature."""
     if k_classes < 2:
         raise ValueError(f"k_classes must be >= 2, got {k_classes}")
     if not 0.0 < base_accuracy < 1.0:
         raise ValueError(f"base_accuracy must be in (0, 1), got {base_accuracy}")
+    if base_accuracy <= 1 / k_classes:
+        raise ValueError(
+            f"base_accuracy must exceed chance, 1/k_classes = {1 / k_classes:.6g} "
+            f"for k_classes {k_classes}, got {base_accuracy}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -75,9 +81,8 @@ def signal_strength(k_classes: int, base_accuracy: float) -> float:
     phi(z) * Phi(z + mu)**(k-1), an increasing function of mu. It is
     computed by a fixed 601-node composite Simpson rule on [-12, 12], with
     Phi(x) = erfc(-x / sqrt 2) / 2, and inverted by bisection to a bracket
-    of 1e-10. That needs an accuracy above chance, 1/k, the accuracy at
-    mu = 0 by symmetry; it is compared exactly, not through the quadrature.
-    The settings ``GeneratorConfig`` refuses are refused first.
+    of 1e-10. The class count and accuracy ``GeneratorConfig`` refuses,
+    chance included, are refused first.
     """
 
     def top1_accuracy(mu: float) -> float:
@@ -85,11 +90,6 @@ def signal_strength(k_classes: int, base_accuracy: float) -> float:
         return float((_WEIGHTS * (0.5 * erfc) ** (k_classes - 1)).sum())
 
     _check_signal(k_classes, base_accuracy)
-    if base_accuracy <= 1 / k_classes:
-        raise ValueError(
-            f"base_accuracy must exceed chance, 1/k_classes = {1 / k_classes:.6g} "
-            f"for k_classes {k_classes}, got {base_accuracy}"
-        )
     lo, hi = 0.0, 8.0
     while top1_accuracy(hi) < base_accuracy:
         hi *= 2.0

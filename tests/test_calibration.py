@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from dualthresh.calibration import (
     roc_points,
 )
 from dualthresh.core import DegenerateLabelsError
+from dualthresh.io import read_thresholds, write_thresholds
 from dualthresh.prediction import evaluate_samples
 
 from .test_prediction import dirichlet_samples, sample_batch, traced_peak
@@ -96,6 +98,16 @@ class TestConformalThreshold:
             with pytest.raises(ValueError, match="alpha"):
                 conformal_threshold([1.0], bad_alpha)
 
+    @pytest.mark.parametrize(
+        "scores, shape",
+        [(np.zeros((4, 5)), "(4, 5)"), ([[1.0]] * 10, "(10, 1)"), (5.0, "()")],
+        ids=["matrix", "column", "scalar"],
+    )
+    def test_refuses_scores_that_are_not_one_dimensional(self, scores, shape):
+        with pytest.raises(ValueError) as exc:
+            conformal_threshold(scores, 0.1)
+        assert str(exc.value) == f"scores must be one-dimensional, got shape {shape}"
+
 
 # n + 1 <= 41 scores: any floats, or in half of the draws a few values, so
 # that scores tie.
@@ -138,6 +150,16 @@ def check_counting_guarantee(scores, covered, alpha):
         assert count <= rank
         if rank > n:
             assert count == n + 1
+
+
+# Each kind of real alpha, built from a float in (0, 1).
+_ALPHA_KINDS = {
+    "float": float,
+    "float64": np.float64,
+    "float32": np.float32,
+    "Fraction": lambda a: Fraction(a).limit_denominator(1000),
+    "Decimal": lambda a: Decimal(repr(a)),
+}
 
 
 class TestCoverageGuarantee:
@@ -339,6 +361,15 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             sample_batch([("a", 0, [0.9, 0.1]), ("b", 0, [0.5, 0.3, 0.2])])
 
+    def test_float32_alpha_round_trips_through_the_thresholds_file(self, tmp_path):
+        samples = dirichlet_samples(60, 3, seed=5)
+        thr = calibrate(samples, np.float32(0.1))
+        assert type(thr.alpha) is float and thr.alpha == 0.10000000149011612
+        assert thr.q_conf == oracle_quantile(label_scores(samples), thr.alpha)
+        path = tmp_path / "thr.json"
+        write_thresholds(thr, path)
+        assert read_thresholds(path) == thr
+
     def test_peak_stays_below_the_matrix(self):
         # An argmax over the whole read-only matrix copied it, a peak of
         # 1.00x here; over blocks of core.block_rows(k) rows it is 0.035x.
@@ -415,6 +446,16 @@ class TestStatisticsOracles:
                 if sum(s < v for s in scores) < rank <= sum(s <= v for s in scores)
             }
         assert conformal_threshold(scores, alpha) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(scores=_SCORES, alpha=_ALPHAS, kind=st.sampled_from(sorted(_ALPHA_KINDS)))
+    @example(scores=[0.0, 1.0, 2.0, 3.0], alpha=0.6, kind="Decimal")  # rank 2; float 0.6: 3
+    def test_conformal_threshold_ranks_any_real_alpha_exactly(self, scores, alpha, kind):
+        alpha = _ALPHA_KINDS[kind](alpha)
+        assume(0 < alpha < 1)
+        # float() of a float32 is its exact value; Fraction refuses a float32
+        exact = float(alpha) if kind == "float32" else alpha
+        assert conformal_threshold(scores, alpha) == oracle_quantile(scores, exact)
 
     @settings(max_examples=300, deadline=None)
     @given(rows=_SCORED_FLAGS)

@@ -13,6 +13,7 @@ import pytest
 
 from dualthresh import cli
 from dualthresh.cli import main
+from dualthresh.datagen import signal_strength
 
 from .test_io import fail_second_write
 
@@ -134,6 +135,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
             check=True,
         )
         assert out.stdout.strip() == "False []", module
+
+
+def test_cli_import_leaves_fractions_and_decimal_unloaded():
+    # The conformal rank is exact integer arithmetic, not Fraction's.
+    probe = (
+        "import sys, dualthresh.cli; "
+        "print([m for m in ('fractions', 'decimal') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestVersionAndUsage:
@@ -307,6 +321,18 @@ class TestGen:
         assert main([command, str(cfg), out_flag, str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "overrides", [{"manifest": "data/manifest.json"}, {}], ids=["manifest", "generator"]
+    )
+    def test_reading_a_config_solves_no_accuracy_integral(self, tmp_path, overrides):
+        # GeneratorConfig refuses chance accuracy itself, so parsing needs
+        # no solve; a generated sweep solves on its first generate_dataset.
+        cfg = write_config(tmp_path, **overrides)
+        signal_strength.cache_clear()
+        cli.SweepConfig.from_file(cfg)
+        assert signal_strength.cache_info().misses == 0
+        assert not hasattr(cli, "signal_strength")
 
     @pytest.mark.parametrize("accuracy", [0.05, 0.1])
     def test_accuracy_at_or_below_chance_exits_2(self, tmp_path, capsys, accuracy):
@@ -549,6 +575,16 @@ class TestEvaluate:
              "--records-out", str(rec), "--summary-out", str(summ)]
         )
         assert len(rec.read_text(encoding="utf-8").splitlines()) == 4 + 1
+        assert json.loads(summ.read_text(encoding="utf-8"))[0]["n"] == 4
+
+    @pytest.mark.parametrize("name", ["sum.JSON", "sum.Json"])
+    def test_summary_suffix_picks_json_in_any_case(self, tmp_path, name):
+        cal, thr = self._calibrated(tmp_path)
+        rec, summ = tmp_path / "rec.csv", tmp_path / name
+        assert main(
+            ["evaluate", "--test", str(cal), "--thresholds", str(thr),
+             "--records-out", str(rec), "--summary-out", str(summ)]
+        ) == 0
         assert json.loads(summ.read_text(encoding="utf-8"))[0]["n"] == 4
 
     def test_class_count_mismatch_exits_2(self, tmp_path, capsys):

@@ -105,6 +105,11 @@ class TestSignalStrength:
             (1, 0.5, "k_classes must be >= 2, got 1"),
             (0, 0.5, "k_classes must be >= 2, got 0"),
             (-3, 0.5, "k_classes must be >= 2, got -3"),
+            *(
+                (k, 1 / k, f"base_accuracy must exceed chance, 1/k_classes = {1 / k:.6g} "
+                 f"for k_classes {k}, got {1 / k}")
+                for k in (2, 10, 100, 1000)
+            ),
         ],
     )
     def test_refuses_what_a_generator_config_refuses(self, k, accuracy, message):
