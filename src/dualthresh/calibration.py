@@ -47,8 +47,11 @@ class RocCurve:
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise a ValueError unless alpha is in (0, 1); NaN is not."""
-    if not 0.0 < alpha < 1.0:
+    """Raise a ValueError unless alpha is in (0, 1); no NaN is, a Decimal
+    NaN (quiet or signalling) included."""
+    # Ordering a Decimal NaN signals InvalidOperation, so its is_nan()
+    # answers first.
+    if (hasattr(alpha, "is_nan") and alpha.is_nan()) or not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 

@@ -291,18 +291,18 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     within the file and may not hold a carriage return, which the
     LF-terminated exports would leave unquoted. A leading UTF-8 byte-order
     mark is ignored (as spreadsheet exports write one); a file that is not
-    UTF-8 is an error naming the line of its first bad byte. Each block's
-    lines (below) are decoded before its rows are checked, so a bad byte
-    wins over other faults in its own block; faults in earlier blocks win
-    over it.
+    UTF-8 is an error naming the line of its first bad byte.
 
-    Data lines are read in blocks of about PARSE_BLOCK_CELLS value cells.
-    A block of plain lines (printable ASCII without a double quote, LF
-    endings) is split and parsed in bulk, one C call for all its values,
-    and its ids, labels and cell counts are checked at once. A block the
-    bulk pass cannot vouch for goes through a row-by-row csv loop instead,
-    which reads past the block only the lines that a quoted cell in its
-    last record spans; only that loop reports cell, id and label errors.
+    Data lines are read as bytes, in blocks of about PARSE_BLOCK_CELLS
+    value cells. A block of plain bytes (printable ASCII without a double
+    quote, LF endings) is decoded once, as ASCII, and parsed in bulk, one
+    C call for all its values; its ids, labels and cell counts are checked
+    at once. A block the bulk pass cannot vouch for is decoded whole, as
+    UTF-8, before any of its rows is checked, so a bad byte wins over
+    other faults in its own block (faults in earlier blocks win over it).
+    It then goes through a row-by-row csv loop, which reads past the block
+    only the lines that a quoted cell in its last record spans, decoding
+    each as it reads it; only that loop reports cell, id and label errors.
     Either way a logit block is then checked as one matrix and normalized
     by one ``core.softmax_rows`` call, and each row goes through
     ``core.as_probabilities`` on its own, so the messages and line numbers
@@ -311,7 +311,7 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     condition, severity = check_tags(condition, severity)
     path = Path(path)
     with open(path, "rb") as fh:
-        sample_ids, labels, probs = _read_rows(path, _text_lines(path, fh))
+        sample_ids, labels, probs = _read_rows(path, fh)
     return SampleBatch._from_valid(
         condition, severity,
         sample_id=np.array(sample_ids, dtype=object),
@@ -321,9 +321,9 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
 
 
 def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
-    """The ids, labels and validated (n, k) matrix of a file's lines ``fh``."""
+    """The ids, labels and validated (n, k) matrix of the binary file ``fh``."""
     # ``base`` counts the lines before the csv reader's first.
-    reader, base = csv.reader(fh), 0
+    reader, base = csv.reader(_text_lines(path, fh, 1)), 0
     try:
         try:
             header = next(reader)
@@ -333,7 +333,12 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
 
         # Ids in file order, each with its line; labels; and the
         # validated rows, stacked into a matrix block of
-        # core.block_rows rows at a time.
+        # core.block_rows rows at a time. A stack that size (about 512
+        # KiB) is one mapping of its own under glibc's malloc, so the
+        # fill below returns its pages as it frees it. One stack per
+        # parse block (about 32 KiB) stays in the heap instead: reading
+        # 10,000 x 1,000 rows that way peaked at 188 MiB against 114 MiB
+        # (x86-64 Linux, glibc).
         stack_rows = block_rows(k)
         first_line: dict[str, int] = {}
         labels: list[int] = []
@@ -364,8 +369,7 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
         limit = csv.field_size_limit()
         line_no = reader.line_num + 1
         while block := list(islice(fh, max(1, PARSE_BLOCK_CELLS // k))):
-            text = "".join(block)
-            parsed = _parse_block(block, text, k, limit)
+            parsed = _parse_block(block, k, limit)
             if parsed is not None:
                 ids, block_labels, values = parsed
                 id_lines = dict(zip(ids, range(line_no, line_no + len(block))))
@@ -376,9 +380,10 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                     line_no += len(block)
                     continue
 
-            # Row by row: this block, and past it only the lines that a
-            # quoted cell in its last record spans.
-            reader = csv.reader(chain(block, fh))
+            # Row by row: this block, decoded whole, and past it only the
+            # lines that a quoted cell in its last record spans.
+            block = list(_text_lines(path, block, line_no))
+            reader = csv.reader(chain(block, _text_lines(path, fh, line_no + len(block))))
             base, next_line = line_no - 1, line_no
             for row in reader:
                 # A quoted cell may span lines; name the record's first one.
@@ -442,34 +447,34 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
     return list(first_line), labels, probs
 
 
-def _parse_block(lines: list[str], text: str, k: int, limit: int):
-    """Parse data lines (joined, ``text``) in bulk as ``(ids, labels, (n, k)
+def _parse_block(lines: list[bytes], k: int, limit: int):
+    """Parse data lines (raw bytes) in bulk as ``(ids, labels, (n, k)
     values)``, or return None where the row-by-row loop could read them
     otherwise or would find a fault in their cells, ids or labels.
 
-    Only plain text is parsed: there ``np.loadtxt`` reads a value cell as
-    ``float()`` does (both end in ``PyOS_string_to_double``) or rejects it,
-    a line is one record, no cell holds a carriage return and none is
-    longer than the csv field size ``limit``.
+    Only plain bytes are parsed, decoded once as ASCII: there
+    ``np.loadtxt`` reads a value cell as ``float()`` does (both end in
+    ``PyOS_string_to_double``) or rejects it, a line is one record, no
+    cell holds a carriage return and none is longer than the csv field
+    size ``limit``.
     """
+    text = b"".join(lines)
     if (
-        text.encode().translate(None, _PLAIN_BYTES)
-        or text.count(",") != len(lines) * (k + 1)
+        text.translate(None, _PLAIN_BYTES)
+        or text.count(b",") != len(lines) * (k + 1)
         or max(map(len, lines)) > limit
     ):
         return None
-    cells = [line.split(",", 2) for line in lines]
-    if min(map(len, cells)) < 3:
+    try:  # a line of fewer than 3 cells fails the unpacking
+        cells = (line.split(",", 2) for line in text.decode("ascii").splitlines())
+        ids, labels, rests = zip(*cells, strict=True)
+        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
         return None
-    ids, labels, rests = zip(*cells)
     if not _LABELS.fullmatch(",".join(labels)):
         return None
     labels = list(map(int, labels))
     if max(labels) >= k:
-        return None
-    try:
-        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
         return None
     # loadtxt skips blank lines, which the row loop counts as 0 cells.
     if values.shape != (len(lines), k):
@@ -477,11 +482,12 @@ def _parse_block(lines: list[str], text: str, k: int, limit: int):
     return ids, labels, values
 
 
-def _text_lines(path, fh):
-    """Yield the lines (each ending at LF only) of the binary file ``fh``
-    as UTF-8 text, a byte-order mark dropped from line 1; a bad byte is a
-    ParseError naming its line (no UTF-8 sequence spans an LF)."""
-    for line_no, line in enumerate(fh, 1):
+def _text_lines(path, lines, first: int):
+    """Yield the byte ``lines`` (each ending at LF only), the first being
+    line ``first`` of the file, as UTF-8 text, a byte-order mark dropped
+    from line 1; a bad byte is a ParseError naming its line (no UTF-8
+    sequence spans an LF)."""
+    for line_no, line in enumerate(lines, first):
         if line_no == 1:
             line = line.removeprefix(b"\xef\xbb\xbf")
             if not line:  # the mark alone: an empty file

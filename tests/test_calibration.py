@@ -94,7 +94,9 @@ class TestConformalThreshold:
     def test_input_errors(self):
         with pytest.raises(ValueError, match="non-empty"):
             conformal_threshold([], 0.1)
-        for bad_alpha in (0.0, 1.0, -0.1, 1.5):
+        for bad_alpha in (
+            0.0, 1.0, -0.1, 1.5, float("nan"), Decimal("NaN"), Decimal("sNaN")
+        ):
             with pytest.raises(ValueError, match="alpha"):
                 conformal_threshold([1.0], bad_alpha)
 
@@ -345,6 +347,18 @@ class TestCalibrate:
         ])
         thr = calibrate(samples, alpha=0.1)  # rank 3 > n=2
         assert thr.q_conf == math.inf
+
+    @pytest.mark.parametrize("alpha", ["NaN", "sNaN"])
+    def test_decimal_nan_alpha_is_a_value_error(self, alpha):
+        # Ordering a Decimal NaN signals InvalidOperation; it gets the
+        # message every other NaN gets.
+        samples = sample_batch([
+            self._sample("c", math.exp(-0.1), 0),
+            self._sample("m", math.exp(-0.8), 0),
+        ])
+        with pytest.raises(ValueError) as err:
+            calibrate(samples, alpha=Decimal(alpha))
+        assert str(err.value) == f"alpha must be in (0, 1), got {alpha}"
 
     def test_all_correct_raises_degenerate_with_guidance(self):
         samples = sample_batch(self._sample(f"s{i}", 0.95, 0) for i in range(5))

@@ -770,6 +770,34 @@ class TestSamplesCsv:
         assert [p is not None for p in parsed] == [False] + [True] * 5
         assert np.array_equal(batch.probs, rowwise_read_logits_csv(path).probs)
 
+    def test_a_plain_block_is_decoded_once_not_line_by_line(self, tmp_path, monkeypatch):
+        # Only the header and the blocks read row by row pass through
+        # io._text_lines; a plain block is decoded whole by _parse_block.
+        decoded = []
+        real = io._text_lines
+
+        def counting(*a):
+            for line in real(*a):
+                decoded.append(line)
+                yield line
+
+        monkeypatch.setattr(io, "_text_lines", counting)
+        monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 4)  # blocks of 2 lines
+        header = "sample_id,label,prob_0,prob_1\n"
+        rows = [f"s{i},{i % 2},0.25,0.75\n" for i in range(20)]
+        path = tmp_path / "plain.csv"
+        path.write_text(header + "".join(rows), encoding="utf-8")
+        assert len(read_logits_csv(path)) == 20
+        assert decoded == [header]
+
+        # One CRLF line on line 6, in the third block of lines 6-7.
+        rows[4] = rows[4].replace("\n", "\r\n")
+        path.write_text(header + "".join(rows), encoding="utf-8", newline="")
+        decoded.clear()
+        batch = read_logits_csv(path)
+        assert decoded == [header, rows[4], rows[5]]
+        assert np.array_equal(batch.probs, rowwise_read_logits_csv(path).probs)
+
     def test_severity_is_checked_before_the_file_is_opened(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("sample_id,label,prob_0,prob_1\na,0,0.5,0.5\n", encoding="utf-8")
