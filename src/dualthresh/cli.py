@@ -95,8 +95,8 @@ class SweepConfig:
     ``from_file`` checks against the key tables above.
 
     ``generator`` is the template every generated file is drawn from: its
-    ``n_samples`` sizes each test file, and the calibration and test
-    configs replace its size, severity, seed and condition.
+    ``n_samples`` sizes each test file, and ``file_config`` replaces its
+    size, severity, seed and condition per file.
     """
 
     alpha: float = 0.1
@@ -120,16 +120,15 @@ class SweepConfig:
                 doc[key] = tuple(doc[key])
         return cls(**doc, generator=generator)
 
-    def calibration_config(self, condition: str) -> GeneratorConfig:
+    def file_config(self, condition: str, severity: Optional[int]) -> GeneratorConfig:
+        """The generator of one data file of ``condition``: with severity
+        None its calibration file, else its test file of that severity."""
+        if severity is None:
+            n, severity, seed = self.n_calibration, 0, derive_seed(self.seed, condition, "cal")
+        else:
+            n, seed = self.generator.n_samples, derive_seed(self.seed, condition, "test", severity)
         return replace(
-            self.generator, n_samples=self.n_calibration, severity=0,
-            seed=derive_seed(self.seed, condition, "cal"), condition=condition,
-        )
-
-    def test_config(self, condition: str, severity: int) -> GeneratorConfig:
-        return replace(
-            self.generator, severity=severity,
-            seed=derive_seed(self.seed, condition, "test", severity), condition=condition,
+            self.generator, n_samples=n, severity=severity, seed=seed, condition=condition
         )
 
 
@@ -147,6 +146,21 @@ def _slugs(conditions) -> dict[str, str]:
             )
         owner[slug] = cond
     return {cond: slug for slug, cond in owner.items()}
+
+
+def _data_files(cfg: SweepConfig) -> dict[str, dict[Optional[int], str]]:
+    """Map each condition, in config order, to the names of its generated
+    files by severity, the calibration file first under None."""
+    slugs = _slugs(cfg.conditions)
+    tails = {None: "cal", **{sev: f"s{sev}" for sev in cfg.severities}}
+    return {c: {s: f"{slugs[c]}_{t}.csv" for s, t in tails.items()} for c in cfg.conditions}
+
+
+def _tree_outputs(cfg: SweepConfig, out: Path, flag: str) -> list:
+    """The files ``_generate_tree(cfg, out)`` writes, as ``_check_files``
+    outputs of the directory flag ``flag``."""
+    names = [name for files in _data_files(cfg).values() for name in files.values()]
+    return [(flag, out / name, "generated data") for name in names + ["manifest.json"]]
 
 
 def _print_thresholds(thresholds: CalibratedThresholds) -> None:
@@ -197,39 +211,29 @@ def _warn_sentinel(thresholds: CalibratedThresholds) -> None:
 
 
 def _generate_tree(cfg: SweepConfig, out: Path, quiet: bool = False) -> Path:
-    """Write all per-(condition, severity) CSVs plus a manifest; return the
-    manifest path."""
-    slugs = _slugs(cfg.conditions)
+    """Write the ``_data_files`` of ``cfg`` under ``out`` plus a manifest;
+    return the manifest path."""
+    files = _data_files(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    conditions = []
-    for cond in cfg.conditions:
-        slug = slugs[cond]
-        cal_name = f"{slug}_cal.csv"
-        cal = generate_dataset(cfg.calibration_config(cond))
-        write_samples_csv(cal, out / cal_name)
-        if not quiet:
-            print(f"wrote {out / cal_name} ({len(cal)} samples)")
-        tests = []
-        for sev in cfg.severities:
-            name = f"{slug}_s{sev}.csv"
-            samples = generate_dataset(cfg.test_config(cond, sev))
+    for cond, names in files.items():
+        for sev, name in names.items():
+            samples = generate_dataset(cfg.file_config(cond, sev))
             write_samples_csv(samples, out / name)
             if not quiet:
                 print(f"wrote {out / name} ({len(samples)} samples)")
-            tests.append((sev, name))
-        conditions.append(ManifestCondition(cond, cal_name, tuple(tests)))
 
     manifest_path = out / "manifest.json"
+    conditions = (ManifestCondition(c, n[None], tuple(n.items())[1:]) for c, n in files.items())
     write_manifest(DatasetManifest(cfg.generator.k_classes, tuple(conditions)), manifest_path)
     if not quiet:
-        n_files = len(conditions) * (1 + len(cfg.severities))
-        print(f"wrote {manifest_path} ({n_files} files)")
+        print(f"wrote {manifest_path} ({sum(map(len, files.values()))} files)")
     return manifest_path
 
 
 def cmd_gen(args) -> int:
-    cfg = SweepConfig.from_file(args.config)
-    _generate_tree(cfg, Path(args.out))
+    cfg, out = SweepConfig.from_file(args.config), Path(args.out)
+    _check_files([("the config", args.config, "config")], _tree_outputs(cfg, out, "--out"))
+    _generate_tree(cfg, out)
     return 0
 
 
@@ -331,13 +335,14 @@ def _run_condition(
 def cmd_sweep(args) -> int:
     cfg = SweepConfig.from_file(args.config)
     out = Path(args.out_dir)
-    inputs = [("the config", args.config, "config")]
+    inputs, data = [("the config", args.config, "config")], []
 
     # Data always flows through the CSV ingestion path, whether freshly
     # generated or supplied via a manifest; a one-group sweep is then
     # byte-for-byte the calibrate + evaluate pipeline.
     if cfg.manifest is None:
         groups = dict.fromkeys(cfg.conditions, cfg.severities)
+        data = _tree_outputs(cfg, out / "data", "--out-dir")
     else:
         manifest_path = Path(cfg.manifest)
         if not manifest_path.is_absolute():
@@ -353,11 +358,12 @@ def cmd_sweep(args) -> int:
     # instant a final name holds only a file this run finished, and its
     # NAME.partial the file an earlier run left under NAME: before anything
     # is written, each such file moves aside. An input under one of these
-    # names, or a NAME.partial that is not a regular file, is refused first.
+    # names or a generated data file's, or a NAME.partial that is not a
+    # regular file, is refused first.
     names = [p for c in groups for s in groups[c] for p in _group_outputs(out, slugs[c], s)]
     names += [out / "summary.csv", out / "summary.json", out / "heatmap.csv"]
     partials = [p.with_name(p.name + ".partial") for p in names]
-    _check_files(inputs, [("--out-dir", p, "sweep output") for p in names + partials])
+    _check_files(inputs, data + [("--out-dir", p, "sweep output") for p in names + partials])
     for partial in partials:
         if partial.exists() and not partial.is_file():
             raise ValueError(f"{partial} is not a regular file; earlier outputs move there")

@@ -248,6 +248,11 @@ _PLAIN_BYTES = b"\n" + bytes(range(0x20, 0x7F)).replace(b'"', b"")
 # strings that outlive each block pin the allocator's arenas, so with
 # 65,536 cells `evaluate` on 100,000 rows at k = 10 peaked at 115.7-116.1
 # MiB, against 112.8-113.0 MiB with 4,096 and 112.1-112.7 MiB row by row.
+# Nor as large as a matrix stack (core.block_rows(k) rows): at k = 1,000
+# such a block's text is about 0.9 MB, above glibc's 128 KiB mapping
+# threshold, and freeing it raises that threshold above the 512 KiB
+# stacks, which then land in the heap; `evaluate` on 10,000 x 1,000 rows
+# peaked at 157.7 MiB that way against 114.5 MiB (x86-64 Linux, glibc).
 PARSE_BLOCK_CELLS = 4096
 
 # Prefixes a mixed-header error names at most.
@@ -388,35 +393,10 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
             for row in reader:
                 # A quoted cell may span lines; name the record's first one.
                 line_no, next_line = next_line, base + reader.line_num + 1
-                if len(row) != k + 2:
-                    raise ParseError(
-                        path, line_no, f"expected {k + 2} cells, got {len(row)}"
-                    )
-                sample_id = row[0]
-                if "\r" in sample_id:
-                    raise ParseError(
-                        path, line_no, f"sample_id {sample_id!r} holds a carriage return"
-                    )
-                if sample_id in first_line:
-                    raise ParseError(
-                        path, line_no, f"duplicate sample_id {sample_id!r} "
-                        f"(first on line {first_line[sample_id]})"
-                    )
-                first_line[sample_id] = line_no
                 try:
-                    if not _LABEL.fullmatch(row[1]):
-                        raise ValueError(row[1])
-                    label = int(row[1])  # may still have too many digits
-                except ValueError:
-                    raise ParseError(path, line_no, f"label {row[1]!r} is not an integer") from None
-                if not 0 <= label < k:
-                    raise ParseError(
-                        path, line_no, f"label {label} out of range for {k} classes"
-                    )
-                try:
-                    values = list(map(float, row[2:]))
-                except ValueError:
-                    raise ParseError(path, line_no, "non-numeric value cell") from None
+                    label, values = _record(row, k, first_line, line_no)
+                except ValueError as exc:
+                    raise ParseError(path, line_no, str(exc)) from None
                 labels.append(label)
                 keep(line_no, [values])
                 if reader.line_num >= len(block):
@@ -445,6 +425,36 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
         probs[end - len(block):end] = block
         end -= len(block)
     return list(first_line), labels, probs
+
+
+def _record(row: list[str], k: int, first_line: dict[str, int], line_no: int):
+    """Check the csv record ``row`` of line ``line_no`` for ``k`` value
+    cells: its cell count, its id (no carriage return, not yet among
+    ``first_line``'s, where it is then entered), its label and its values,
+    in that order. Return ``(label, values)``; a fault is a ValueError
+    naming it."""
+    if len(row) != k + 2:
+        raise ValueError(f"expected {k + 2} cells, got {len(row)}")
+    sample_id = row[0]
+    if "\r" in sample_id:
+        raise ValueError(f"sample_id {sample_id!r} holds a carriage return")
+    if sample_id in first_line:
+        raise ValueError(
+            f"duplicate sample_id {sample_id!r} (first on line {first_line[sample_id]})"
+        )
+    first_line[sample_id] = line_no
+    try:
+        if not _LABEL.fullmatch(row[1]):
+            raise ValueError(row[1])
+        label = int(row[1])  # may still have too many digits
+    except ValueError:
+        raise ValueError(f"label {row[1]!r} is not an integer") from None
+    if not 0 <= label < k:
+        raise ValueError(f"label {label} out of range for {k} classes")
+    try:
+        return label, list(map(float, row[2:]))
+    except ValueError:
+        raise ValueError("non-numeric value cell") from None
 
 
 def _parse_block(lines: list[bytes], k: int, limit: int):

@@ -8,17 +8,15 @@ functions here take that batch and reduce its columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .calibration import RocCurve, roc_points
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .prediction import Evaluations
+from .prediction import Evaluations
 
 
-def detection_auc(ev: "Evaluations") -> RocCurve:
+def detection_auc(ev: Evaluations) -> RocCurve:
     """ROC of the top-1 score against the should-abstain flags; its
     ``auc`` is the detection AUC.
 
@@ -48,7 +46,7 @@ class EvaluationSummary:
     auc: Optional[float]
 
 
-def summarize(ev: "Evaluations") -> EvaluationSummary:
+def summarize(ev: Evaluations) -> EvaluationSummary:
     """The batch's one summary: the mean of each per-sample measure over
     every row, and the detection AUC when both flag classes occur."""
     n = len(ev)

@@ -13,7 +13,8 @@ import pytest
 
 from dualthresh import cli
 from dualthresh.cli import main
-from dualthresh.datagen import signal_strength
+from dualthresh.datagen import GeneratorConfig, derive_seed, generate_dataset, signal_strength
+from dualthresh.io import write_samples_csv
 
 from .test_io import fail_second_write
 
@@ -180,6 +181,47 @@ class TestGen:
         main(["gen", str(cfg), "--out", str(tmp_path / "a")])
         main(["gen", str(cfg), "--out", str(tmp_path / "b")])
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_each_file_is_drawn_by_the_per_file_rule(self, tmp_path):
+        # A condition's calibration file holds n_calibration rows at
+        # severity 0, seeded by (seed, condition, "cal"); its test file of
+        # severity s holds n_samples rows, seeded by (seed, condition,
+        # "test", s). Every other generator setting is the config's.
+        cfg = write_config(tmp_path, conditions=["rain", "fog"], severities=[3, 0])
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        expected = {}
+        for cond in ("rain", "fog"):
+            expected[f"{cond}_cal.csv"] = (cond, 150, 0, derive_seed(7, cond, "cal"))
+            for sev in (3, 0):
+                seed = derive_seed(7, cond, "test", sev)
+                expected[f"{cond}_s{sev}.csv"] = (cond, 200, sev, seed)
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == sorted(
+            [*expected, "manifest.json"]
+        )
+        generator = small_config()["generator"]
+        for name, (cond, n, sev, seed) in expected.items():
+            gen = GeneratorConfig(
+                **{**generator, "n_samples": n}, severity=sev, seed=seed, condition=cond
+            )
+            write_samples_csv(generate_dataset(gen), tmp_path / "expected.csv")
+            assert (tmp_path / "d" / name).read_bytes() == (
+                tmp_path / "expected.csv"
+            ).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["manifest.json", "rain_cal.csv", "rain_s3.csv"])
+    def test_config_under_a_data_file_name_exits_2(self, tmp_path, capsys, name):
+        # The config sits in the output directory under a name gen writes:
+        # nothing is written, and the config is left as it was.
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = write_config(out, name=name)
+        before = tree_bytes(out)
+        assert main(["gen", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: the config and --out name the same file {str(cfg)!r}; "
+            "the generated data would overwrite the config\n"
+        ))
+        assert tree_bytes(out) == before
 
     def test_invalid_generator_size_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, generator={"n_samples": 0})
@@ -1470,6 +1512,23 @@ class TestSweep:
         assert capsys.readouterr() == ("", (
             f"error: {first} and --out-dir name the same file {str(sw / name)!r}; "
             f"the sweep output would overwrite the {holds}\n"
+        ))
+        assert tree_bytes(sw) == before
+
+    def test_generating_config_under_a_data_file_name_is_refused_up_front(
+        self, tmp_path, capsys
+    ):
+        # The config would be overwritten by the generated manifest: the
+        # sweep stops before an earlier summary moves aside.
+        sw = tmp_path / "sw"
+        (sw / "data").mkdir(parents=True)
+        (sw / "summary.csv").write_text("earlier\n", encoding="utf-8")
+        cfg = write_config(sw / "data", name="manifest.json")
+        before = tree_bytes(sw)
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: the config and --out-dir name the same file {str(cfg)!r}; "
+            "the generated data would overwrite the config\n"
         ))
         assert tree_bytes(sw) == before
 

@@ -1,8 +1,10 @@
 """The package's public names and the README's library example."""
 
 import ast
+import inspect
 import re
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,23 @@ def test_public_names_are_exactly_these_and_resolve():
     assert sorted(dualthresh.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         getattr(dualthresh, name)
+
+
+def test_type_hints_resolve_at_run_time():
+    # Every annotation of the public API names something the module
+    # imports at run time, so typing.get_type_hints can evaluate it.
+    public = [getattr(dualthresh, name) for name in dualthresh.__all__]
+    public += [
+        f for name, f in vars(io).items()
+        if inspect.isfunction(f) and f.__module__ == io.__name__ and not name.startswith("_")
+    ]
+    unresolved = []
+    for obj in filter(callable, public):
+        try:
+            typing.get_type_hints(obj)
+        except NameError:
+            unresolved.append(obj.__qualname__)
+    assert unresolved == []
 
 
 def test_package_imports_only_the_stdlib_and_numpy():
