@@ -42,6 +42,7 @@ from .io import (
     read_logits_csv,
     read_manifest,
     read_thresholds,
+    remove_temporaries,
     write_heatmap,
     write_manifest,
     write_records_csv,
@@ -163,13 +164,6 @@ def _tree_outputs(cfg: SweepConfig, out: Path, flag: str) -> list:
     return [(flag, out / name, "generated data") for name in names + ["manifest.json"]]
 
 
-def _print_thresholds(thresholds: CalibratedThresholds) -> None:
-    print(f"q_conf={thresholds.q_conf:.6f}")
-    print(f"q_abs={thresholds.q_abs:.6f}")
-    print(f"youden_j={thresholds.youden_j:.6f}")
-    print(f"n={thresholds.n_calibration}")
-
-
 def _check_flags(check, *values) -> None:
     """Run ``check`` on flag values; its ValueError, whose message starts
     with the field it checks, is re-raised with the field named as its
@@ -197,13 +191,25 @@ def _check_files(inputs, outputs) -> None:
             )
 
 
-def _warn_sentinel(thresholds: CalibratedThresholds) -> None:
+def _calibrated(samples, alpha: float) -> CalibratedThresholds:
+    """The thresholds ``calibrate`` places on ``samples`` at ``alpha``,
+    with a warning on standard error when ``q_conf`` is the inf sentinel."""
+    thresholds = calibrate(samples, alpha)
     if thresholds.q_conf == float("inf"):
         print(
             "warning: q_conf=inf (alpha below 1/(n+1)); prediction sets will "
             "contain every label and coverage holds vacuously",
             file=sys.stderr,
         )
+    return thresholds
+
+
+def _report(thresholds: CalibratedThresholds) -> list[str]:
+    """The ``name=value`` cells that report ``thresholds``."""
+    return [
+        f"q_conf={thresholds.q_conf:.6f}", f"q_abs={thresholds.q_abs:.6f}",
+        f"youden_j={thresholds.youden_j:.6f}", f"n={thresholds.n_calibration}",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,9 @@ def _generate_tree(cfg: SweepConfig, out: Path, quiet: bool = False) -> Path:
 
 def cmd_gen(args) -> int:
     cfg, out = SweepConfig.from_file(args.config), Path(args.out)
-    _check_files([("the config", args.config, "config")], _tree_outputs(cfg, out, "--out"))
+    outputs = _tree_outputs(cfg, out, "--out")
+    _check_files([("the config", args.config, "config")], outputs)
+    remove_temporaries(path for _, path, _ in outputs)
     _generate_tree(cfg, out)
     return 0
 
@@ -246,11 +254,9 @@ def cmd_calibrate(args) -> int:
     _check_files(
         [("--cal", args.cal, "calibration data")], [("--out", args.out, "thresholds")]
     )
-    samples = read_logits_csv(args.cal)
-    thresholds = calibrate(samples, args.alpha)
-    _warn_sentinel(thresholds)
+    thresholds = _calibrated(read_logits_csv(args.cal), args.alpha)
     write_thresholds(thresholds, args.out)
-    _print_thresholds(thresholds)
+    print(*_report(thresholds), sep="\n")
     print(f"wrote {args.out}")
     return 0
 
@@ -308,13 +314,8 @@ def _run_condition(
     a line per step and appending each group's summary to ``summaries``. A
     group with no AUC gets no ROC file."""
     cond = group.condition
-    thresholds = calibrate(_read_manifest_file(group.calibration, cond, 0, k_classes), alpha)
-    _warn_sentinel(thresholds)
-    print(
-        f"[{cond}] q_conf={thresholds.q_conf:.6f}"
-        f" q_abs={thresholds.q_abs:.6f} youden_j={thresholds.youden_j:.6f}"
-        f" n={thresholds.n_calibration}"
-    )
+    thresholds = _calibrated(_read_manifest_file(group.calibration, cond, 0, k_classes), alpha)
+    print(f"[{cond}]", *_report(thresholds))
 
     for sev, path in group.tests:
         ev = evaluate_samples(_read_manifest_file(path, cond, sev, k_classes), thresholds)
@@ -359,7 +360,8 @@ def cmd_sweep(args) -> int:
     # NAME.partial the file an earlier run left under NAME: before anything
     # is written, each such file moves aside. An input under one of these
     # names or a generated data file's, or a NAME.partial that is not a
-    # regular file, is refused first.
+    # regular file, is refused first; then the temporaries a killed run
+    # left for any of them go.
     names = [p for c in groups for s in groups[c] for p in _group_outputs(out, slugs[c], s)]
     names += [out / "summary.csv", out / "summary.json", out / "heatmap.csv"]
     partials = [p.with_name(p.name + ".partial") for p in names]
@@ -367,6 +369,7 @@ def cmd_sweep(args) -> int:
     for partial in partials:
         if partial.exists() and not partial.is_file():
             raise ValueError(f"{partial} is not a regular file; earlier outputs move there")
+    remove_temporaries([path for _, path, _ in data] + names + partials)
     for path, partial in zip(names, partials):
         if path.is_file():
             path.rename(partial)

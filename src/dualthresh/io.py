@@ -126,6 +126,36 @@ def _descriptor(path) -> int | None:
     return int(fd[1]) if fd else {"/dev/stdout": 1, "/dev/stderr": 2}.get(path)
 
 
+def _temp_name(name: str, tag: str) -> str:
+    """The name of the temporary ``_open_write`` fills for the file
+    ``name``, beside it; ``tag`` is 12 lowercase hex digits."""
+    return f".{name}.{tag}.tmp"
+
+
+def remove_temporaries(paths) -> None:
+    """Remove every regular file that is a temporary ``_open_write`` left
+    for one of ``paths``, as a process killed mid-write leaves it. Each
+    directory is scanned once; one that does not exist holds none.
+    Directories, symbolic links and other names are left alone."""
+    owned: dict[str, set[str]] = {}
+    for path in paths:
+        head, name = os.path.split(os.path.realpath(path))
+        owned.setdefault(head, set()).add(name)
+    for head, names in owned.items():
+        try:
+            with os.scandir(head) as scan:
+                entries = list(scan)
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        for entry in entries:
+            name, tag = entry.name[1:-17], entry.name[-16:-4]
+            if (
+                name in names and entry.name == _temp_name(name, tag)
+                and re.fullmatch("[0-9a-f]{12}", tag) and entry.is_file(follow_symlinks=False)
+            ):
+                os.unlink(entry.path)
+
+
 @contextmanager
 def _open_write(path):
     """Open ``path`` for UTF-8 text output that appears whole or not at all:
@@ -146,7 +176,7 @@ def _open_write(path):
             yield fh
         return
     head, name = os.path.split(os.path.realpath(path))
-    temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    temp = os.path.join(head, _temp_name(name, os.urandom(6).hex()))
     try:  # 0o666 & ~umask, as open gives a new file
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:  # named as open(path, "w") would name it

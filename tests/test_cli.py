@@ -116,6 +116,34 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
+# A child that runs the CLI on sys.argv[2:] and kills itself with SIGKILL
+# while it fills the temporary of the output named sys.argv[1], so that
+# temporary stays behind.
+KILLED_MID_WRITE = """
+import os, signal, sys
+from contextlib import contextmanager
+from dualthresh import io
+from dualthresh.cli import main
+
+open_write = io._open_write
+
+@contextmanager
+def killed_mid_write(path):
+    with open_write(path) as fh:
+        if os.path.basename(path) == sys.argv[1]:
+            fh.write("sample_id\\n")
+            fh.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield fh
+
+io._open_write = killed_mid_write
+sys.exit(main(sys.argv[2:]))
+"""
+
+# A name of the temporary io._open_write fills for the file NAME.
+STALE = ".{}.0123456789ab.tmp"
+
+
 def tree_bytes(root):
     return {
         p.relative_to(root): p.read_bytes()
@@ -181,6 +209,14 @@ class TestGen:
         main(["gen", str(cfg), "--out", str(tmp_path / "a")])
         main(["gen", str(cfg), "--out", str(tmp_path / "b")])
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_removes_stale_temporaries_of_its_tree_only(self, tmp_path):
+        cfg, data = write_config(tmp_path), tmp_path / "data"
+        data.mkdir()
+        for name in ["rain_cal.csv", "rain_s3.csv", "manifest.json", "rain_s1.csv"]:
+            (data / STALE.format(name)).write_text("stale\n", encoding="utf-8")
+        assert main(["gen", str(cfg), "--out", str(data)]) == 0
+        assert [p.name for p in data.glob(".*")] == [STALE.format("rain_s1.csv")]
 
     def test_each_file_is_drawn_by_the_per_file_rule(self, tmp_path):
         # A condition's calibration file holds n_calibration rows at
@@ -1475,6 +1511,33 @@ class TestSweep:
         cfg, sw, first = self._killed_rerun(tmp_path)
         assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
         assert tree_bytes(sw) == first
+
+    def test_rerun_after_a_kill_mid_write_removes_its_temporaries(self, tmp_path):
+        # The first run dies while it fills records_rain_s3.csv; the rerun
+        # removes that temporary and a stale one of the data tree, and
+        # leaves look-alikes, a directory, a link and the temporary of a
+        # name it does not own.
+        cfg, sw = write_config(tmp_path), tmp_path / "sw"
+        proc = subprocess.run(
+            [sys.executable, "-c", KILLED_MID_WRITE, "records_rain_s3.csv",
+             "sweep", str(cfg), "--out-dir", str(sw)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        [temp] = sw.glob(".*")
+        assert temp.name.startswith(".records_rain_s3.csv.") and temp.suffix == ".tmp"
+        assert temp.read_text(encoding="utf-8") == "sample_id\n"
+        (sw / "data" / STALE.format("rain_s0.csv")).write_text("stale\n", encoding="utf-8")
+        kept = [".summary.csv.tmp", ".summary.csv.0123456789AB.tmp",
+                STALE.format("summary.csv") + ".bak", STALE.format("thr.json")]
+        for name in kept:
+            (sw / name).write_text("mine\n", encoding="utf-8")
+        (sw / STALE.format("roc_rain_s0.csv")).mkdir()
+        (sw / STALE.format("heatmap.csv")).symlink_to(sw / kept[0])
+        kept += [STALE.format("roc_rain_s0.csv"), STALE.format("heatmap.csv")]
+        assert main(["sweep", str(cfg), "--out-dir", str(sw)]) == 0
+        assert sorted(p.name for p in sw.rglob(".*")) == sorted(kept)
+        assert (sw / kept[0]).read_text(encoding="utf-8") == "mine\n"
 
     @pytest.mark.parametrize(
         "what, name, first, holds",

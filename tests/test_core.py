@@ -136,6 +136,17 @@ class TestValidation:
         p = as_probabilities([0.3333333, 0.3333333, 0.3333334])
         assert p.sum() == pytest.approx(1.0, abs=1e-6)
 
+    # README documents the row-sum tolerance as 1e-6; these rows pin it by
+    # value, on either side of 1, rather than through PROB_SUM_TOL.
+    @pytest.mark.parametrize("last", [0.500002, 0.499998])
+    def test_probabilities_reject_a_sum_2e_6_from_one(self, last):
+        with pytest.raises(ValueError, match=r"expected 1 within 1e-06$"):
+            as_probabilities([0.5, last])
+
+    @pytest.mark.parametrize("last", [0.5000005, 0.4999995])
+    def test_probabilities_accept_a_sum_5e_7_from_one(self, last):
+        assert as_probabilities([0.5, last]).tolist() == [0.5, last]
+
     def test_probabilities_reject_out_of_bounds(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             as_probabilities([1.2, -0.2])

@@ -576,6 +576,21 @@ class TestSamplesCsv:
         with pytest.raises(ParseError, match="sum"):
             read_logits_csv(path)
 
+    # The documented row-sum tolerance, 1e-6, pinned by value.
+    @pytest.mark.parametrize("last", ["0.500002", "0.499998"])
+    def test_prob_sum_2e_6_from_one_is_refused(self, tmp_path, last):
+        path = tmp_path / "sum.csv"
+        path.write_text(f"sample_id,label,prob_0,prob_1\na,0,0.5,{last}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value).startswith(f"{path}:2: probabilities sum to ")
+
+    @pytest.mark.parametrize("last", ["0.5000005", "0.4999995"])
+    def test_prob_sum_5e_7_from_one_is_accepted(self, tmp_path, last):
+        path = tmp_path / "sum.csv"
+        path.write_text(f"sample_id,label,prob_0,prob_1\na,0,0.5,{last}\n", encoding="utf-8")
+        assert read_logits_csv(path).probs.tolist() == [[0.5, float(last)]]
+
     def test_mixed_headers_rejected(self, tmp_path):
         path = tmp_path / "mixed.csv"
         path.write_text(
