@@ -228,8 +228,9 @@ class SampleBatch:
     @classmethod
     def _from_valid(cls, condition: str, severity: int, **columns) -> "SampleBatch":
         """Wrap columns that already form a valid batch, and the tags that
-        ``check_tags`` returned, checking nothing but that there is a row;
-        for producers that validated each row."""
+        ``check_tags`` returned, checking nothing but that there is a row.
+        Its one caller is ``io.read_logits_csv``, which checks every row
+        itself so that an error names its line."""
         batch = object.__new__(cls)
         batch._install(condition, severity, **columns)
         if len(batch) == 0:
@@ -242,12 +243,3 @@ class SampleBatch:
     @property
     def k_classes(self) -> int:
         return self.probs.shape[1]
-
-    def take(self, index) -> "SampleBatch":
-        """The rows selected by an index array or a bool mask, in that
-        order, with the batch's tags; they are not validated again, so an
-        index that repeats a row repeats its sample id."""
-        return SampleBatch._from_valid(
-            self.condition, self.severity,
-            **{name: getattr(self, name)[index] for name in ("sample_id", "label", "probs")},
-        )

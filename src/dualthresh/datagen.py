@@ -191,11 +191,17 @@ def exchangeable_split(
     """Seeded uniform shuffle, then split into (calibration, test).
 
     A uniform permutation keeps the two parts exchangeable, which is the
-    assumption the conformal coverage guarantee rides on.
+    assumption the conformal coverage guarantee rides on. Each part is
+    built through the ``SampleBatch`` constructor, so it is validated
+    like any other batch, at one ``as_probabilities`` call per row.
     """
     if not 0 < n_cal < len(samples):
         raise ValueError(
             f"n_cal must be in [1, {len(samples) - 1}], got {n_cal}"
         )
     perm = _rng(seed).permutation(len(samples))
-    return samples.take(perm[:n_cal]), samples.take(perm[n_cal:])
+    return tuple(
+        SampleBatch(samples.sample_id[part], samples.label[part], samples.probs[part],
+                    samples.condition, samples.severity)
+        for part in (perm[:n_cal], perm[n_cal:])
+    )

@@ -391,12 +391,12 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                     bad = first + int(finite.argmin())
                     raise ParseError(path, bad, "logits contain NaN or infinite entries")
                 values = core.softmax_rows(values)
-            as_probabilities = core.as_probabilities
-            for line_no, row in enumerate(values, first):
-                try:
-                    rows.append(as_probabilities(row))
-                except ValueError as exc:
-                    raise ParseError(path, line_no, str(exc)) from None
+            # A row that fails leaves the rows before it in ``rows``.
+            done = len(rows)
+            try:
+                rows.extend(map(core.as_probabilities, values))
+            except ValueError as exc:
+                raise ParseError(path, first + len(rows) - done, str(exc)) from None
             if len(rows) >= stack_rows:
                 blocks.append(np.array(rows))
                 rows.clear()

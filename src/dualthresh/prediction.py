@@ -9,7 +9,7 @@ downstream consumers can choose their own system-level semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,6 @@ class Evaluations:
 
     def __len__(self) -> int:
         return self.label.size
-
-    def take(self, index) -> "Evaluations":
-        """The rows selected by an index array or a bool mask, in that
-        order, with the batch's tags."""
-        return Evaluations(self.condition, self.severity, **{
-            f.name: getattr(self, f.name)[index] for f in fields(self)[2:]
-        })
 
 
 def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> Evaluations:

@@ -177,15 +177,14 @@ class TestCoverageGuarantee:
     @settings(max_examples=150, deadline=None)
     @given(p0s=_two_kind_p0s(), alpha=_ALPHAS)
     def test_calibrate_and_evaluate_cover_exactly(self, p0s, alpha):
-        samples = sample_batch((f"s{i}", 0, [p0, 1.0 - p0]) for i, p0 in enumerate(p0s))
-        rows = np.arange(len(samples))
+        rows = [(f"s{i}", 0, [p0, 1.0 - p0]) for i, p0 in enumerate(p0s)]
         covered = [
             bool(evaluate_samples(
-                samples.take([i]), calibrate(samples.take(rows != i), alpha)
+                sample_batch([row]), calibrate(sample_batch(rows[:i] + rows[i + 1:]), alpha)
             ).covered[0])
-            for i in rows
+            for i, row in enumerate(rows)
         ]
-        check_counting_guarantee(label_scores(samples).tolist(), covered, alpha)
+        check_counting_guarantee(label_scores(sample_batch(rows)).tolist(), covered, alpha)
 
 
 class TestRocPoints:

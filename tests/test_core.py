@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from dualthresh.core import (
     softmax,
     softmax_rows,
 )
+from dualthresh.prediction import Evaluations
 
 from .test_prediction import evaluations_from, sample_batch
 
@@ -394,22 +397,22 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             SampleBatch(*columns)
 
-    def test_take_selects_rows_without_validating(self, monkeypatch):
-        batch = SampleBatch(["a", "b", "c"], [0, 1, 1], [[0.9, 0.1], [0.5, 0.5], [0.3, 0.7]],
-                            "rain", 2)
-        calls = []
-        monkeypatch.setattr(core, "as_probabilities", lambda p: calls.append(p))
-        part = batch.take(np.array([2, 0]))
-        assert part.sample_id.tolist() == ["c", "a"]
-        assert part.probs.tolist() == [[0.3, 0.7], [0.9, 0.1]]
-        assert (part.condition, part.severity) == ("rain", 2)
-        assert batch.take(batch.sample_id != "a").label.tolist() == [1, 1]
-        # Not validated again: a repeated index repeats its sample id.
-        assert batch.take(np.array([1, 1])).sample_id.tolist() == ["b", "b"]
-        assert not part.probs.flags.writeable
-        assert calls == []
-        with pytest.raises(ValueError, match="non-empty"):
-            batch.take(batch.label > 5)
+    def test_only_the_reader_builds_a_batch_without_the_constructor(self):
+        # Every public route to a batch validates it: the unchecked
+        # _from_valid has one caller in src/, read_logits_csv, which checks
+        # each row itself, and no batch selects rows past the constructor.
+        callers = set()
+        for source in sorted(Path(core.__file__).parent.glob("*.py")):
+            tree = ast.parse(source.read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if isinstance(function, ast.FunctionDef):
+                    callers.update(
+                        f"{source.stem}.{function.name}" for node in ast.walk(function)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "attr", None) == "_from_valid"
+                    )
+        assert callers == {"io.read_logits_csv"}
+        assert not hasattr(SampleBatch, "take") and not hasattr(Evaluations, "take")
 
     def test_logit_rows_go_through_softmax(self):
         batch = SampleBatch(["a"], [0], [softmax([2.0, 0.0, -1.0])])

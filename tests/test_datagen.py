@@ -230,11 +230,20 @@ class TestExchangeableSplit:
         assert ids == set(samples.sample_id)
         assert not (set(cal.sample_id) & set(test.sample_id))
 
-    def test_split_does_not_validate_again(self, monkeypatch):
-        samples = generate_dataset(config(n_samples=10))
-        monkeypatch.setattr(core, "as_probabilities", None)  # a call would fail
+    def test_split_validates_each_row_once(self, monkeypatch):
+        # Both parts are built through the checked constructor, so every
+        # row goes through as_probabilities once, as in any other batch.
+        samples = generate_dataset(config(n_samples=10, condition="fog", severity=2))
+        calls = []
+        real = core.as_probabilities
+        monkeypatch.setattr(core, "as_probabilities", lambda p: calls.append(p) or real(p))
         cal, test = exchangeable_split(samples, 4, seed=3)
-        assert (len(cal), len(test)) == (4, 6)
+        assert (len(cal), len(test)) == (4, 6) and len(calls) == 10
+        rows = np.concatenate([cal.probs, test.probs])
+        assert sorted(map(tuple, calls)) == sorted(map(tuple, rows))
+        assert (cal.condition, cal.severity) == (test.condition, test.severity) == ("fog", 2)
+        assert not any(c.flags.writeable for part in (cal, test)
+                       for c in (part.sample_id, part.label, part.probs))
 
     def test_same_seed_same_split(self):
         samples = generate_dataset(config(n_samples=50))

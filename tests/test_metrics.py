@@ -1,14 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualthresh.calibration import CalibratedThresholds
+from dualthresh.calibration import CalibratedThresholds, roc_points
 from dualthresh.core import DegenerateLabelsError
 from dualthresh.metrics import EvaluationSummary, detection_auc, summarize
-from dualthresh.prediction import evaluate_samples
+from dualthresh.prediction import Evaluations, evaluate_samples
 
 from .test_calibration import mann_whitney
 from .test_prediction import dirichlet_samples, evaluations_from, sample_batch, traced_peak
@@ -107,7 +108,7 @@ class TestAggregates:
         assert summarize(ev).abstention_rate == 0.0
 
     def test_empty_inputs_rejected(self):
-        empty = evaluations_from([([0.9, 0.1], 0)]).take(np.zeros(1, dtype=bool))
+        empty = Evaluations("", 0, *(np.empty(0) for _ in fields(Evaluations)[2:]))
         assert len(empty) == 0
         for fn in (summarize, detection_auc):
             with pytest.raises(ValueError, match="non-empty"):
@@ -142,13 +143,11 @@ class TestAggregates:
             detection_auc(ev)
 
 
-def _group_evaluations():
+def _group_evaluations(order=range(8)):
     # Every measure of these rows is a small dyadic number, so each mean is
     # exact whatever the row order.
     rows = [([1.0, 0.0], 0), ([0.5, 0.5], 1), ([0.0, 1.0], 1), ([0.5, 0.5], 0)] * 2
-    samples = sample_batch(
-        ((f"s{i}", label, probs) for i, (probs, label) in enumerate(rows)), "fog", 1
-    )
+    samples = sample_batch(((f"s{i}", rows[i][1], rows[i][0]) for i in order), "fog", 1)
     thr = CalibratedThresholds(
         q_conf=1.0, q_abs=0.7, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=2,
     )
@@ -164,7 +163,7 @@ class TestSummarize:
     def test_order_independence(self):
         ev = _group_evaluations()
         rng = np.random.default_rng(9)
-        assert summarize(ev) == summarize(ev.take(rng.permutation(len(ev))))
+        assert summarize(ev) == summarize(_group_evaluations(rng.permutation(len(ev))))
 
     def test_single_group_direct_means(self):
         ev = evaluations_from(
@@ -198,16 +197,15 @@ class TestSummarize:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_permutation_invariance(self, rows, condition, severity, seed):
-        samples = sample_batch(
-            ((f"s{i}", label, [p / 20, 1 - p / 20]) for i, (p, label) in enumerate(rows)),
-            condition, severity,
-        )
+        rows = [(f"s{i}", label, [p / 20, 1 - p / 20]) for i, (p, label) in enumerate(rows)]
+        perm = np.random.default_rng(seed).permutation(len(rows))
         thr = CalibratedThresholds(
             q_conf=0.8, q_abs=0.4, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=2,
         )
-        ev = evaluate_samples(samples, thr)
-        perm = np.random.default_rng(seed).permutation(len(ev))
-        a, b = summarize(ev), summarize(ev.take(perm))
+        a, b = (
+            summarize(evaluate_samples(sample_batch(batch, condition, severity), thr))
+            for batch in (rows, [rows[i] for i in perm])
+        )
         assert (a.condition, a.severity, a.n, a.coverage) == (
             b.condition, b.severity, b.n, b.coverage,
         )
@@ -219,23 +217,24 @@ class TestSummarize:
 
 
 # Reference: the summarize body that copied every column of the group
-# with Evaluations.take; the column-wise summarize must give its floats.
+# by its mask; the column-wise summarize must give its floats.
 def take_summarize(ev):
     if len(ev) == 0:
         raise ValueError("evaluations must be non-empty")
-    grp = ev.take(np.ones(len(ev), dtype=bool))  # the batch's one group
-    n_flagged = int(grp.should_abstain.sum())
+    grp = np.ones(len(ev), dtype=bool)  # the batch's one group
+    flags = ev.should_abstain[grp]
+    n_flagged = int(flags.sum())
     return EvaluationSummary(
-        condition=grp.condition,
-        severity=grp.severity,
-        n=len(grp),
-        coverage=float(np.mean(grp.covered)),
-        avg_set_size=float(np.mean(grp.set_size)),
-        avg_entropy=float(np.mean(grp.entropy)),
-        avg_confidence=float(np.mean(grp.confidence)),
-        avg_margin=float(np.mean(grp.margin)),
-        abstention_rate=float(np.mean(grp.abstained)),
-        auc=detection_auc(grp).auc if 0 < n_flagged < len(grp) else None,
+        condition=ev.condition,
+        severity=ev.severity,
+        n=int(grp.sum()),
+        coverage=float(np.mean(ev.covered[grp])),
+        avg_set_size=float(np.mean(ev.set_size[grp])),
+        avg_entropy=float(np.mean(ev.entropy[grp])),
+        avg_confidence=float(np.mean(ev.confidence[grp])),
+        avg_margin=float(np.mean(ev.margin[grp])),
+        abstention_rate=float(np.mean(ev.abstained[grp])),
+        auc=roc_points(ev.score_top1[grp], flags).auc if 0 < n_flagged < flags.size else None,
     )
 
 
@@ -268,7 +267,8 @@ class TestSummarizeAgainstTake:
         assert summarize(ev) == take_summarize(ev)
 
     def test_summarize_peak(self):
-        # The take-based body peaked at 2.57x the (n, k) matrix.
+        # The body that copied the group's columns peaked at 2.57x the
+        # (n, k) matrix.
         n, k = 20_000, 10
         thr = CalibratedThresholds(
             q_conf=2.0, q_abs=1.0, alpha=0.1, n_calibration=10, youden_j=0.5, k_classes=k,

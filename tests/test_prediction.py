@@ -58,10 +58,13 @@ def members(probs, q_conf):
     return tuple(np.flatnonzero(in_set).tolist())
 
 
-def assert_same(a: Evaluations, b: Evaluations):
+def assert_same(a: Evaluations, b: Evaluations, row=None):
+    """Every field of ``a`` equals ``b``'s; with ``row``, the columns of
+    ``a`` are read at that one row."""
+    rows = slice(None) if row is None else slice(row, row + 1)
     assert (a.condition, a.severity) == (b.condition, b.severity)
     for name in list(Evaluations.__dataclass_fields__)[2:]:
-        x, y = getattr(a, name), getattr(b, name)
+        x, y = getattr(a, name)[rows], getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
@@ -182,7 +185,7 @@ class TestEvaluateSample:
         ]
         batch = evaluate_samples(sample_batch(rows), thr)
         for i, row in enumerate(rows):
-            assert_same(batch.take([i]), evaluate_one(row, thr))
+            assert_same(batch, evaluate_one(row, thr), row=i)
 
     def test_empty_batch(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -213,23 +216,16 @@ class TestEvaluateSample:
 
 
 class TestEvaluationsBatch:
-    def test_len_set_size_and_take(self):
+    def test_len_set_size_and_row_order(self):
         thr = thresholds(math.log(2), 0.2, k=2)
-        samples = sample_batch([
-            ("a", 0, [0.9, 0.1]),
-            ("b", 1, [0.5, 0.5]),
-            ("c", 1, [0.3, 0.7]),
-        ], "rain", 3)
-        ev = evaluate_samples(samples, thr)
+        rows = [("a", 0, [0.9, 0.1]), ("b", 1, [0.5, 0.5]), ("c", 1, [0.3, 0.7])]
+        ev = evaluate_samples(sample_batch(rows, "rain", 3), thr)
         assert len(ev) == 3
         assert ev.set_size.tolist() == [1, 2, 1]
-        by_index = ev.take(np.array([2, 0]))
-        assert by_index.sample_id.tolist() == ["c", "a"]
-        assert by_index.set_size.tolist() == [1, 1]
-        by_mask = ev.take(ev.sample_id != "b")
-        assert by_mask.sample_id.tolist() == ["a", "c"]
-        assert (by_mask.condition, by_mask.severity) == ("rain", 3)
-        assert by_mask.set_size.tolist() == [1, 1]
+        part = evaluate_samples(sample_batch([rows[2], rows[0]], "rain", 3), thr)
+        assert part.sample_id.tolist() == ["c", "a"]
+        assert (part.condition, part.severity) == ("rain", 3)
+        assert part.set_size.tolist() == [1, 1]
 
     @pytest.mark.parametrize("k", [2, 1000])
     def test_every_array_field_is_one_value_per_row(self, k):
@@ -269,7 +265,7 @@ class TestBatchAgainstScalar:
         thr = thresholds(q_conf, q_abs, k=k)
         batch = evaluate_samples(sample_batch(rows), thr)
         for i, row in enumerate(rows):
-            assert_same(batch.take([i]), evaluate_one(row, thr))
+            assert_same(batch, evaluate_one(row, thr), row=i)
 
 
 # Reference: the unblocked body that the row-blocked evaluate_samples

@@ -67,6 +67,13 @@ MUTANTS = (
            "the AUC is the area under the ROC polyline"),
     Mutant("core", "PROB_SUM_TOL = 1e-6", "PROB_SUM_TOL = 1e-5",
            "a row's sum is within the documented 1e-6 of 1"),
+    Mutant("metrics", "0 < n_flagged < n", "0 <= n_flagged < n",
+           "a group without a top-1 error has no AUC, not a failed ROC"),
+    Mutant("metrics", "float(np.mean(ev.abstained))", "float(np.mean(ev.should_abstain))",
+           "the abstention rate counts the rule's verdicts, not the top-1 errors"),
+    Mutant("metrics", "roc_points(ev.score_top1, ev.should_abstain)",
+           "roc_points(ev.score_top1, ev.abstained)",
+           "the detection AUC ranks the top-1 score against the top-1 errors"),
 )
 
 
