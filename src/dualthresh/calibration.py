@@ -20,7 +20,13 @@ import numpy as np
 
 from .core import DegenerateLabelsError, SampleBatch, block_rows, nonconformity_scores
 
-THRESHOLDS_FORMAT_VERSION = 1
+# The thresholds artifact's format, which also names its scores: q_conf
+# is compared with the true-label score -log clip(p, 1e-12, 1), as
+# core.nonconformity_scores computes it; q_abs is placed by the Youden ROC
+# of that same score and compared with the top-1 score. Any change to
+# which score a threshold is placed on or compared with (its clamp floor
+# included) bumps it, so a file is never applied under another rule.
+THRESHOLDS_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -62,8 +68,6 @@ class CalibratedThresholds:
     ``q_conf`` may be ``math.inf`` when the requested significance level is
     unattainable at the calibration size (rank exceeds n); prediction sets
     then contain every label and coverage holds vacuously.
-    ``created_utc`` is kept as given; ``calibrate`` leaves it empty, so the
-    artifact depends only on the calibration data and alpha.
     """
 
     q_conf: float
@@ -72,7 +76,6 @@ class CalibratedThresholds:
     n_calibration: int
     youden_j: float
     k_classes: int
-    created_utc: str = ""
 
     def __post_init__(self):
         check_alpha(self.alpha)

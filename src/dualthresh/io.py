@@ -226,9 +226,18 @@ def _write_json(doc, path) -> None:
         fh.write("\n")
 
 
-def _check_version(path, version, expected: int) -> None:
-    if version != expected:
-        raise ArtifactError(f"{path}: unknown format_version {version!r}, expected {expected}")
+def _load_versioned(path, where: str, types: dict, version: int) -> dict:
+    """Load the JSON file ``path`` and check, in this order, that it holds
+    an object, that the object's ``format_version``, when it has one, is
+    ``version``, and that it passes ``check_fields`` with every key of
+    ``types`` required. So a file of another format names its version,
+    not the keys that format spells differently."""
+    doc = load_json(path)
+    if isinstance(doc, dict) and doc.get("format_version", version) != version:
+        raise ArtifactError(
+            f"{path}: unknown format_version {doc['format_version']!r}, expected {version}"
+        )
+    return check_fields(where, doc, types, types)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +341,12 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     value cells. A block of plain bytes (printable ASCII without a double
     quote, LF endings) is decoded once, as ASCII, and parsed in bulk, one
     C call for all its values; its ids, labels and cell counts are checked
-    at once. A block the bulk pass cannot vouch for is decoded whole, as
-    UTF-8, before any of its rows is checked, so a bad byte wins over
-    other faults in its own block (faults in earlier blocks win over it).
-    It then goes through a row-by-row csv loop, which reads past the block
-    only the lines that a quoted cell in its last record spans, decoding
-    each as it reads it; only that loop reports cell, id and label errors.
+    at once. A block the bulk pass cannot vouch for goes through a
+    row-by-row csv loop instead, which decodes each line as UTF-8 as it
+    reaches it and reads past the block only the lines that a quoted cell
+    in its last record spans; only that loop reports cell, id and label
+    errors. So the first faulty line wins, whatever the block size (a
+    record's lines are all decoded before its cells are checked).
     Either way a logit block is then checked as one matrix and normalized
     by one ``core.softmax_rows`` call, and each row goes through
     ``core.as_probabilities`` on its own, so the messages and line numbers
@@ -415,10 +424,10 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                     line_no += len(block)
                     continue
 
-            # Row by row: this block, decoded whole, and past it only the
-            # lines that a quoted cell in its last record spans.
-            block = list(_text_lines(path, block, line_no))
-            reader = csv.reader(chain(block, _text_lines(path, fh, line_no + len(block))))
+            # Row by row: this block, and past it only the lines that a
+            # quoted cell in its last record spans, each decoded as the
+            # loop reaches it.
+            reader = csv.reader(_text_lines(path, chain(block, fh), line_no))
             base, next_line = line_no - 1, line_no
             for row in reader:
                 # A quoted cell may span lines; name the record's first one.
@@ -548,15 +557,8 @@ _REAL = ("a number or 'inf'/'-inf'", lambda v: v in ("inf", "-inf") or NUMBER[1]
 
 # Every thresholds key in file order, with its JSON type; all are required.
 _THRESHOLDS_FIELDS = {
-    "q_conf": _REAL,
-    "q_abs": _REAL,
-    "alpha": NUMBER,
-    "n_calibration": INTEGER,
-    "youden_j": NUMBER,
-    "k_classes": INTEGER,
-    "created_utc": STRING,
-    "format_version": INTEGER,
-}
+    f.name: {"int": INTEGER, "float": _REAL}[f.type] for f in fields(CalibratedThresholds)
+} | {"format_version": INTEGER}
 
 
 def _number_out(x):
@@ -566,28 +568,28 @@ def _number_out(x):
 
 
 def write_thresholds(thresholds: CalibratedThresholds, path) -> None:
-    doc = {
-        key: _number_out(getattr(thresholds, key))
-        for key in _THRESHOLDS_FIELDS if key != "format_version"
-    }
-    doc["format_version"] = THRESHOLDS_FORMAT_VERSION
-    _write_json(doc, path)
+    _write_json({
+        f.name: _number_out(getattr(thresholds, f.name)) for f in fields(thresholds)
+    } | {"format_version": THRESHOLDS_FORMAT_VERSION}, path)
 
 
 def read_thresholds(path) -> CalibratedThresholds:
     """Load and re-validate a thresholds artifact.
 
-    Every key must be present with its JSON type. Unknown format versions
-    and any invariant violation (tampered alpha, negative q_conf, ...) are
-    rejected rather than propagated.
+    A file of another format version is refused first, naming its
+    version: the version names the scores the thresholds apply to, so a
+    format-1 file must be recalibrated. Then every key must be present
+    with its JSON type, and any invariant violation (tampered alpha,
+    negative q_conf, an infinite youden_j, ...) is rejected rather than
+    propagated.
     """
-    doc = check_fields(
-        f"{path}: thresholds", load_json(path), _THRESHOLDS_FIELDS, _THRESHOLDS_FIELDS
+    doc = _load_versioned(
+        path, f"{path}: thresholds", _THRESHOLDS_FIELDS, THRESHOLDS_FORMAT_VERSION
     )
-    _check_version(path, doc.pop("format_version"), THRESHOLDS_FORMAT_VERSION)
+    del doc["format_version"]
     try:
         return CalibratedThresholds(**{
-            key: float(value) if _THRESHOLDS_FIELDS[key] in (_REAL, NUMBER) else value
+            key: float(value) if _THRESHOLDS_FIELDS[key] is _REAL else value
             for key, value in doc.items()
         })
     except (OverflowError, ValueError) as exc:
@@ -731,8 +733,7 @@ def read_manifest(path) -> DatasetManifest:
     """
     path = Path(path)
     where = f"{path}: manifest"
-    doc = check_fields(where, load_json(path), _MANIFEST_FIELDS, _MANIFEST_FIELDS)
-    _check_version(path, doc["format_version"], MANIFEST_FORMAT_VERSION)
+    doc = _load_versioned(path, where, _MANIFEST_FIELDS, MANIFEST_FORMAT_VERSION)
     files = [
         check_fields(f"{where} files[{i}]", entry, _ENTRY_FIELDS, ("path", "condition", "severity"))
         for i, entry in enumerate(doc["files"])

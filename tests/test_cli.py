@@ -185,7 +185,7 @@ class TestVersionAndUsage:
             main(["--version"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "dualthresh" in out and "format" in out
+        assert "dualthresh" in out and "thresholds format 2," in out
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -448,7 +448,10 @@ class TestCalibrate:
                 ["calibrate", "--cal", str(cal), "--alpha", "0.5", "--out", str(out)]
             ) == 0
         assert first.read_bytes() == second.read_bytes()
-        assert json.loads(first.read_text(encoding="utf-8"))["created_utc"] == ""
+        assert list(json.loads(first.read_text(encoding="utf-8"))) == [
+            "q_conf", "q_abs", "alpha", "n_calibration", "youden_j", "k_classes",
+            "format_version",
+        ]
 
     @pytest.mark.parametrize("stdout", ["pipe", "file"])
     def test_out_to_standard_output_prints_the_thresholds(self, tmp_path, capsys, stdout):
@@ -616,6 +619,19 @@ class TestCalibrate:
         assert "warning" in captured.err
         assert json.loads(out.read_text(encoding="utf-8"))["q_conf"] == "inf"
 
+# WORKED_CAL_CSV calibrated at alpha 0.5, as thresholds format 1 wrote it.
+FORMAT_1_THRESHOLDS = """{
+  "q_conf": 0.8000000002608815,
+  "q_abs": 0.2000000000952473,
+  "alpha": 0.5,
+  "n_calibration": 4,
+  "youden_j": 1.0,
+  "k_classes": 2,
+  "created_utc": "",
+  "format_version": 1
+}
+"""
+
 
 class TestEvaluate:
     def _calibrated(self, tmp_path, alpha="0.5"):
@@ -708,6 +724,23 @@ class TestEvaluate:
         assert err.startswith("error:") and repr(key) in err
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "r.csv").exists()
+
+    def test_format_1_thresholds_exit_2_naming_both_versions(self, tmp_path, capsys):
+        # The worked file as format 1 wrote it: its version is refused
+        # before its keys, so created_utc is not the fault named.
+        cal, thr = self._calibrated(tmp_path)
+        thr.write_text(FORMAT_1_THRESHOLDS, encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--test", str(cal), "--thresholds", str(thr),
+             "--records-out", str(tmp_path / "r.csv"),
+             "--summary-out", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {thr}: unknown format_version 1, expected 2\n"
+        )
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
 
     def test_thresholds_read_before_the_test_csv(self, tmp_path, capsys):
         # The parsed rows go straight into evaluation, so the thresholds

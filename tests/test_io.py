@@ -450,7 +450,7 @@ class TestWritersMatchCsvWriter:
 def thresholds(**overrides):
     base = dict(
         q_conf=1.25, q_abs=0.8, alpha=0.1, n_calibration=100,
-        youden_j=0.7, k_classes=3, created_utc="2026-01-02T03:04:05+00:00",
+        youden_j=0.7, k_classes=3,
     )
     base.update(overrides)
     return CalibratedThresholds(**base)
@@ -857,19 +857,19 @@ class TestSamplesCsv:
             read_logits_csv(path)
         assert opened == [path]
 
-    @pytest.mark.parametrize("parse_rows, line", [(1, 2), (2, 3)])
-    def test_a_bad_byte_wins_over_the_faults_of_its_own_block(
-        self, tmp_path, monkeypatch, parse_rows, line
+    @pytest.mark.parametrize("parse_rows", [1, 2, 3])
+    def test_the_first_faulty_line_wins_at_every_block_size(
+        self, tmp_path, monkeypatch, parse_rows
     ):
-        # Line 2's label is out of range and line 3 holds a bad byte. In
-        # blocks of one row line 2's block is checked first; in blocks of
-        # two rows both lines are decoded before either row is checked.
+        # Line 2's label is out of range and line 3 holds a bad byte. The
+        # row loop decodes each line as it reaches it, so line 2 is named
+        # whether or not line 3 is in its block.
         path = tmp_path / "two.csv"
         path.write_bytes(b"sample_id,label,prob_0,prob_1\nb,7,0.5,0.5\n\xff,0,0.5,0.5\n")
         monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 2 * parse_rows)
         with pytest.raises(ParseError) as err:
             read_logits_csv(path)
-        assert err.value.line == line
+        assert str(err.value) == f"{path}:2: label 7 out of range for 2 classes"
         # The header is read before the first block.
         path.write_bytes(b"sample_id,label,prob_0\n\xff,0,1.0\n")
         with pytest.raises(ParseError, match=":1: header must start"):
@@ -961,7 +961,7 @@ class TestThresholdsArtifact:
         assert path.read_text(encoding="utf-8") == (
             '{\n  "q_conf": 1.25,\n  "q_abs": 0.8,\n  "alpha": 0.1,\n'
             '  "n_calibration": 100,\n  "youden_j": 0.7,\n  "k_classes": 3,\n'
-            '  "created_utc": "2026-01-02T03:04:05+00:00",\n  "format_version": 1\n}\n'
+            '  "format_version": 2\n}\n'
         )
         with pytest.raises(TypeError, match="format_version"):
             thresholds(format_version=2)
@@ -993,10 +993,44 @@ class TestThresholdsArtifact:
             read_thresholds(path)
 
     def test_missing_key_rejected(self, tmp_path):
+        # No format_version: the key table names it with the others.
         path = tmp_path / "thr.json"
         path.write_text("{}", encoding="utf-8")
-        with pytest.raises(ArtifactError, match="missing"):
+        with pytest.raises(ArtifactError) as err:
             read_thresholds(path)
+        assert str(err.value) == (
+            f"{path}: thresholds is missing keys ['alpha', 'format_version', "
+            "'k_classes', 'n_calibration', 'q_abs', 'q_conf', 'youden_j']"
+        )
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(created_utc=""), "has unknown keys ['created_utc']"),
+        (lambda doc: doc.pop("q_abs"), "is missing keys ['q_abs']"),
+    ], ids=["unknown", "missing"])
+    def test_a_format_2_file_names_its_key_fault(self, tmp_path, edit, message):
+        path = tmp_path / "thr.json"
+        write_thresholds(thresholds(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ArtifactError) as err:
+            read_thresholds(path)
+        assert str(err.value) == f"{path}: thresholds {message}"
+
+    @pytest.mark.parametrize("key, message", [
+        ("alpha", "alpha must be in (0, 1), got inf"),
+        ("youden_j", "youden_j must be in [-1, 1], got inf"),
+    ])
+    def test_an_infinite_alpha_or_youden_j_is_refused(self, tmp_path, key, message):
+        # Every float field is read as a real, so the invariant refuses it.
+        path = tmp_path / "thr.json"
+        write_thresholds(thresholds(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[key] = "inf"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ArtifactError) as err:
+            read_thresholds(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_non_json_rejected(self, tmp_path):
         path = tmp_path / "thr.json"
@@ -1012,7 +1046,6 @@ class TestThresholdsArtifact:
         n_calibration=st.integers(1, 10**12),
         youden_j=st.floats(-1.0, 1.0),
         k_classes=st.integers(2, 10**6),
-        created_utc=st.text(),
     )
     def test_write_then_read_is_the_identity(self, tmp_path_factory, **fields):
         thr = CalibratedThresholds(**fields)

@@ -1,6 +1,7 @@
 """The package's public names and the README's library example."""
 
 import ast
+import dataclasses
 import inspect
 import re
 import sys
@@ -232,3 +233,31 @@ def test_csv_reader_decodes_once():
     source = Path(io.__file__).read_text(encoding="utf-8")
     assert "_not_utf8" not in source
     assert "utf-8-sig" not in source
+
+
+def test_thresholds_artifact_is_spelled_once():
+    # Its keys are CalibratedThresholds' fields in order, then the format
+    # version, which names the scores; created_utc, which no code set,
+    # went with format 2.
+    names = [f.name for f in dataclasses.fields(calibration.CalibratedThresholds)]
+    assert "created_utc" not in names
+    assert list(io._THRESHOLDS_FIELDS) == names + ["format_version"]
+    assert calibration.THRESHOLDS_FORMAT_VERSION == 2
+
+
+def test_versioned_artifacts_load_through_one_loader():
+    # Both readers check object, version, then keys in one place, and
+    # nothing else in io loads JSON.
+    tree = ast.parse(Path(io.__file__).read_text(encoding="utf-8"))
+    callers = {
+        name: {
+            fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+        }
+        for name in ("_load_versioned", "load_json")
+    }
+    assert callers == {
+        "_load_versioned": {"read_thresholds", "read_manifest"},
+        "load_json": {"_load_versioned"},
+    }
