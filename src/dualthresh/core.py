@@ -159,6 +159,20 @@ def check_tags(condition, severity) -> tuple[str, int]:
     return str(condition), int(severity)
 
 
+def check_sample_id(sample_id, index: int, first: dict[str, int], where: str) -> None:
+    """Refuse a sample id that is not a ``str``, holds a carriage return
+    (which the LF-terminated exports would leave unquoted) or is already a
+    key of ``first``, the ids seen so far, each with its index; a new id is
+    entered there at ``index``. ``where`` names what an index counts, "in
+    row" of a batch or "on line" of a file, in the duplicate's message."""
+    if not isinstance(sample_id, str):
+        raise ValueError(f"sample_id must be a str, got {type(sample_id).__name__}")
+    if "\r" in sample_id:
+        raise ValueError(f"sample_id {sample_id!r} holds a carriage return")
+    if first.setdefault(sample_id, index) != index:
+        raise ValueError(f"duplicate sample_id {sample_id!r} (first {where} {first[sample_id]})")
+
+
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
     """One file's evaluation units as columns, row i describing the i-th
@@ -170,9 +184,9 @@ class SampleBatch:
     Building a batch validates it: the tags through ``check_tags``, at
     least one row, each probability row through ``as_probabilities``
     (entries within the rounding slack are clipped), labels of an integer
-    dtype, each in [0, k), then every sample id a ``str`` without a
-    carriage return and unique, as the CSV writers and reader need. Every
-    column is a read-only array.
+    dtype, each in [0, k), then every sample id through
+    ``check_sample_id``: a ``str`` without a carriage return and unique, as
+    the CSV writers and reader need. Every column is a read-only array.
     """
 
     sample_id: np.ndarray
@@ -207,14 +221,7 @@ class SampleBatch:
             raise ValueError(f"label {label[bad.argmax()]} out of range for {k} classes")
         first_row: dict[str, int] = {}
         for i, sample_id in enumerate(ids):
-            if not isinstance(sample_id, str):
-                raise ValueError(f"sample_id must be a str, got {type(sample_id).__name__}")
-            if "\r" in sample_id:
-                raise ValueError(f"sample_id {sample_id!r} holds a carriage return")
-            if first_row.setdefault(sample_id, i) != i:
-                raise ValueError(
-                    f"duplicate sample_id {sample_id!r} (first in row {first_row[sample_id]})"
-                )
+            check_sample_id(sample_id, i, first_row, "in row")
         self._install(condition, severity, sample_id=ids, label=label, probs=probs)
 
     def _install(self, condition: str, severity: int, **columns: np.ndarray) -> None:
@@ -230,7 +237,9 @@ class SampleBatch:
         """Wrap columns that already form a valid batch, and the tags that
         ``check_tags`` returned, checking nothing but that there is a row.
         Its one caller is ``io.read_logits_csv``, which checks every row
-        itself so that an error names its line."""
+        itself so that an error names its line, each id through
+        ``check_sample_id`` (or, for a plain parse block, a bulk check that
+        sends any faulty block to it)."""
         batch = object.__new__(cls)
         batch._install(condition, severity, **columns)
         if len(batch) == 0:

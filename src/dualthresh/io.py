@@ -274,6 +274,11 @@ def write_samples_csv(samples: SampleBatch, path) -> None:
 # A label cell: an optional minus sign and ASCII digits, nothing else.
 _LABEL = re.compile(r"-?[0-9]+")
 
+# What float() reads in a value cell and the bulk parse never does: a `_`
+# digit separator, which np.loadtxt refuses, and a non-ASCII character or a
+# quoted cell's line break, which no plain block holds.
+_NOT_LOADTXT = re.compile(r"[_\r\n]|[^\x00-\x7f]")
+
 # A block's label cells joined by commas, as a bulk parse takes them: each
 # at most 18 ASCII digits, more than any class count needs and far below
 # the 4,300 digits beyond which int() refuses a string.
@@ -333,7 +338,9 @@ def read_logits_csv(path, condition: str = "", severity: int = 0) -> SampleBatch
     which the file format itself does not carry; they are checked through
     ``core.check_tags`` before the file is opened. Sample ids must be unique
     within the file and may not hold a carriage return, which the
-    LF-terminated exports would leave unquoted. A leading UTF-8 byte-order
+    LF-terminated exports would leave unquoted: ``core.check_sample_id``'s
+    rule, as for a batch. A value cell is read as ``np.loadtxt`` reads
+    it, on either path. A leading UTF-8 byte-order
     mark is ignored (as spreadsheet exports write one); a file that is not
     UTF-8 is an error naming the line of its first bad byte.
 
@@ -468,20 +475,14 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
 
 def _record(row: list[str], k: int, first_line: dict[str, int], line_no: int):
     """Check the csv record ``row`` of line ``line_no`` for ``k`` value
-    cells: its cell count, its id (no carriage return, not yet among
-    ``first_line``'s, where it is then entered), its label and its values,
-    in that order. Return ``(label, values)``; a fault is a ValueError
-    naming it."""
+    cells: its cell count, its id (through ``core.check_sample_id``, which
+    enters it in ``first_line``), its label and its values, in that order.
+    A value cell is read as ``np.loadtxt`` reads it in a bulk block:
+    ``float()`` after refusing what only ``float()`` accepts. Return
+    ``(label, values)``; a fault is a ValueError naming it."""
     if len(row) != k + 2:
         raise ValueError(f"expected {k + 2} cells, got {len(row)}")
-    sample_id = row[0]
-    if "\r" in sample_id:
-        raise ValueError(f"sample_id {sample_id!r} holds a carriage return")
-    if sample_id in first_line:
-        raise ValueError(
-            f"duplicate sample_id {sample_id!r} (first on line {first_line[sample_id]})"
-        )
-    first_line[sample_id] = line_no
+    core.check_sample_id(row[0], line_no, first_line, "on line")
     try:
         if not _LABEL.fullmatch(row[1]):
             raise ValueError(row[1])
@@ -491,6 +492,8 @@ def _record(row: list[str], k: int, first_line: dict[str, int], line_no: int):
     if not 0 <= label < k:
         raise ValueError(f"label {label} out of range for {k} classes")
     try:
+        if any(map(_NOT_LOADTXT.search, row[2:])):
+            raise ValueError
         return label, list(map(float, row[2:]))
     except ValueError:
         raise ValueError("non-numeric value cell") from None
@@ -502,10 +505,10 @@ def _parse_block(lines: list[bytes], k: int, limit: int):
     otherwise or would find a fault in their cells, ids or labels.
 
     Only plain bytes are parsed, decoded once as ASCII: there
-    ``np.loadtxt`` reads a value cell as ``float()`` does (both end in
-    ``PyOS_string_to_double``) or rejects it, a line is one record, no
-    cell holds a carriage return and none is longer than the csv field
-    size ``limit``.
+    ``np.loadtxt`` reads a value cell as the row loop does (``float()``
+    on a cell without ``_``, both ending in ``PyOS_string_to_double``) or
+    rejects it, a line is one record, no cell holds a carriage return and
+    none is longer than the csv field size ``limit``.
     """
     text = b"".join(lines)
     if (

@@ -9,7 +9,7 @@ downstream consumers can choose their own system-level semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class Evaluations:
     The batch's ``condition`` and ``severity`` tags, then one column per
     field, row i describing the i-th input sample: its ``sample_id`` and
     ``label``, the size of its prediction set, and the per-sample verdicts
-    and measures.
+    and measures. ``evaluate_samples`` returns every column read-only.
     """
 
     condition: str
@@ -79,7 +79,7 @@ def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> 
         entropy[block] = normalized_entropies(p)
         conf[block], second[block] = top_two(p)
 
-    return Evaluations(
+    ev = Evaluations(
         condition=samples.condition,
         severity=samples.severity,
         sample_id=samples.sample_id,
@@ -94,3 +94,7 @@ def evaluate_samples(samples: SampleBatch, thresholds: CalibratedThresholds) -> 
         confidence=conf,
         margin=conf - second,
     )
+    # Every field after the two tags is a column.
+    for field in fields(Evaluations)[2:]:
+        getattr(ev, field.name).flags.writeable = False
+    return ev

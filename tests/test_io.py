@@ -171,6 +171,9 @@ def rowwise_read_logits_csv(path, condition="", severity=0):
                 if not 0 <= label < k:
                     raise ParseError(path, line_no, f"label {label} out of range for {k} classes")
                 try:
+                    # float() less what np.loadtxt never reads in a block.
+                    if any(not c.isascii() or set(c) & set("_\r\n") for c in row[2:]):
+                        raise ValueError(row[2:])
                     values = list(map(float, row[2:]))
                 except ValueError:
                     raise ParseError(path, line_no, "non-numeric value cell") from None
@@ -218,6 +221,12 @@ _BAD_UTF8 = {
     b"\xe2\x82a": "invalid continuation byte",
     b"\xed\xa0\x80": "invalid continuation byte",
 }
+
+
+# A value cell's characters: ASCII digits, float punctuation, the
+# underscore float() skips, whitespace, the line breaks a quoted cell may
+# hold, the words inf and nan, and a non-ASCII digit.
+_VALUE_CHARS = list("0123456789+-.eE_ \t\r\n") + ["inf", "nan", "\u0661"]
 
 
 @st.composite
@@ -766,6 +775,54 @@ class TestSamplesCsv:
             assert getattr(got, name).tolist() == getattr(want, name).tolist()
         assert (got.condition, got.severity) == (want.condition, want.severity)
         assert np.array_equal(got.probs.view(np.int64), want.probs.view(np.int64))
+
+    @pytest.mark.parametrize("kind, row", [
+        ("logit", "a,0,1_000,0\n"),
+        ("prob", 'a,0,"0.5\n",0.5\n'),
+        ("prob", "a,0,\u0660.\u0665,0.5\n"),
+    ], ids=["separator", "line_break", "non_ascii"])
+    def test_a_cell_only_float_reads_is_non_numeric(self, tmp_path, kind, row):
+        # float() reads each as 1000 or 0.5; np.loadtxt reads none of them.
+        path = tmp_path / "cell.csv"
+        path.write_bytes(f"sample_id,label,{kind}_0,{kind}_1\n{row}".encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value) == f"{path}:2: non-numeric value cell"
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell=st.lists(st.sampled_from(_VALUE_CHARS), max_size=8).map("".join))
+    @example(cell="1_000")
+    @example(cell="0.5\n")
+    @example(cell="0.5\r")
+    @example(cell="\u0661")
+    @example(cell=" -0\t")
+    @example(cell="nan")
+    def test_the_row_loop_reads_a_value_cell_as_loadtxt_does(self, tmp_path_factory, cell):
+        # A quoted id sends the file to the row loop, which accepts the
+        # quoted cell exactly when np.loadtxt reads it between two cells of
+        # a line, as in a bulk block, and to the same float.
+        try:
+            want = np.loadtxt([f"0,{cell},0"], delimiter=",", comments=None, ndmin=2)[0, 1]
+        except ValueError:
+            want = None
+        path = tmp_path_factory.mktemp("cell") / "cell.csv"
+        path.write_bytes(f'sample_id,label,logit_0,logit_1\n"a",0,"{cell}",0\n'.encode("utf-8"))
+        read = []
+        real = core.softmax_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "softmax_rows", lambda z: read.append(z[0, 0]) or real(z))
+            try:
+                read_logits_csv(path)
+                message = None
+            except ParseError as exc:
+                message = str(exc)
+        if want is None:
+            assert message == f"{path}:2: non-numeric value cell"
+        elif not np.isfinite(want):
+            assert message == f"{path}:2: logits contain NaN or infinite entries"
+        else:
+            assert message is None
+            assert np.array(read).tobytes() == np.array([want]).tobytes()
 
     def test_a_quoted_cell_sends_only_its_own_block_row_by_row(self, tmp_path, monkeypatch):
         # Line 3's quoted id spans into line 4, past its parse block of

@@ -261,3 +261,34 @@ def test_versioned_artifacts_load_through_one_loader():
         "_load_versioned": {"read_thresholds", "read_manifest"},
         "load_json": {"_load_versioned"},
     }
+
+
+def test_the_sample_id_rule_is_spelled_once():
+    # Each of its three messages is written once in src/, inside
+    # core.check_sample_id, and a batch and the CSV reader's row loop both
+    # check their ids through it.
+    messages = [
+        r"sample_id must be a str", r"sample_id \{[^}]*\} holds a carriage return",
+        r"duplicate sample_id",
+    ]
+    holders, callers = [], set()
+    for source in sorted(Path(dualthresh.__file__).parent.glob("*.py")):
+        text = source.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for message in messages:
+            for match in re.finditer(message, text):
+                line = text.count("\n", 0, match.start()) + 1
+                spans = [f for f in functions if f.lineno <= line <= f.end_lineno]
+                holders.append((message, source.stem, max(spans, key=lambda f: f.lineno).name))
+        for fn in functions:
+            if any(
+                isinstance(node, ast.Call)
+                and "check_sample_id" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))
+                for node in ast.walk(fn)
+            ):
+                callers.add(f"{source.stem}.{fn.name}")
+    assert holders == [(message, "core", "check_sample_id") for message in messages]
+    assert callers == {"core.__post_init__", "io._record"}
+    assert "check_sample_id(" in inspect.getsource(core.SampleBatch.__post_init__)

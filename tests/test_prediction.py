@@ -237,6 +237,15 @@ class TestEvaluationsBatch:
         assert ev.set_size.dtype == np.intp
         assert not [name for name, v in vars(Evaluations).items() if isinstance(v, property)]
 
+    def test_every_column_refuses_assignment(self):
+        # As a SampleBatch's: what summarize and the records writer report
+        # cannot be changed after evaluation.
+        ev = evaluations_from([([0.9, 0.1], 0), ([0.3, 0.7], 0)])
+        for field in fields(Evaluations)[2:]:
+            column = getattr(ev, field.name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+
 
 # A probability row with some exact zeros and ties, which a one-sample
 # batch and a longer batch must treat identically.
