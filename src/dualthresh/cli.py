@@ -68,10 +68,18 @@ def _distinct_list(item):
     )
 
 
+def _is_alpha(v) -> bool:
+    """True for a JSON number that ``check_alpha`` accepts."""
+    try:
+        return NUMBER[1](v) and check_alpha(v) is None
+    except ValueError:
+        return False
+
+
 # The JSON type and rule of each config key; the generator keys live under
 # the "generator" object, and GeneratorConfig checks their values.
 _TOP_KEY_TYPES = {
-    "alpha": ("a number in (0, 1)", lambda v: NUMBER[1](v) and 0 < v < 1),
+    "alpha": ("a number in (0, 1)", _is_alpha),
     "conditions": _distinct_list(CONDITION),
     "severities": _distinct_list(SEVERITY),
     "seed": INTEGER,

@@ -235,15 +235,13 @@ class SampleBatch:
     @classmethod
     def _from_valid(cls, condition: str, severity: int, **columns) -> "SampleBatch":
         """Wrap columns that already form a valid batch, and the tags that
-        ``check_tags`` returned, checking nothing but that there is a row.
-        Its one caller is ``io.read_logits_csv``, which checks every row
-        itself so that an error names its line, each id through
-        ``check_sample_id`` (or, for a plain parse block, a bulk check that
-        sends any faulty block to it)."""
+        ``check_tags`` returned, checking nothing. Its one caller is
+        ``io.read_logits_csv``, which checks every row itself so that an
+        error names its line, each id through ``check_sample_id`` (or, for
+        a plain parse block, a bulk check that sends any faulty block to
+        it), and refuses a file of no rows."""
         batch = object.__new__(cls)
         batch._install(condition, severity, **columns)
-        if len(batch) == 0:
-            raise ValueError("samples must be non-empty")
         return batch
 
     def __len__(self) -> int:

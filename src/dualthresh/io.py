@@ -417,10 +417,9 @@ def _read_rows(path, fh) -> tuple[list[str], list[int], np.ndarray]:
                 blocks.append(np.array(rows))
                 rows.clear()
 
-        limit = csv.field_size_limit()
         line_no = reader.line_num + 1
         while block := list(islice(fh, max(1, PARSE_BLOCK_CELLS // k))):
-            parsed = _parse_block(block, k, limit)
+            parsed = _parse_block(block, k)
             if parsed is not None:
                 ids, block_labels, values = parsed
                 id_lines = dict(zip(ids, range(line_no, line_no + len(block))))
@@ -499,7 +498,7 @@ def _record(row: list[str], k: int, first_line: dict[str, int], line_no: int):
         raise ValueError("non-numeric value cell") from None
 
 
-def _parse_block(lines: list[bytes], k: int, limit: int):
+def _parse_block(lines: list[bytes], k: int):
     """Parse data lines (raw bytes) in bulk as ``(ids, labels, (n, k)
     values)``, or return None where the row-by-row loop could read them
     otherwise or would find a fault in their cells, ids or labels.
@@ -507,14 +506,17 @@ def _parse_block(lines: list[bytes], k: int, limit: int):
     Only plain bytes are parsed, decoded once as ASCII: there
     ``np.loadtxt`` reads a value cell as the row loop does (``float()``
     on a cell without ``_``, both ending in ``PyOS_string_to_double``) or
-    rejects it, a line is one record, no cell holds a carriage return and
-    none is longer than the csv field size ``limit``.
+    rejects it, a line is one record and no cell holds a carriage return.
+    A block with a cell longer than ``csv.field_size_limit()``, which the
+    row loop's csv reader refuses, is left to it; its cells are measured
+    only when one of its lines is that long.
     """
     text = b"".join(lines)
     if (
         text.translate(None, _PLAIN_BYTES)
         or text.count(b",") != len(lines) * (k + 1)
-        or max(map(len, lines)) > limit
+        or (max(map(len, lines)) > csv.field_size_limit()
+            and max(map(len, text.replace(b"\n", b",").split(b","))) > csv.field_size_limit())
     ):
         return None
     try:  # a line of fewer than 3 cells fails the unpacking

@@ -100,6 +100,15 @@ class TestConformalThreshold:
             with pytest.raises(ValueError, match="alpha"):
                 conformal_threshold([1.0], bad_alpha)
 
+    def test_nan_scores_are_refused(self):
+        # Through conformal_threshold, then roc_points: one rule, _check_scores.
+        with pytest.raises(ValueError) as exc:
+            conformal_threshold([0.5, math.nan, 1.0], 0.1)
+        assert str(exc.value) == "scores contain NaN"
+        with pytest.raises(ValueError) as exc:
+            roc_points([0.5, math.nan], [True, False])
+        assert str(exc.value) == "scores contain NaN"
+
     @pytest.mark.parametrize(
         "scores, shape",
         [(np.zeros((4, 5)), "(4, 5)"), ([[1.0]] * 10, "(10, 1)"), (5.0, "()")],

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from dualthresh import cli
+from dualthresh.calibration import check_alpha
 from dualthresh.cli import main
 from dualthresh.datagen import GeneratorConfig, derive_seed, generate_dataset, signal_strength
-from dualthresh.io import write_samples_csv
+from dualthresh.io import ArtifactError, write_samples_csv
 
 from .test_io import fail_second_write
 
@@ -388,6 +389,21 @@ class TestGen:
         )
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("alpha", [
+        0, 1, 0.5, 0.0, -0.0, 5e-324, math.nextafter(1.0, 0.0), 1.0, math.inf, math.nan,
+    ])
+    def test_config_alpha_is_checked_by_check_alpha(self, tmp_path, alpha):
+        # json writes inf and nan as Infinity and NaN, and reads them back.
+        cfg = write_config(tmp_path, alpha=alpha)
+        try:
+            check_alpha(alpha)
+        except ValueError:
+            with pytest.raises(ArtifactError) as err:
+                cli.SweepConfig.from_file(cfg)
+            assert "config key 'alpha' must be a number in (0, 1)" in str(err.value)
+        else:
+            assert cli.SweepConfig.from_file(cfg).alpha == alpha
+
     @pytest.mark.parametrize("command", ["gen", "sweep"])
     @pytest.mark.parametrize(
         "overrides", [{"generator": {"n_samples": 10**18}}, {"n_calibration": 10**18}]
@@ -740,6 +756,23 @@ class TestEvaluate:
         assert capsys.readouterr().err == (
             f"error: {thr}: unknown format_version 1, expected 2\n"
         )
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
+
+    def test_nan_q_abs_thresholds_exit_2(self, tmp_path, capsys):
+        # json reads NaN as a float, which the type check passes; the
+        # thresholds' own invariant refuses it.
+        cal, thr = self._calibrated(tmp_path)
+        doc = json.loads(thr.read_text(encoding="utf-8"))
+        thr.write_text(json.dumps(doc | {"q_abs": math.nan}), encoding="utf-8")
+        assert '"q_abs": NaN' in thr.read_text(encoding="utf-8")
+        capsys.readouterr()
+        code = main(
+            ["evaluate", "--test", str(cal), "--thresholds", str(thr),
+             "--records-out", str(tmp_path / "r.csv"),
+             "--summary-out", str(tmp_path / "s.csv")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {thr}: q_abs must not be NaN\n"
         assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
 
     def test_thresholds_read_before_the_test_csv(self, tmp_path, capsys):

@@ -465,6 +465,15 @@ def thresholds(**overrides):
     return CalibratedThresholds(**base)
 
 
+@pytest.fixture
+def field_limit():
+    """csv.field_size_limit lowered to 40 characters for one test, then
+    restored."""
+    old = csv.field_size_limit(40)
+    yield 40
+    csv.field_size_limit(old)
+
+
 class TestSamplesCsv:
     def test_round_trip_probabilities(self, tmp_path):
         samples = generate_dataset(
@@ -678,6 +687,63 @@ class TestSamplesCsv:
         with pytest.raises(ParseError) as err:
             read_logits_csv(path)
         assert str(err.value) == f"{path}:3: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("parse_rows", [1, 2, 3, 4])
+    def test_long_lines_of_short_cells_are_parsed_in_bulk(
+        self, tmp_path, monkeypatch, field_limit, parse_rows
+    ):
+        # Every data line is longer than the csv field limit, no cell is:
+        # the csv reader accepts each, and so does the bulk parse.
+        k = 20
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "sample_id,label," + ",".join(f"prob_{j}" for j in range(k)) + "\n"
+            + "".join(f"s{i},{i % k}," + ",".join(["0.05"] * k) + "\n" for i in range(10)),
+            encoding="utf-8",
+        )
+        parsed = []
+        real = io._parse_block
+        monkeypatch.setattr(io, "_parse_block", lambda *a: parsed.append(real(*a)) or parsed[-1])
+        monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", parse_rows * k)
+        batch = read_logits_csv(path)
+        assert [p is not None for p in parsed] == [True] * -(-10 // parse_rows)
+        want = rowwise_read_logits_csv(path)
+        assert batch.sample_id.tolist() == want.sample_id.tolist()
+        assert np.array_equal(batch.probs, want.probs)
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["bulk", "row_by_row"])
+    def test_a_cell_as_long_as_the_field_limit_is_read(
+        self, tmp_path, monkeypatch, field_limit, quote
+    ):
+        # The limit-long cells end a line and start one; a quoted id sends
+        # the block to the row loop.
+        cell = "0.5".ljust(field_limit, "0")
+        path = tmp_path / "limit.csv"
+        path.write_text(
+            f"sample_id,label,prob_0,prob_1\n{quote}a{quote},0,0.5,{cell}\n"
+            f"{'b' * field_limit},1,0.25,0.75\n",
+            encoding="utf-8",
+        )
+        parsed = []
+        real = io._parse_block
+        monkeypatch.setattr(io, "_parse_block", lambda *a: parsed.append(real(*a)) or parsed[-1])
+        batch = read_logits_csv(path)
+        assert [p is not None for p in parsed] == [not quote]
+        assert batch.sample_id.tolist() == ["a", "b" * field_limit]
+        assert np.array_equal(batch.probs, rowwise_read_logits_csv(path).probs)
+
+    @pytest.mark.parametrize("parse_rows", [1, 2, 3, 4])
+    def test_a_cell_longer_than_the_field_limit_names_its_line(
+        self, tmp_path, monkeypatch, field_limit, parse_rows
+    ):
+        rows = [f"s{i},{i % 2},0.5,0.5\n" for i in range(6)]
+        rows[3] = "s3,1,0.5," + "0.5".ljust(field_limit + 1, "0") + "\n"  # line 5
+        path = tmp_path / "over.csv"
+        path.write_text("sample_id,label,prob_0,prob_1\n" + "".join(rows), encoding="utf-8")
+        monkeypatch.setattr(io, "PARSE_BLOCK_CELLS", 2 * parse_rows)
+        with pytest.raises(ParseError) as err:
+            read_logits_csv(path)
+        assert str(err.value) == f"{path}:5: field larger than field limit ({field_limit})"
 
     def test_duplicate_sample_id_names_both_lines(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -1156,6 +1222,18 @@ class TestExports:
         assert cells[0] == "s0"
         assert cells[4] in ("0", "1")
         assert len(cells[8].split(".")[1]) == 6
+
+    def test_records_csv_of_no_rows_is_refused(self, tmp_path):
+        ev = _records()
+        empty = Evaluations(ev.condition, ev.severity, *(
+            getattr(ev, f.name)[:0] for f in fields(Evaluations)[2:]
+        ))
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError) as err:
+            write_records_csv(empty, path)
+        assert str(err.value) == "evaluations must be non-empty"
+        assert path.read_bytes() == b"kept\n"
 
     def test_summary_csv_and_json(self, tmp_path):
         summaries = [summarize(_records())]
