@@ -36,6 +36,7 @@ from .io import (
     ArtifactError,
     DatasetManifest,
     ManifestCondition,
+    accepts,
     check_fields,
     is_int,
     load_json,
@@ -68,18 +69,10 @@ def _distinct_list(item):
     )
 
 
-def _is_alpha(v) -> bool:
-    """True for a JSON number that ``check_alpha`` accepts."""
-    try:
-        return NUMBER[1](v) and check_alpha(v) is None
-    except ValueError:
-        return False
-
-
 # The JSON type and rule of each config key; the generator keys live under
 # the "generator" object, and GeneratorConfig checks their values.
 _TOP_KEY_TYPES = {
-    "alpha": ("a number in (0, 1)", _is_alpha),
+    "alpha": ("a number in (0, 1)", lambda v: NUMBER[1](v) and accepts(check_alpha, v)),
     "conditions": _distinct_list(CONDITION),
     "severities": _distinct_list(SEVERITY),
     "seed": INTEGER,

@@ -18,7 +18,6 @@ configs differing only in severity see paired underlying randomness.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -48,6 +47,10 @@ def derive_seed(base_seed: int, *parts) -> int:
     distinct (condition, severity, role) streams statistically unrelated
     and reproducible across platforms.
     """
+    # Imported here, not at the top: hashlib loads OpenSSL (about 3.6 MiB
+    # resident), which calibrate and evaluate never use.
+    import hashlib
+
     text = "/".join([str(int(base_seed))] + [str(p) for p in parts])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")

@@ -65,13 +65,22 @@ def is_int(value) -> bool:
 INTEGER = ("an integer", is_int)
 NUMBER = ("a number", lambda v: is_int(v) or isinstance(v, float))
 STRING = ("a string", lambda v: isinstance(v, str))
-# The JSON spellings of core.check_tags' rules, which the config's lists
+
+
+def accepts(check, *args) -> bool:
+    """True when ``check(*args)`` raises no ValueError: a JSON type whose
+    rule a checker owns is spelled through it."""
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+# The JSON types of core.check_tags' two tags, which the config's lists
 # and the manifest's entries share.
-CONDITION = ("a string without a carriage return", lambda v: isinstance(v, str) and "\r" not in v)
-SEVERITY = (
-    f"an integer in [{SEVERITY_MIN}, {SEVERITY_MAX}]",
-    lambda v: is_int(v) and SEVERITY_MIN <= v <= SEVERITY_MAX,
-)
+CONDITION = ("a string without a carriage return", lambda v: accepts(check_tags, v, 0))
+SEVERITY = (f"an integer in [{SEVERITY_MIN}, {SEVERITY_MAX}]", lambda v: accepts(check_tags, "", v))
 
 
 def load_json(path):

@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
@@ -14,8 +15,9 @@ import pytest
 from dualthresh import cli
 from dualthresh.calibration import check_alpha
 from dualthresh.cli import main
+from dualthresh.core import check_tags
 from dualthresh.datagen import GeneratorConfig, derive_seed, generate_dataset, signal_strength
-from dualthresh.io import ArtifactError, write_samples_csv
+from dualthresh.io import ArtifactError, read_manifest, write_samples_csv
 
 from .test_io import fail_second_write
 
@@ -167,6 +169,18 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         assert out.stdout.strip() == "False []", module
 
 
+def test_cli_import_leaves_openssl_unloaded():
+    # hashlib's OpenSSL backend is about 3.6 MiB resident; only derive_seed
+    # hashes, so calibrate and evaluate never load it.
+    for module in ("dualthresh", "dualthresh.cli"):
+        probe = f"import sys, {module}; print('_hashlib' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False", module
+
+
 def test_cli_import_leaves_fractions_and_decimal_unloaded():
     # The conformal rank is exact integer arithmetic, not Fraction's.
     probe = (
@@ -204,6 +218,26 @@ class TestGen:
         assert (tmp_path / "data" / "rain_s0.csv").exists()
         assert (tmp_path / "data" / "rain_s3.csv").exists()
         assert (tmp_path / "data" / "manifest.json").exists()
+
+    def test_generated_bytes_are_pinned(self, tmp_path):
+        # A change to the seed derivation, the draw order, the model or the
+        # writer moves these digests; such a change says so and moves them.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "conditions": ["rain"], "severities": [0, 2], "seed": 7, "n_calibration": 20,
+            "generator": {"k_classes": 3, "n_samples": 20},
+        }), encoding="utf-8")
+        assert main(["gen", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        digests = {
+            str(name): hashlib.sha256(data).hexdigest()
+            for name, data in tree_bytes(tmp_path / "data").items()
+        }
+        assert digests == {
+            "manifest.json": "d5dd612ab6776c763af5e85f727bb310f3603334a7d5b81e8ebe220c1d845f44",
+            "rain_cal.csv": "067c3c81f54c152707163508ea3af1e87c094afb25635c3abc2536fa39c93234",
+            "rain_s0.csv": "d95fe677003c00373a9f7b1aae2d0381f6223e1a66408071cf768868e89793f8",
+            "rain_s2.csv": "2bc2a85a83635984d2837b2803620604934dd9e382e201c5939af9207c73d94f",
+        }
 
     def test_same_seed_gives_identical_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1002,6 +1036,38 @@ def test_malformed_manifest_exits_2_naming_the_fault(tmp_path, capsys, manifest,
     assert not (tmp_path / "sw").exists()
 
 
+@pytest.mark.parametrize("field", ["condition", "severity"])
+@pytest.mark.parametrize("value", ["rain", "a\rb", 0, 5, 6, -1, 3.0, True, None])
+def test_json_tags_are_checked_by_check_tags(tmp_path, field, value):
+    # The config's lists and the manifest's entries accept a tag exactly
+    # when check_tags does.
+    tags = {"condition": "rain", "severity": 3, field: value}
+    try:
+        check_tags(**tags)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    cfg = write_config(tmp_path, conditions=[tags["condition"]], severities=[tags["severity"]])
+    doc = {"format_version": 1, "k_classes": 6, "files": [_cal(tags["condition"]), _test(**tags)]}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    key, rule, phrase = {
+        "condition": ("conditions", CONDITIONS_RULE, "a string without a carriage return"),
+        "severity": ("severities", SEVERITIES_RULE, "an integer in [0, 5]"),
+    }[field]
+    for read, path, where in (
+        (cli.SweepConfig.from_file, cfg, f"config key '{key}' must be {rule}, got "),
+        (read_manifest, manifest, f"] key '{field}' must be {phrase}, got {value!r}"),
+    ):
+        if accepted:
+            read(path)
+        else:
+            with pytest.raises(ArtifactError) as err:
+                read(path)
+            assert where in str(err.value)
+
+
 class TestSweep:
     def test_matches_calibrate_evaluate_pipeline(self, tmp_path):
         cfg = write_config(tmp_path, severities=[3])
@@ -1123,6 +1189,37 @@ class TestSweep:
         assert not (tmp_path / "sw" / "summary.csv").exists()
         # the healthy condition still produced its group outputs
         assert (tmp_path / "sw" / "records_rain_s1.csv").exists()
+
+    def test_degenerate_and_malformed_conditions_exit_2(self, tmp_path, capsys):
+        # Exit 3 only when every failure is a degenerate calibration:
+        # condition a's calibration rows are all correct, and condition
+        # b's test file has a line one cell short.
+        cfg = write_config(tmp_path, severities=[1])
+        main(["gen", str(cfg), "--out", str(tmp_path / "data")])
+        capsys.readouterr()
+        data = tmp_path / "data"
+        (data / "a_cal.csv").write_text(
+            "sample_id,label,prob_0,prob_1,prob_2,prob_3,prob_4,prob_5\n"
+            + "".join(f"d{i},0,0.95,0.01,0.01,0.01,0.01,0.01\n" for i in range(4)),
+            encoding="utf-8",
+        )
+        lines = (data / "rain_s1.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[5] = lines[5].rsplit(",", 1)[0] + "\n"  # line 6
+        (data / "b_s1.csv").write_text("".join(lines), encoding="utf-8")
+        doc = {"format_version": 1, "k_classes": 6, "files": [
+            _cal("a", path="a_cal.csv"), _test("a", path="rain_s1.csv", severity=1),
+            _cal("b", path="rain_cal.csv"), _test("b", path="b_s1.csv", severity=1),
+        ]}
+        (data / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        cfg_m = write_config(tmp_path, name="cfg_m.json", manifest="data/manifest.json")
+        assert main(["sweep", str(cfg_m), "--out-dir", str(tmp_path / "sw")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("error: condition 'a' failed: ")
+        assert err[1] == (
+            f"error: condition 'b' failed: {data / 'b_s1.csv'}:6: expected 8 cells, got 7"
+        )
+        assert (tmp_path / "sw" / "summary.csv.partial").exists()
 
     def test_conditions_sharing_a_file_name_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, conditions=COLLIDING)

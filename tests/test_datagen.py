@@ -204,6 +204,26 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             config(**bad)
 
+    @pytest.mark.parametrize("severity", [0, 1, 3, 5])
+    def test_probabilities_follow_the_documented_model(self, severity):
+        # Rebuilt from the module docstring: Philox keyed by
+        # SeedSequence(seed) draws the labels, the base noise eps, then the
+        # degradation noise eps'; the logits (clean + s*sigma*eps') * T**s,
+        # with clean = mu * onehot(label) + eps, go through a softmax.
+        cfg = config(k_classes=5, n_samples=300, base_accuracy=0.8, severity=severity,
+                     seed=2024, temperature_per_level=0.6, noise_sigma_per_level=0.7)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(2024)))
+        labels = rng.integers(0, 5, size=300)
+        eps = rng.standard_normal((300, 5))
+        eps_prime = rng.standard_normal((300, 5))
+        clean = eps + signal_strength(5, 0.8) * np.eye(5)[labels]
+        z = (clean + severity * 0.7 * eps_prime) * 0.6**severity
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        samples = generate_dataset(cfg)
+        assert samples.label.tolist() == labels.tolist()
+        np.testing.assert_allclose(samples.probs, e / e.sum(axis=1, keepdims=True),
+                                   rtol=1e-12, atol=1e-15)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "setting, named",

@@ -711,6 +711,31 @@ class TestSamplesCsv:
         assert batch.sample_id.tolist() == want.sample_id.tolist()
         assert np.array_equal(batch.probs, want.probs)
 
+    def test_wide_rows_at_the_real_field_limit_round_trip(self, tmp_path, monkeypatch):
+        # At k = 12,000 each data line the writer emits (about 178,700
+        # characters) is longer than the csv module's own field limit, though
+        # no cell is: every block is parsed in bulk, and a copy with every id
+        # quoted, read row by row, gives the same batch.
+        samples = generate_dataset(GeneratorConfig(k_classes=12_000, n_samples=4,
+                                                   base_accuracy=0.9, severity=3, seed=5))
+        path, quoted = tmp_path / "wide.csv", tmp_path / "quoted.csv"
+        write_samples_csv(samples, path)
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert min(map(len, rows)) > csv.field_size_limit()
+        quoted.write_text(header + "".join('"' + r.replace(",", '",', 1) for r in rows),
+                          encoding="utf-8")
+        parsed = []
+        real = io._parse_block
+        monkeypatch.setattr(io, "_parse_block", lambda *a: parsed.append(real(*a)) or parsed[-1])
+        batch = read_logits_csv(path, severity=3)
+        assert len(parsed) == 4 and all(p is not None for p in parsed)
+        parsed.clear()
+        back = read_logits_csv(quoted, severity=3)
+        assert parsed and not any(parsed)
+        assert back.sample_id.tolist() == batch.sample_id.tolist() == samples.sample_id.tolist()
+        assert back.label.tolist() == batch.label.tolist() == samples.label.tolist()
+        assert np.array_equal(back.probs, batch.probs)
+
     @pytest.mark.parametrize("quote", ["", '"'], ids=["bulk", "row_by_row"])
     def test_a_cell_as_long_as_the_field_limit_is_read(
         self, tmp_path, monkeypatch, field_limit, quote
